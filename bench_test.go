@@ -202,7 +202,7 @@ func BenchmarkSelect(b *testing.B) {
 	seed := w.Series["http"].At(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Select(seed, w.U.More, core.Options{Phi: 0.95}); err != nil {
+		if _, err := core.SelectCached(seed, w.U.More, core.Options{Phi: 0.95}, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -469,7 +469,7 @@ func (noopProber) Probe(_ context.Context, addr netaddr.Addr) (scan.Result, erro
 func scanCycleTargets(b *testing.B) rib.Partition {
 	w := world(b)
 	seed := w.Series["ftp"].At(0)
-	sel, err := core.Select(seed, w.U.More, core.Options{Phi: 0.7})
+	sel, err := core.SelectCached(seed, w.U.More, core.Options{Phi: 0.7}, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -743,13 +743,14 @@ func BenchmarkDeaggregateTable(b *testing.B) {
 }
 
 // BenchmarkPolicyLimiter measures the per-probe cost of the politeness
-// hierarchy against the plain global limiter, on the fast path (tokens
+// hierarchy against a global-only pacer, on the fast path (tokens
 // always available: the refill outruns the benchmark loop, so no sleep
 // is ever taken — exactly the steady state of a scan running below its
 // rate caps). The hierarchy folds the per-AS and per-prefix buckets
 // under the global bucket's one mutex and one clock read, so layering
 // must cost bucket arithmetic only: the acceptance bar is ≤10% per-probe
-// overhead for global+AS+prefix versus global-only.
+// overhead for global+AS+prefix (policy-hierarchy) versus global-only
+// (policy-global).
 func BenchmarkPolicyLimiter(b *testing.B) {
 	const (
 		rate     = 1e9 // refill far above benchmark throughput: never blocks
@@ -763,19 +764,6 @@ func BenchmarkPolicyLimiter(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	b.Run("global-only", func(b *testing.B) {
-		lim, err := scan.NewLimiter(rate, burst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := lim.Wait(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("policy-global", func(b *testing.B) {
 		p, err := scan.NewPolicyLimiter(scan.PolicyConfig{Rate: rate, Burst: burst})
 		if err != nil {

@@ -43,11 +43,11 @@ func TestRefineIsolatesDenseCore(t *testing.T) {
 		t.Errorf("dense core still buried in %v", got)
 	}
 	// Selection on the refined universe needs less space for the same φ.
-	selOrig, err := core.Select(seed, part, core.Options{Phi: 1})
+	selOrig, err := core.SelectCached(seed, part, core.Options{Phi: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	selRef, err := core.Select(seed, refined, core.Options{Phi: 1})
+	selRef, err := core.SelectCached(seed, refined, core.Options{Phi: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,27 +55,18 @@ func density[A netaddr.Key[A]](c int, p netaddr.Pfx[A]) float64 {
 	return math.Ldexp(float64(c), p.Bits()-z.Width())
 }
 
-// Rank computes the responsive-prefix statistics of a seed snapshot over
-// a partition, sorted by descending density (steps 1–3). Ties break by
-// host count (more first) and then prefix order, keeping the ranking
-// deterministic. Prefixes with zero hosts are omitted (ρ > 0, as in the
-// paper's Figure 4).
-func Rank[A netaddr.Key[A]](seed *census.SnapshotOf[A], part rib.PartOf[A]) []StatOf[A] {
-	return RankWorkers(seed, part, 1)
-}
-
-// RankWorkers is Rank with the per-prefix counting walk sharded over up
-// to workers goroutines (0 means GOMAXPROCS). The ranking is identical
-// to Rank at any worker count.
-func RankWorkers[A netaddr.Key[A]](seed *census.SnapshotOf[A], part rib.PartOf[A], workers int) []StatOf[A] {
-	return RankCached(seed, part, workers, nil)
-}
-
-// RankCached is RankWorkers with the per-prefix counts memoized in
-// cache by (seed, part) identity: the first ranking of a pair pays for
-// the counting walk, every later one reuses the counts. A nil cache
-// computes every call. The ranking is byte-identical with or without a
-// cache at any worker count.
+// RankCached computes the responsive-prefix statistics of a seed
+// snapshot over a partition, sorted by descending density (steps 1–3).
+// Ties break by host count (more first) and then prefix order, keeping
+// the ranking deterministic. Prefixes with zero hosts are omitted
+// (ρ > 0, as in the paper's Figure 4).
+//
+// The per-prefix counting walk is sharded over up to workers
+// goroutines (0 means GOMAXPROCS) and the counts are memoized in cache
+// by (seed, part) identity: the first ranking of a pair pays for the
+// walk, every later one reuses the counts. A nil cache computes every
+// call. The ranking is byte-identical with or without a cache at any
+// worker count.
 //
 // For IPv4 the sort is a key-packed slices.Sort on one uint64 per
 // responsive prefix rather than a sort.Slice comparator: density
@@ -100,7 +91,7 @@ func RankCached[A netaddr.Key[A]](seed *census.SnapshotOf[A], part rib.PartOf[A]
 	// size, impossible for snapshot input but cheap to guard) fall back
 	// to the comparator sort.
 	var zero A
-	packed := zero.Width() == 32 && part.Len() < 1<<25
+	packed := zero.Width() == 32 && part.Len() < maxPackedPrefixes
 	for i, c := range counts {
 		if c == 0 {
 			continue
@@ -143,7 +134,7 @@ func RankCached[A netaddr.Key[A]](seed *census.SnapshotOf[A], part rib.PartOf[A]
 	return stats
 }
 
-// Options parameterizes Select.
+// Options parameterizes a selection.
 type Options struct {
 	// Phi is the target host coverage φ in (0, 1]. φ=1 selects every
 	// responsive prefix; φ=0.95 trades 5 % of hosts for a much smaller
@@ -198,15 +189,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Select runs TASS prefix selection (steps 1–4) on a seed snapshot.
-func Select[A netaddr.Key[A]](seed *census.SnapshotOf[A], universe rib.PartOf[A], opts Options) (*SelectionOf[A], error) {
-	return SelectCached(seed, universe, opts, 1, nil)
-}
-
-// SelectCached is Select with the counting walk sharded over workers
-// goroutines (0 means GOMAXPROCS) and the per-prefix counts memoized in
-// cache (nil computes every call). The selection is identical to Select
-// at any worker count, cached or not.
+// SelectCached runs TASS prefix selection (steps 1–4) on a seed
+// snapshot, ranking through RankCached with the same workers and cache
+// (a single worker and a nil cache are the plain serial selection). The
+// selection is identical at any worker count, cached or not.
 func SelectCached[A netaddr.Key[A]](seed *census.SnapshotOf[A], universe rib.PartOf[A], opts Options, workers int, cache *census.CountCacheOf[A]) (*SelectionOf[A], error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -233,8 +219,12 @@ func packKey(v uint64, bits uint, idx int) uint64 {
 	return (^v&(1<<33-1))<<31 | uint64(bits)<<25 | uint64(idx)
 }
 
+// maxPackedPrefixes bounds the universes the packed key can rank: the
+// tiebreak index has 25 bits.
+const maxPackedPrefixes = 1 << 25
+
 // keyIndex recovers the tiebreak index of a packed ranking key.
-func keyIndex(k uint64) int { return int(k & (1<<25 - 1)) }
+func keyIndex(k uint64) int { return int(k & (maxPackedPrefixes - 1)) }
 
 // addSat adds address counts saturating at the maximum uint64.
 func addSat(a, b uint64) uint64 {

@@ -42,7 +42,7 @@ func fixture(t *testing.T) (*census.Snapshot, rib.Partition) {
 
 func TestRankOrderAndValues(t *testing.T) {
 	seed, part := fixture(t)
-	ranked := Rank(seed, part)
+	ranked := RankCached(seed, part, 1, nil)
 	if len(ranked) != 3 {
 		t.Fatalf("ranked %d prefixes, want 3 (zero-density excluded)", len(ranked))
 	}
@@ -62,7 +62,7 @@ func TestRankOrderAndValues(t *testing.T) {
 
 func TestSelectPhi1(t *testing.T) {
 	seed, part := fixture(t)
-	sel, err := Select(seed, part, Options{Phi: 1})
+	sel, err := SelectCached(seed, part, Options{Phi: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSelectPartialPhi(t *testing.T) {
 	// step 4 requires Σφ_i > φ strictly, so one prefix is enough only
 	// when its coverage strictly exceeds 0.25. 4/16 == 0.25, so K must
 	// be 2.
-	sel, err := Select(seed, part, Options{Phi: 0.25})
+	sel, err := SelectCached(seed, part, Options{Phi: 0.25}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSelectPartialPhi(t *testing.T) {
 		t.Fatalf("K = %d, want 2 (strict >φ)", sel.K)
 	}
 	// φ=0.2: first prefix covers 0.25 > 0.2 → K=1.
-	sel, err = Select(seed, part, Options{Phi: 0.2})
+	sel, err = SelectCached(seed, part, Options{Phi: 0.2}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSelectPartialPhi(t *testing.T) {
 func TestSelectMinDensity(t *testing.T) {
 	seed, part := fixture(t)
 	// Threshold between rank-2 (ρ≈1.2e-4) and rank-3 (ρ≈2.4e-7).
-	sel, err := Select(seed, part, Options{Phi: 1, MinDensity: 1e-5})
+	sel, err := SelectCached(seed, part, Options{Phi: 1, MinDensity: 1e-5}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSelectMinDensity(t *testing.T) {
 
 func TestSelectMaxPrefixes(t *testing.T) {
 	seed, part := fixture(t)
-	sel, err := Select(seed, part, Options{Phi: 1, MaxPrefixes: 1})
+	sel, err := SelectCached(seed, part, Options{Phi: 1, MaxPrefixes: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,19 +142,19 @@ func TestSelectMaxPrefixes(t *testing.T) {
 func TestSelectErrors(t *testing.T) {
 	seed, part := fixture(t)
 	for _, phi := range []float64{0, -0.5, 1.5} {
-		if _, err := Select(seed, part, Options{Phi: phi}); err == nil {
+		if _, err := SelectCached(seed, part, Options{Phi: phi}, 1, nil); err == nil {
 			t.Errorf("φ=%v accepted", phi)
 		}
 	}
 	empty := census.NewSnapshot("ftp", 0, nil)
-	if _, err := Select(empty, part, Options{Phi: 1}); err == nil {
+	if _, err := SelectCached(empty, part, Options{Phi: 1}, 1, nil); err == nil {
 		t.Error("empty seed accepted")
 	}
 }
 
 func TestSelectionHitrate(t *testing.T) {
 	seed, part := fixture(t)
-	sel, err := Select(seed, part, Options{Phi: 0.2}) // only 10.0.0.0/24
+	sel, err := SelectCached(seed, part, Options{Phi: 0.2}, 1, nil) // only 10.0.0.0/24
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSelectionHitrate(t *testing.T) {
 
 func TestSelectionEfficiency(t *testing.T) {
 	seed, part := fixture(t)
-	sel, err := Select(seed, part, Options{Phi: 0.2})
+	sel, err := SelectCached(seed, part, Options{Phi: 0.2}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestSelectionInvariants(t *testing.T) {
 			return true
 		}
 		snap := census.NewSnapshot("p", 0, addrs)
-		sel, err := Select(snap, part, Options{Phi: phi})
+		sel, err := SelectCached(snap, part, Options{Phi: phi}, 1, nil)
 		if err != nil {
 			return false
 		}
@@ -250,7 +250,7 @@ func TestSelectionInvariants(t *testing.T) {
 
 func TestCoverageCurve(t *testing.T) {
 	seed, part := fixture(t)
-	ranked := Rank(seed, part)
+	ranked := RankCached(seed, part, 1, nil)
 	curve := CoverageCurve(ranked, part.AddressCount(), 0)
 	if len(curve) != 3 {
 		t.Fatalf("curve has %d points", len(curve))
@@ -318,7 +318,7 @@ func TestRankPackedMatchesComparator(t *testing.T) {
 			t.Fatal(err)
 		}
 		seed := census.NewSnapshot("x", 0, addrs)
-		got := Rank(seed, part)
+		got := RankCached(seed, part, 1, nil)
 
 		// Reference: the pre-packing comparator ordering.
 		want := append([]PrefixStat(nil), got...)

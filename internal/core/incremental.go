@@ -76,7 +76,7 @@ type prefixInfo struct {
 // more prefixes) — callers should fall back to the full per-month
 // recompute, which handles any size.
 func NewRanker(seed *census.Snapshot, universe rib.Partition, workers int, cache *census.CountCache) (*Ranker, error) {
-	if universe.Len() >= 1<<25 {
+	if universe.Len() >= maxPackedPrefixes {
 		return nil, fmt.Errorf("core: universe of %d prefixes exceeds the packed-key ranking; use the full recompute", universe.Len())
 	}
 	counts, _ := cache.Counts(seed, universe, workers)

@@ -158,7 +158,7 @@ func TestRankerEmptyAndFullChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Select(snap, part, Options{Phi: 0.95})
+	full, err := SelectCached(snap, part, Options{Phi: 0.95}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRankerEmptyAndFullChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err = Select(next, part, Options{Phi: 0.95})
+	full, err = SelectCached(next, part, Options{Phi: 0.95}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package sel6
+package core
 
 import (
 	"math"
@@ -6,16 +6,22 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/tass-scan/tass/internal/census"
 	"github.com/tass-scan/tass/internal/netaddr"
+	"github.com/tass-scan/tass/internal/rib"
 )
 
-// This file preserves the pre-generic sel6 implementation verbatim (as
-// legacyRank6 / legacySelect6) and pins the generic core path to it:
-// on duplicate-free seeds the two must agree bit for bit — same
-// ranking order, same densities, same K, coverage and SpaceBits. The
-// one intended behavior change of the fold-in is duplicate handling
-// (the generic path has set semantics), so fixtures here draw unique
-// seeds.
+// This file preserves the pre-generic IPv6 selection implementation
+// verbatim (as legacyRank6 / legacySelect6) and pins the Addr6
+// instantiation of the generic engine to it: on duplicate-free seeds
+// the two must agree bit for bit — same ranking order, same densities,
+// same K, coverage and SpaceBits. The one intended behavior change of
+// the fold-in is duplicate handling (the generic path has set
+// semantics), so fixtures here draw unique seeds.
+
+// PrefixStat6 is the Addr6 ranking stat the legacy implementation
+// returns.
+type PrefixStat6 = StatOf[netaddr.Addr6]
 
 type legacyUniverse struct {
 	prefixes []netaddr.Prefix6
@@ -155,11 +161,11 @@ func TestGenericMatchesLegacyRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		ps, seeds := equivFixture(rng, 48, 2000)
-		u, err := NewUniverse6(ps)
+		u, err := rib.NewPartition(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := Rank6(seeds, u)
+		got := RankCached(census.NewSnapshotOf("seed6", 0, seeds), u, 1, nil)
 		want := legacyRank6(seeds, legacyNewUniverse(ps))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: ranked %d prefixes, legacy %d", trial, len(got), len(want))
@@ -182,13 +188,14 @@ func TestGenericMatchesLegacySelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 6; trial++ {
 		ps, seeds := equivFixture(rng, 48, 2000)
-		u, err := NewUniverse6(ps)
+		u, err := rib.NewPartition(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seed := census.NewSnapshotOf("seed6", 0, seeds)
 		lu := legacyNewUniverse(ps)
 		for _, phi := range []float64{0.3, 0.5, 0.9, 0.99, 1} {
-			got, err := Select6(seeds, u, phi)
+			got, err := SelectCached(seed, u, Options{Phi: phi}, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,19 +8,14 @@ import (
 	"github.com/tass-scan/tass/internal/rib"
 )
 
-// SelectMany evaluates a grid of selection options against one seed
-// snapshot: the snapshot is ranked once (with the counting walk sharded
-// over the workers), then every Options entry is selected concurrently
-// from the shared ranking. workers bounds the goroutines (0 means
-// GOMAXPROCS). The i-th result equals Select(seed, universe, grid[i])
-// exactly; the first error by grid order wins.
-func SelectMany(seed *census.Snapshot, universe rib.Partition, grid []Options, workers int) ([]*Selection, error) {
-	return SelectManyCached(seed, universe, grid, workers, nil)
-}
-
-// SelectManyCached is SelectMany with the counting walk memoized in
-// cache by (seed, universe) identity (nil computes every call). Results
-// are identical to SelectMany.
+// SelectManyCached evaluates a grid of selection options against one
+// seed snapshot: the snapshot is ranked once (with the counting walk
+// sharded over the workers and memoized in cache by (seed, universe)
+// identity; nil computes every call), then every Options entry is
+// selected concurrently from the shared ranking. workers bounds the
+// goroutines (0 means GOMAXPROCS). The i-th result equals
+// SelectCached(seed, universe, grid[i], …) exactly; the first error by
+// grid order wins.
 func SelectManyCached(seed *census.Snapshot, universe rib.Partition, grid []Options, workers int, cache *census.CountCache) ([]*Selection, error) {
 	// Fail fast on invalid options before paying for the ranking.
 	for i, opts := range grid {
@@ -40,19 +35,4 @@ func SelectManyCached(seed *census.Snapshot, universe rib.Partition, grid []Opti
 		}
 	}
 	return sels, nil
-}
-
-// SelectPhis is SelectMany over a φ grid with otherwise-default options.
-func SelectPhis(seed *census.Snapshot, universe rib.Partition, phis []float64, workers int) ([]*Selection, error) {
-	return SelectPhisCached(seed, universe, phis, workers, nil)
-}
-
-// SelectPhisCached is SelectPhis with the counting walk memoized in
-// cache (nil computes every call).
-func SelectPhisCached(seed *census.Snapshot, universe rib.Partition, phis []float64, workers int, cache *census.CountCache) ([]*Selection, error) {
-	grid := make([]Options, len(phis))
-	for i, phi := range phis {
-		grid[i] = Options{Phi: phi}
-	}
-	return SelectManyCached(seed, universe, grid, workers, cache)
 }

@@ -43,12 +43,16 @@ func TestSelectManyMatchesSelect(t *testing.T) {
 	seed, part := gridFixture(t)
 	phis := []float64{1, 0.99, 0.95, 0.7, 0.5}
 	for _, workers := range []int{0, 1, 2, 8} {
-		sels, err := SelectPhis(seed, part, phis, workers)
+		grid := make([]Options, len(phis))
+		for i, phi := range phis {
+			grid[i] = Options{Phi: phi}
+		}
+		sels, err := SelectManyCached(seed, part, grid, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, phi := range phis {
-			want, err := Select(seed, part, Options{Phi: phi})
+			want, err := SelectCached(seed, part, Options{Phi: phi}, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,16 +76,18 @@ func TestSelectManyMatchesSelect(t *testing.T) {
 
 func TestSelectManyPropagatesErrors(t *testing.T) {
 	seed, part := gridFixture(t)
-	if _, err := SelectMany(seed, part, []Options{{Phi: 0.95}, {Phi: 0}}, 4); err == nil {
+	if _, err := SelectManyCached(seed, part, []Options{{Phi: 0.95}, {Phi: 0}}, 4, nil); err == nil {
 		t.Error("invalid φ in the grid must fail")
 	}
 }
 
-func TestRankWorkersMatchesRank(t *testing.T) {
+// TestRankCachedWorkersMatchSerial pins the sharded counting walk: the
+// ranking at any worker count equals the single-worker one.
+func TestRankCachedWorkersMatchSerial(t *testing.T) {
 	seed, part := gridFixture(t)
-	want := Rank(seed, part)
+	want := RankCached(seed, part, 1, nil)
 	for _, workers := range []int{0, 2, 16} {
-		got := RankWorkers(seed, part, workers)
+		got := RankCached(seed, part, workers, nil)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d ranked, want %d", workers, len(got), len(want))
 		}

@@ -37,7 +37,7 @@ func TestIncrementalWorldGoldenEquality(t *testing.T) {
 			// full recompute on the evolved months.
 			for _, proto := range w.Protocols() {
 				s := w.Series[proto]
-				r, err := w.NewRanker(s.At(0), w.U.More)
+				r, err := core.NewRanker(s.At(0), w.U.More, w.Cfg.workers(), w.Cache)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
+	"github.com/tass-scan/tass/internal/census"
+	"github.com/tass-scan/tass/internal/core"
 	"github.com/tass-scan/tass/internal/netaddr"
-	"github.com/tass-scan/tass/internal/sel6"
+	"github.com/tass-scan/tass/internal/rib"
 	"github.com/tass-scan/tass/internal/stats"
+	"github.com/tass-scan/tass/internal/trie"
 )
 
 // V6Select exercises the paper's closing argument end to end: TASS as
@@ -46,7 +48,7 @@ func V6Select(w *World) (Result, error) {
 			}
 		}
 	}
-	u, err := sel6.NewUniverse6FromAnnounced(announced)
+	u, err := rib.NewPartition(trie.LessSpecificOnly(announced))
 	if err != nil {
 		return Result{}, err
 	}
@@ -57,7 +59,6 @@ func V6Select(w *World) (Result, error) {
 	// actually show. Density now mixes host count and prefix length,
 	// so the ranking is not simply the host-count order.
 	order := rng.Perm(u.Len())
-	seen := make(map[netaddr.Addr6]bool)
 	var seeds []netaddr.Addr6
 	for rank, idx := range order {
 		hosts := 512 >> uint(rank/8) // 512, 256, ..., 4 per 8-prefix tier
@@ -66,17 +67,14 @@ func V6Select(w *World) (Result, error) {
 		}
 		base := u.Prefix(idx).Addr()
 		for h := 0; h < hosts; h++ {
-			a := netaddr.Addr6{
+			seeds = append(seeds, netaddr.Addr6{
 				Hi: base.Hi | uint64(rng.Intn(1<<12)),
 				Lo: uint64(1 + rng.Intn(1<<10)),
-			}
-			if !seen[a] {
-				seen[a] = true
-				seeds = append(seeds, a)
-			}
+			})
 		}
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i].Compare(seeds[j]) < 0 })
+	// The snapshot is the observations as a set: repeats count once.
+	seed := census.NewSnapshotOf("seed6", 0, seeds)
 
 	// The universe footprint as an exponent, accumulated the same way
 	// the selection's SpaceBits is.
@@ -89,7 +87,7 @@ func V6Select(w *World) (Result, error) {
 	var tb stats.Table
 	tb.AddRow("φ", "K", "coverage", "space bits", "universe bits")
 	for _, phi := range Phis {
-		sel, err := sel6.Select6(seeds, u, phi)
+		sel, err := core.SelectCached(seed, u, core.Options{Phi: phi}, 1, nil)
 		if err != nil {
 			return Result{}, err
 		}

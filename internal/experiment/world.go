@@ -114,7 +114,11 @@ func (w *World) Select(seed *census.Snapshot, part rib.Partition, opts core.Opti
 // SelectPhis selects a φ grid, sharing the world's count cache and
 // worker budget.
 func (w *World) SelectPhis(seed *census.Snapshot, part rib.Partition, phis []float64) ([]*core.Selection, error) {
-	return core.SelectPhisCached(seed, part, phis, w.Cfg.workers(), w.Cache)
+	grid := make([]core.Options, len(phis))
+	for i, phi := range phis {
+		grid[i] = core.Options{Phi: phi}
+	}
+	return core.SelectManyCached(seed, part, grid, w.Cfg.workers(), w.Cache)
 }
 
 // TASS builds the TASS strategy wired to the world's cache and workers.
@@ -182,14 +186,6 @@ func BuildWorld(cfg Config) (*World, error) {
 		}
 	}
 	return w, nil
-}
-
-// NewRanker seeds an incremental ranker for seed over part, sharing
-// the world's count cache and worker budget. Advance it with the
-// world's Deltas (or Snapshot.Diff) and it selects byte-identically to
-// w.Select on the evolved snapshot.
-func (w *World) NewRanker(seed *census.Snapshot, part rib.Partition) (*core.Ranker, error) {
-	return core.NewRanker(seed, part, w.Cfg.workers(), w.Cache)
 }
 
 // Protocols returns the protocol names in canonical order.

@@ -141,36 +141,17 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 		plan = c.Universe
 	}
 	var out []Cycle
-	var (
-		ranker   *core.Ranker
-		prevSnap *census.Snapshot
-	)
-	// selectFrom computes the selection seeding the next plan. The first
-	// call counts the snapshot over the universe (keeping the ranking
-	// when Incremental); later incremental calls repair the ranking with
-	// the snapshot-over-snapshot delta. Selections are byte-identical
-	// across the paths and across snapshot backings (eager or lazy).
+	// selectFrom computes the selection seeding the next plan through
+	// the one reseed policy: with Incremental, the first call counts the
+	// snapshot into a ranking and later calls repair it with the
+	// snapshot-over-snapshot delta. Selections are byte-identical across
+	// the paths and across snapshot backings (eager or lazy).
+	reseeder := core.NewReseeder(c.Universe, c.Opts, workers, c.Cache, c.Incremental)
 	selectFrom := func(snap *census.Snapshot) (*core.Selection, error) {
-		switch {
-		case c.Incremental && ranker == nil:
-			// First selection (or a universe too large for the packed
-			// ranking, which falls through to the full path below):
-			// count once, keep the ranking.
-			r, err := core.NewRanker(snap, c.Universe, workers, c.Cache)
-			if err == nil {
-				ranker = r
-				return ranker.Select(c.Opts)
-			}
-			return core.SelectCached(snap, c.Universe, c.Opts, workers, c.Cache)
-		case c.Incremental:
-			// Steady state: the scan-result delta repairs the ranking.
-			if err := ranker.Apply(prevSnap.Diff(snap)); err != nil {
-				return nil, err
-			}
-			return ranker.Select(c.Opts)
-		default:
-			return core.SelectCached(snap, c.Universe, c.Opts, workers, c.Cache)
+		if err := reseeder.Advance(snap, nil); err != nil {
+			return nil, err
 		}
+		return reseeder.Select()
 	}
 	if c.SeedSnapshot != nil && c.Targets.Len() == 0 {
 		if c.DegradedReads {
@@ -185,7 +166,6 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scan: campaign seed selection: %w", err)
 		}
-		prevSnap = c.SeedSnapshot
 		plan = sel.Partition()
 	}
 	for i := 0; i < cycles; i++ {
@@ -224,7 +204,6 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 		if err != nil {
 			return out, fmt.Errorf("scan: campaign cycle %d selection: %w", i, err)
 		}
-		prevSnap = snap
 		out = append(out, Cycle{
 			Index:     i,
 			Plan:      plan,

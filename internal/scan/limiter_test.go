@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// fakeClock is a mutex-protected virtual clock shared by the limiter's
+// fakeClock is a mutex-protected virtual clock shared by the pacer's
 // now() and the injected sleeper, so Wait's blocking path runs entirely
-// on virtual time.
+// on virtual time. The Wait tests below pace through a global-only
+// PolicyLimiter: one bucket, the scanner's Config.Rate path.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -34,36 +35,13 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// virtualLimiter builds a limiter whose clock and sleeper both run on a
-// fake clock: every sleep request advances virtual time by the requested
-// duration instead of blocking.
-func virtualLimiter(t *testing.T, rate float64, burst int) (*Limiter, *fakeClock, *atomic.Int64) {
-	t.Helper()
-	lim, err := NewLimiter(rate, burst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := newFakeClock()
-	var sleeps atomic.Int64
-	lim.now = clock.now
-	lim.sleep = func(ctx context.Context, d time.Duration) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sleeps.Add(1)
-		clock.advance(d)
-		return nil
-	}
-	return lim, clock, &sleeps
-}
-
 func TestWaitBlockingPathDeterministic(t *testing.T) {
-	lim, clock, sleeps := virtualLimiter(t, 100, 2)
+	lim, clock, sleeps := virtualPolicy(t, PolicyConfig{Rate: 100, Burst: 2})
 	start := clock.now()
 
 	// Burst drains without sleeping.
 	for i := 0; i < 2; i++ {
-		if err := lim.Wait(context.Background()); err != nil {
+		if err := lim.Wait(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +51,7 @@ func TestWaitBlockingPathDeterministic(t *testing.T) {
 
 	// The next token must sleep exactly one refill interval (10ms at
 	// 100/s) of virtual time.
-	if err := lim.Wait(context.Background()); err != nil {
+	if err := lim.Wait(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := sleeps.Load(); n != 1 {
@@ -91,7 +69,7 @@ func TestWaitUnderContention(t *testing.T) {
 		workers = 8
 		perG    = 5
 	)
-	lim, clock, _ := virtualLimiter(t, rate, burst)
+	lim, clock, _ := virtualPolicy(t, PolicyConfig{Rate: rate, Burst: burst})
 	start := clock.now()
 
 	var wg sync.WaitGroup
@@ -101,7 +79,7 @@ func TestWaitUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if err := lim.Wait(context.Background()); err != nil {
+				if err := lim.Wait(context.Background(), 0); err != nil {
 					t.Errorf("Wait: %v", err)
 					return
 				}
@@ -133,12 +111,7 @@ func TestWaitUnderContention(t *testing.T) {
 // intervals, one per worker.
 func TestWaitSingleWakeupAtContention(t *testing.T) {
 	const workers = 8
-	lim, err := NewLimiter(100, 1) // refill interval 10ms
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := newFakeClock()
-	lim.now = clock.now
+	lim, clock, _ := virtualPolicy(t, PolicyConfig{Rate: 100, Burst: 1}) // refill interval 10ms
 
 	var mu sync.Mutex
 	var durations []time.Duration
@@ -156,15 +129,16 @@ func TestWaitSingleWakeupAtContention(t *testing.T) {
 		return nil
 	}
 
-	if !lim.Allow() {
-		t.Fatal("burst token denied")
+	// The burst token is granted without a sleep.
+	if err := lim.Wait(context.Background(), 0); err != nil {
+		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := lim.Wait(context.Background()); err != nil {
+			if err := lim.Wait(context.Background(), 0); err != nil {
 				t.Errorf("Wait: %v", err)
 			}
 		}()
@@ -187,9 +161,9 @@ func TestWaitSingleWakeupAtContention(t *testing.T) {
 }
 
 func TestWaitCancellationInBlockingPath(t *testing.T) {
-	lim, _, _ := virtualLimiter(t, 1, 1)
-	if !lim.Allow() {
-		t.Fatal("burst token denied")
+	lim, _, _ := virtualPolicy(t, PolicyConfig{Rate: 1, Burst: 1})
+	if err := lim.Wait(context.Background(), 0); err != nil {
+		t.Fatal(err) // the burst token
 	}
 
 	// The sleeper cancels the context instead of advancing the clock:
@@ -200,10 +174,20 @@ func TestWaitCancellationInBlockingPath(t *testing.T) {
 		cancel()
 		return ctx.Err()
 	}
-	if err := lim.Wait(ctx); !errors.Is(err, context.Canceled) {
+	if err := lim.Wait(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
-	if lim.Allow() {
-		t.Error("canceled Wait still granted a token")
+	// The refund leaves the next waiter one token in debt, not two: it
+	// sleeps one refill interval (1s at rate 1), not two.
+	var slept time.Duration
+	lim.sleep = func(ctx context.Context, d time.Duration) error {
+		slept = d
+		return nil
+	}
+	if err := lim.Wait(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if slept != time.Second {
+		t.Errorf("wait after a canceled reservation slept %v, want 1s", slept)
 	}
 }

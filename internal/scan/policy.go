@@ -50,12 +50,6 @@ func (p *Politeness) perAS() bool {
 	return p.ASRate > 0 || p.ASBudget > 0 || p.Backoff.Threshold > 0 || p.Footprint
 }
 
-// layered reports whether probes must pass through a PolicyLimiter
-// instead of the plain global Limiter.
-func (p *Politeness) layered() bool {
-	return p.ASRate > 0 || p.PrefixRate > 0
-}
-
 // BackoffConfig parameterizes complaint-driven adaptive backoff: an AS
 // answering with an error burst (timeout storm, ICMP unreachable flood —
 // the classic "please stop" signals) gets its bucket rate halved, and
@@ -85,10 +79,10 @@ func (b *BackoffConfig) withDefaults() BackoffConfig {
 	return out
 }
 
-// bucket is one token-bucket level of a PolicyLimiter. Unlike Limiter it
-// carries no lock: all buckets of one PolicyLimiter share the owner's
-// mutex, so layering per-AS and per-prefix pacing under the global rate
-// costs arithmetic, not extra lock acquisitions. Timestamps are int64
+// bucket is one token-bucket level of a PolicyLimiter. It carries no
+// lock: all buckets of one PolicyLimiter share the owner's mutex, so
+// layering per-AS and per-prefix pacing under the global rate costs
+// arithmetic, not extra lock acquisitions. Timestamps are int64
 // nanoseconds, not time.Time: a probe refills up to three buckets, and
 // the integer subtraction keeps the per-bucket cost to a few ns (the
 // ≤10% hierarchy-overhead budget of BenchmarkPolicyLimiter).
@@ -116,9 +110,9 @@ func (b *bucket) refill(nowNs int64) {
 	b.lastNs = nowNs
 }
 
-// take reserves one token (driving the bucket negative, exactly like
-// Limiter.Wait) and returns the seconds until the refill covers the debt
-// — 0 when the token was immediately available.
+// take reserves one token (driving the bucket negative) and returns the
+// seconds until the refill covers the debt — 0 when the token was
+// immediately available.
 func (b *bucket) take(nowNs int64) float64 {
 	b.refill(nowNs)
 	b.tokens--
@@ -136,17 +130,23 @@ func (b *bucket) untake() {
 	}
 }
 
-// PolicyLimiter paces probes through a hierarchy of token buckets:
-// global, per-origin-AS, and per-target-prefix. A probe must clear every
-// configured level; the wait is the maximum of the levels' debts.
+// PolicyLimiter is the scanner's probe pacer, the politeness mechanism
+// every responsible scanner runs (the paper's whole point is sending
+// fewer probes; the pacer makes the ones we do send smooth instead of
+// bursty). It paces through a hierarchy of token buckets: global,
+// per-origin-AS, and per-target-prefix, each optional. A probe must
+// clear every configured level; the wait is the maximum of the levels'
+// debts.
 //
-// Waiters are reservation-serialized exactly like Limiter.Wait — each
-// waiter takes its tokens immediately (driving the buckets negative) and
-// sleeps once for the longest debt, so concurrent waiters wake one at a
-// time in reservation order at every level. All levels share one mutex:
-// the global bucket serializes every probe anyway, so the per-AS and
-// per-prefix levels add bucket arithmetic under the already-taken lock
-// rather than extra lock traffic.
+// Waiters are serialized by reservation, not by sleep-and-retry: each
+// waiter takes its tokens immediately (driving the buckets negative)
+// and sleeps once for the longest debt, so concurrent waiters wake one
+// at a time in reservation order at every level — no thundering herd of
+// workers waking together to fight over one refilled token. A canceled
+// wait returns its reservations. All levels share one mutex: the global
+// bucket serializes every probe anyway, so the per-AS and per-prefix
+// levels add bucket arithmetic under the already-taken lock rather than
+// extra lock traffic.
 //
 // Per-AS buckets are created lazily on first probe into the AS (a 2^32
 // scan over ~70 k ASes allocates only what it touches), and per-prefix
@@ -233,6 +233,18 @@ func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
 		p.pfx = make([]*bucket, cfg.Prefixes)
 	}
 	return p, nil
+}
+
+// timerSleep is the production sleeper: a real timer racing the context.
+func timerSleep(ctx context.Context, d time.Duration) error {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
 }
 
 // asBucketFor resolves (lazily creating) the AS bucket owning target

@@ -143,42 +143,36 @@ func TestNextSafePrime(t *testing.T) {
 	}
 }
 
+// TestLimiter runs a global-only PolicyLimiter on the real timer.
 func TestLimiter(t *testing.T) {
-	lim, err := NewLimiter(1000, 10)
+	lim, err := NewPolicyLimiter(PolicyConfig{Rate: 1000, Burst: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Burst drains immediately.
-	for i := 0; i < 10; i++ {
-		if !lim.Allow() {
-			t.Fatalf("burst token %d denied", i)
-		}
-	}
-	if lim.Allow() {
-		t.Error("11th immediate token allowed")
-	}
-	// Wait refills at ~1000/s.
+	// The burst drains at once; the 20 tokens after it refill at ~1000/s.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	start := time.Now()
-	for i := 0; i < 20; i++ {
-		if err := lim.Wait(ctx); err != nil {
+	for i := 0; i < 30; i++ {
+		if err := lim.Wait(ctx, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("20 tokens at 1000/s took only %v", elapsed)
+		t.Errorf("20 tokens past the burst at 1000/s took only %v", elapsed)
 	}
 	// Canceled context aborts the wait.
 	canceled, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	slow, _ := NewLimiter(0.001, 1)
-	slow.Allow() // drain
-	if err := slow.Wait(canceled); !errors.Is(err, context.Canceled) {
+	slow, _ := NewPolicyLimiter(PolicyConfig{Rate: 0.001, Burst: 1})
+	if err := slow.Wait(context.Background(), 0); err != nil { // drain
+		t.Fatal(err)
+	}
+	if err := slow.Wait(canceled, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("Wait on canceled context: %v", err)
 	}
-	if _, err := NewLimiter(0, 1); err == nil {
-		t.Error("zero rate accepted")
+	if _, err := NewPolicyLimiter(PolicyConfig{Rate: -1, Burst: 1}); err == nil {
+		t.Error("negative rate accepted")
 	}
 }
 
@@ -426,8 +420,8 @@ func TestScannerExclusionsConsumeNothing(t *testing.T) {
 	}
 	clock := newFakeClock()
 	var sleeps atomic.Int64
-	s.limiter.now = clock.now
-	s.limiter.sleep = func(ctx context.Context, d time.Duration) error {
+	s.policy.now = clock.now
+	s.policy.sleep = func(ctx context.Context, d time.Duration) error {
 		sleeps.Add(1)
 		clock.advance(d)
 		return nil

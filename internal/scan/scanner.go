@@ -98,7 +98,7 @@ func (r *Report) Hitrate() float64 {
 // handoff: each worker iterates, probes and buffers results locally, and
 // the per-worker buffers are merged once at the end. Counter updates are
 // atomic; nothing on the per-probe path takes a lock beyond the optional
-// rate limiter.
+// PolicyLimiter.
 type Scanner struct {
 	cfg Config
 	cum []uint64 // cumulative target sizes for index→address mapping
@@ -106,8 +106,7 @@ type Scanner struct {
 	// list takes effect mid-cycle without pausing the workers.
 	exclude   atomic.Pointer[trie.Trie[struct{}]]
 	excludeN  atomic.Int64
-	limiter   *Limiter
-	policy    *PolicyLimiter // hierarchical pacing (nil without AS/prefix rates)
+	policy    *PolicyLimiter // probe pacing (nil without any rate)
 	fp        *footprint     // per-AS accounting (nil without per-AS features)
 	backoffOn bool
 
@@ -155,10 +154,10 @@ func New(cfg Config) (*Scanner, error) {
 		s.cum[i] = cum
 	}
 	s.SetExclusions(cfg.Exclude)
-	switch {
-	case pol.layered():
-		// Per-AS or per-prefix pacing: the global rate folds into the
-		// PolicyLimiter so every probe takes one lock, not two.
+	if cfg.Rate > 0 || pol.ASRate > 0 || pol.PrefixRate > 0 || pol.Backoff.Threshold > 0 {
+		// One pacer for every level: a global-only Rate is a
+		// single-bucket PolicyLimiter, and per-AS or per-prefix rates add
+		// buckets under the same lock.
 		pl, err := NewPolicyLimiter(PolicyConfig{
 			Rate:        cfg.Rate,
 			Burst:       cfg.Burst,
@@ -174,14 +173,6 @@ func New(cfg Config) (*Scanner, error) {
 			return nil, err
 		}
 		s.policy = pl
-	case pol.Backoff.Threshold > 0:
-		return nil, fmt.Errorf("scan: backoff needs a per-AS rate to halve")
-	case cfg.Rate > 0:
-		lim, err := NewLimiter(cfg.Rate, cfg.Burst)
-		if err != nil {
-			return nil, err
-		}
-		s.limiter = lim
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
 	if pol.perAS() {
@@ -214,9 +205,10 @@ func (s *Scanner) ExclusionCount() int {
 	return int(s.excludeN.Load())
 }
 
-// Policy exposes the hierarchical limiter (nil unless Politeness set a
-// per-AS or per-prefix rate) — the hook for external feeds to retune a
-// single AS mid-cycle via SetASRate.
+// Policy exposes the probe pacer, non-nil whenever any rate is set
+// (Config.Rate, or a per-AS or per-prefix Politeness rate) — the hook
+// for external feeds to retune a single AS mid-cycle via SetASRate,
+// which errors unless Politeness set a per-AS rate.
 func (s *Scanner) Policy() *PolicyLimiter {
 	return s.policy
 }
@@ -354,15 +346,6 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 				}
 				if s.policy != nil {
 					if err := s.policy.Wait(ctx, pi); err != nil {
-						if fpc != nil {
-							s.fp.unreserve(fpc)
-						}
-						sh.rewind()
-						fail(err)
-						break
-					}
-				} else if s.limiter != nil {
-					if err := s.limiter.Wait(ctx); err != nil {
 						if fpc != nil {
 							s.fp.unreserve(fpc)
 						}

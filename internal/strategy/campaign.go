@@ -22,21 +22,20 @@ type Campaign struct {
 	// after the initial full scan.
 	ReseedEvery int
 	// Workers bounds the counting-walk goroutines per reseed (0 means
-	// a single worker, matching plain core.Select); results are
+	// a single worker, matching a serial core.SelectCached); results are
 	// identical at any count.
 	Workers int
 	// Cache, when non-nil, memoizes per-(snapshot, universe) counts
 	// across reseeds and across campaigns sharing the series.
 	Cache *census.CountCache
-	// Incremental reseeds through a core.Ranker advanced by per-month
-	// deltas instead of re-counting and re-sorting every reseed from
-	// zero: steady-state work proportional to the churn. Selections are
-	// byte-identical to the full recompute (golden tested).
-	Incremental bool
-	// Deltas optionally supplies the native per-month deltas of the
+	// Deltas, when set, supplies the native per-month deltas of the
 	// series (Deltas[m] carries month m -> m+1, as produced by
-	// churn.RunSimDeltas); without them the incremental path derives
-	// each month's delta with a Snapshot.Diff merge walk.
+	// churn.RunSimDeltas) and makes the campaign reseed incrementally:
+	// a core.Ranker advanced by each month's delta instead of a recount
+	// and re-sort every reseed — steady-state work proportional to the
+	// churn. A nil entry is derived with a Snapshot.Diff merge walk.
+	// Selections are byte-identical to the full recompute (golden
+	// tested).
 	Deltas []*census.Delta
 }
 
@@ -68,38 +67,24 @@ func EvaluateCampaign(c Campaign, series *census.Series, fullSpace uint64) (Camp
 		workers = 1
 	}
 	var (
-		ev     CampaignEval
-		sel    *core.Selection
-		ranker *core.Ranker
+		ev  CampaignEval
+		sel *core.Selection
 	)
-	if c.Incremental && c.ReseedEvery > 0 {
-		// Seed the ranker once on month 0; every later month applies
-		// that month's delta, so any reseed is a top-K selection off the
-		// repaired ranking. A never-reseeding campaign selects only at
-		// month 0 and would pay the monthly repairs for nothing, and a
-		// universe too large for the packed ranking cannot use it —
-		// both fall back to the full recompute.
-		r, err := core.NewRanker(series.At(0), c.Universe, workers, c.Cache)
-		if err == nil {
-			ranker = r
-		}
-	}
+	// A never-reseeding campaign selects only at month 0 and would pay
+	// the monthly repairs for nothing: it recounts.
+	rs := core.NewReseeder(c.Universe, c.Opts, workers, c.Cache, c.Deltas != nil && c.ReseedEvery > 0)
 	for m := 0; m < series.Months(); m++ {
-		if ranker != nil && m > 0 {
-			d := c.delta(series, m)
-			if err := ranker.Apply(d); err != nil {
-				return CampaignEval{}, fmt.Errorf("strategy: delta at month %d: %w", m, err)
-			}
+		var d *census.Delta
+		if m > 0 && m-1 < len(c.Deltas) {
+			d = c.Deltas[m-1]
+		}
+		if err := rs.Advance(series.At(m), d); err != nil {
+			return CampaignEval{}, fmt.Errorf("strategy: advancing to month %d: %w", m, err)
 		}
 		reseed := m == 0 || (c.ReseedEvery > 0 && m%c.ReseedEvery == 0)
 		if reseed {
 			var err error
-			if ranker != nil {
-				sel, err = ranker.Select(c.Opts)
-			} else {
-				sel, err = core.SelectCached(series.At(m), c.Universe, c.Opts, workers, c.Cache)
-			}
-			if err != nil {
+			if sel, err = rs.Select(); err != nil {
 				return CampaignEval{}, fmt.Errorf("strategy: reseed at month %d: %w", m, err)
 			}
 			ev.Reseeds++
@@ -120,13 +105,4 @@ func EvaluateCampaign(c Campaign, series *census.Series, fullSpace uint64) (Camp
 	ev.MeanHitrate /= n
 	ev.MeanCostShare /= n
 	return ev, nil
-}
-
-// delta returns the churn from month m-1 to m: the supplied native
-// delta when the campaign has one, a merge-walk Diff otherwise.
-func (c Campaign) delta(series *census.Series, m int) *census.Delta {
-	if m-1 < len(c.Deltas) && c.Deltas[m-1] != nil {
-		return c.Deltas[m-1]
-	}
-	return series.At(m - 1).Diff(series.At(m))
 }

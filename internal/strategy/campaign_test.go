@@ -69,7 +69,7 @@ func TestCampaignReseedRestoresAccuracy(t *testing.T) {
 // TestCampaignIncrementalGoldenEquality: the delta-driven campaign
 // (ranker repaired per month, reseeds off the repaired ranking) and the
 // full per-reseed recompute produce bit-identical evaluations — with
-// per-month diffs derived on the fly and with supplied native deltas.
+// supplied deltas, and with nil entries derived on the fly.
 func TestCampaignIncrementalGoldenEquality(t *testing.T) {
 	u, series := smallWorld(t, 53)
 	for _, proto := range []string{"http", "cwmp"} {
@@ -85,9 +85,9 @@ func TestCampaignIncrementalGoldenEquality(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, c := range []Campaign{
-				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Incremental: true},
-				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Incremental: true, Deltas: native},
-				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Incremental: true, Workers: 8, Cache: census.NewCountCache()},
+				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Deltas: native},
+				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Deltas: make([]*census.Delta, len(native))},
+				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Deltas: native, Workers: 8, Cache: census.NewCountCache()},
 			} {
 				got, err := EvaluateCampaign(c, s, u.Less.AddressCount())
 				if err != nil {

@@ -109,8 +109,8 @@ type TASS struct {
 	// Label distinguishes variants in reports ("tass-l φ=0.95", ...).
 	Label string
 	// Workers bounds the counting-walk goroutines (0 means a single
-	// worker, matching plain core.Select). Results are identical at
-	// any count.
+	// worker, matching a serial core.SelectCached). Results are
+	// identical at any count.
 	Workers int
 	// Cache, when non-nil, memoizes per-(snapshot, universe) counts so
 	// repeated selections over the same seed rank without re-counting.

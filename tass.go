@@ -49,7 +49,6 @@ import (
 	"github.com/tass-scan/tass/internal/pfx2as"
 	"github.com/tass-scan/tass/internal/rib"
 	"github.com/tass-scan/tass/internal/scan"
-	"github.com/tass-scan/tass/internal/sel6"
 	"github.com/tass-scan/tass/internal/strategy"
 	"github.com/tass-scan/tass/internal/topo"
 	"github.com/tass-scan/tass/internal/trie"
@@ -497,7 +496,7 @@ func ReadSeries(r io.Reader) (*Series, error) { return census.ReadSeries(r) }
 // Select runs TASS prefix selection (the paper's steps 1–4) on a seed
 // snapshot over a scanning universe.
 func Select(seed *Snapshot, universe Partition, opts Options) (*Selection, error) {
-	return core.Select(seed, universe, opts)
+	return core.SelectCached(seed, universe, opts, 1, nil)
 }
 
 // SelectCached is Select with the counting walk sharded over workers
@@ -509,7 +508,7 @@ func SelectCached(seed *Snapshot, universe Partition, opts Options, workers int,
 
 // Rank returns every responsive prefix of the seed in density order.
 func Rank(seed *Snapshot, universe Partition) []PrefixStat {
-	return core.Rank(seed, universe)
+	return core.RankCached(seed, universe, 1, nil)
 }
 
 // Evaluate seeds a strategy with month 0 of the series and measures its
@@ -614,7 +613,7 @@ func NewChurnSimulator(u *Universe, seed int64) *ChurnSimulator {
 // ranking once and selecting each entry concurrently (0 workers means
 // GOMAXPROCS). Entry i equals Select(seed, universe, grid[i]) exactly.
 func SelectMany(seed *Snapshot, universe Partition, grid []Options, workers int) ([]*Selection, error) {
-	return core.SelectMany(seed, universe, grid, workers)
+	return core.SelectManyCached(seed, universe, grid, workers, nil)
 }
 
 // Extension types: the paper's §5 future-work directions.
@@ -631,11 +630,13 @@ type (
 	// Prefix6 is an IPv6 CIDR prefix.
 	Prefix6 = netaddr.Prefix6
 	// Universe6 is a disjoint IPv6 prefix set.
-	Universe6 = sel6.Universe6
-	// Selection6 is an IPv6 TASS scan plan.
-	Selection6 = sel6.Selection6
-	// PrefixStat6 is one ranked responsive IPv6 prefix.
-	PrefixStat6 = sel6.PrefixStat6
+	Universe6 = rib.PartOf[Addr6]
+	// Selection6 is an IPv6 TASS scan plan. Space saturates for plans
+	// wider than 2^64 addresses; SpaceBits is the cost figure there.
+	Selection6 = core.SelectionOf[Addr6]
+	// PrefixStat6 is one ranked responsive IPv6 prefix. Its Density is
+	// vanishingly small; only the ranking matters.
+	PrefixStat6 = core.StatOf[Addr6]
 )
 
 // EvaluateCampaign simulates a periodic TASS campaign (selection plus
@@ -658,23 +659,44 @@ func ParseAddr6(s string) (Addr6, error) { return netaddr.ParseAddr6(s) }
 func ParsePrefix6(s string) (Prefix6, error) { return netaddr.ParsePrefix6(s) }
 
 // NewUniverse6 validates and builds an IPv6 scanning universe.
-func NewUniverse6(ps []Prefix6) (Universe6, error) { return sel6.NewUniverse6(ps) }
+// The input is copied and sorted.
+func NewUniverse6(ps []Prefix6) (Universe6, error) {
+	u, err := rib.NewPartition(ps)
+	if err != nil {
+		return Universe6{}, fmt.Errorf("tass: %w", err)
+	}
+	return u, nil
+}
 
 // NewUniverse6FromAnnounced builds the universe from a raw announced
 // IPv6 table, dropping covered more-specifics — the v6 analogue of the
 // IPv4 l-prefix view.
 func NewUniverse6FromAnnounced(ps []Prefix6) (Universe6, error) {
-	return sel6.NewUniverse6FromAnnounced(ps)
+	return NewUniverse6(trie.LessSpecificOnly(ps))
 }
 
 // Select6 runs the TASS selection blueprint on IPv6 seed observations
 // (passive measurements or hitlist probes — there is no full IPv6 scan).
+// The seeds are treated as an address set: repeated observations count
+// once, exactly like the IPv4 census path.
 func Select6(seeds []Addr6, u Universe6, phi float64) (*Selection6, error) {
-	return sel6.Select6(seeds, u, phi)
+	sel, err := core.SelectCached(seedSnapshot6(seeds), u, core.Options{Phi: phi}, 1, nil)
+	if err != nil {
+		return nil, fmt.Errorf("tass: %w", err)
+	}
+	return sel, nil
 }
 
 // Rank6 ranks responsive IPv6 prefixes by density.
-func Rank6(seeds []Addr6, u Universe6) []PrefixStat6 { return sel6.Rank6(seeds, u) }
+func Rank6(seeds []Addr6, u Universe6) []PrefixStat6 {
+	return core.RankCached(seedSnapshot6(seeds), u, 1, nil)
+}
+
+// seedSnapshot6 wraps IPv6 seed observations as a census snapshot
+// (copied, sorted, de-duplicated) for the generic engine.
+func seedSnapshot6(seeds []Addr6) *census.SnapshotOf[Addr6] {
+	return census.NewSnapshotOf("seed6", 0, seeds)
+}
 
 // Version is the library version reported by the command-line tools.
 const Version = "1.0.0"

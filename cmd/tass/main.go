@@ -22,7 +22,7 @@
 // cycle across machines), or a feedback campaign (-cycles N) that
 // re-selects from each cycle's results and scans the tightened plan.
 //
-// "convert" writes a census into the indexed TASSNAP2 snapshot format,
+// "convert" writes a census into the indexed TASSNAP3 snapshot format,
 // which -census-file then opens in O(index) and decodes block by block
 // as selection counts over it — a multi-gigabyte census seeds select,
 // rank, or a scan campaign without ever being resident in memory. Pass
@@ -146,14 +146,14 @@ func loadAddrs(path string) (*tass.Snapshot, error) {
 }
 
 // loadSeed loads the seed snapshot of select/rank/scan: from a census
-// snapshot file when -census-file is set (an indexed TASSNAP2/3 file
-// opens in O(index) and decodes on demand; -lazy=false decodes it up
-// front instead; a v1 stream always reads eagerly), otherwise from the
-// -addrs text file. With degraded, storage corruption in a lazy census
-// is skipped block by block instead of failing the run (the faults are
-// reported by reportStorageFaults). The returned cleanup releases the
-// file backing a lazy snapshot — the snapshot must not be used after
-// it runs.
+// snapshot file when -census-file is set (a TASSNAP3 file opens in
+// O(index) and decodes on demand; -lazy=false decodes it up front
+// instead; older formats are rejected naming their upgrade command),
+// otherwise from the -addrs text file. With degraded, storage
+// corruption in a lazy census is skipped block by block instead of
+// failing the run (the faults are reported by reportStorageFaults). The
+// returned cleanup releases the file backing a lazy snapshot — the
+// snapshot must not be used after it runs.
 func loadSeed(addrsPath, censusPath string, lazy, degraded bool) (*tass.Snapshot, func(), error) {
 	if censusPath == "" {
 		snap, err := loadAddrs(addrsPath)
@@ -161,7 +161,7 @@ func loadSeed(addrsPath, censusPath string, lazy, degraded bool) (*tass.Snapshot
 	}
 	snap, err := tass.OpenSnapshotFile(censusPath)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("census-file %s: %w", censusPath, err)
 	}
 	if degraded {
 		snap.SetFaultPolicy(tass.FaultDegrade)
@@ -258,7 +258,7 @@ func runSelect(args []string) error {
 	phi := fs.Float64("phi", 0.95, "host coverage target φ in (0,1]")
 	universe := fs.String("universe", "more", "prefix universe: less or more")
 	minDensity := fs.Float64("min-density", 0, "stop below this density (0 = off)")
-	censusPath := fs.String("census-file", "", "seed from a census snapshot file (TASSNAP2 or v1) instead of -addrs")
+	censusPath := fs.String("census-file", "", "seed from a TASSNAP3 census snapshot file (see convert) instead of -addrs")
 	lazy := fs.Bool("lazy", true, "with -census-file: leave the census on disk and decode blocks on demand")
 	degraded := fs.Bool("degraded", false, "with -census-file: skip corrupt census blocks instead of failing (faults reported on stderr)")
 	six := fs.Bool("6", false, "IPv6 mode: select over an announced-prefix universe")
@@ -334,7 +334,7 @@ func runRank(args []string) error {
 	addrsPath := fs.String("addrs", "", "responsive addresses, one per line (required)")
 	universe := fs.String("universe", "more", "prefix universe: less or more")
 	top := fs.Int("top", 20, "how many ranks to print")
-	censusPath := fs.String("census-file", "", "seed from a census snapshot file (TASSNAP2 or v1) instead of -addrs")
+	censusPath := fs.String("census-file", "", "seed from a TASSNAP3 census snapshot file (see convert) instead of -addrs")
 	lazy := fs.Bool("lazy", true, "with -census-file: leave the census on disk and decode blocks on demand")
 	degraded := fs.Bool("degraded", false, "with -census-file: skip corrupt census blocks instead of failing (faults reported on stderr)")
 	fs.Parse(args)
@@ -397,11 +397,12 @@ func runDiff(args []string) error {
 	return nil
 }
 
-// runConvert writes a census into the indexed TASSNAP2 snapshot format:
+// runConvert writes a census into the indexed TASSNAP3 snapshot format:
 // either a text address list (-addrs, decoded and sorted in memory) or
 // a binary v1 snapshot stream (-in, converted block-by-block without
 // ever materializing the address slice — the path for censuses larger
-// than RAM). The output opens in O(index) via -census-file.
+// than RAM, and the one upgrade path for v1 streams). The output opens
+// in O(index) via -census-file.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	addrsPath := fs.String("addrs", "", "text addresses, one per line")
@@ -455,7 +456,7 @@ func runConvert(args []string) error {
 // clean (or was repaired), 1 when damage remains.
 func runFsck(args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ExitOnError)
-	repair := fs.Bool("repair", false, "re-derive intact snapshot blocks into a fresh file, upgrade legacy checkpoints, quarantine what cannot be salvaged")
+	repair := fs.Bool("repair", false, "re-derive intact snapshot blocks into a fresh TASSNAP3 file (upgrading TASSNAP2), upgrade checksum-less checkpoints, quarantine what cannot be salvaged")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		return fmt.Errorf("fsck: at least one file is required")

@@ -2,7 +2,7 @@
 //
 // The program generates a synthetic ~50M-address census (a stand-in
 // for a full-universe survey like the paper's censys.io seed), writes
-// it as a v1 snapshot stream, converts it to the indexed TASSNAP2
+// it as a v1 snapshot stream, converts it to the indexed TASSNAP3
 // format without materializing it (the `tass convert -in` path), and
 // then runs a TASS selection from a cold open — timing the open,
 // counting pass, and selection, and asserting that the heap stays
@@ -86,18 +86,18 @@ func main() {
 
 	// Convert the v1 stream to the indexed format block by block — the
 	// conversion itself never holds the census decoded.
-	v2Path := filepath.Join(dir, "census.snap2")
+	snapPath := filepath.Join(dir, "census.snap")
 	in, err := os.Open(v1Path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	if err := tass.ConvertSnapshotFile(bufio.NewReaderSize(in, 1<<20), v2Path); err != nil {
+	if err := tass.ConvertSnapshotFile(bufio.NewReaderSize(in, 1<<20), snapPath); err != nil {
 		log.Fatal(err)
 	}
 	in.Close()
-	st, _ := os.Stat(v2Path)
-	fmt.Printf("converted to TASSNAP2 in %v: %d bytes on disk (%.2f B/host)\n",
+	st, _ := os.Stat(snapPath)
+	fmt.Printf("converted to TASSNAP3 in %v: %d bytes on disk (%.2f B/host)\n",
 		time.Since(start).Round(time.Millisecond), st.Size(), float64(st.Size())/float64(hosts))
 
 	// The universe: /12 slices across the populated span.
@@ -120,7 +120,7 @@ func main() {
 	runtime.GC()
 
 	start = time.Now()
-	lazySnap, err := tass.OpenSnapshotFile(v2Path)
+	lazySnap, err := tass.OpenSnapshotFile(snapPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // exist: the set's own contiguous in-memory payload (no source at all —
 // the historical fast path), Bytes over any in-core or mmap'd slice,
 // and the census file source, which serves extents from an mmap'd
-// TASSNAP2 payload or by pread on platforms without mmap.
+// TASSNAP3 payload or by pread on platforms without mmap.
 //
 // Reads can fail: a pread against a truncated file, a checksum
 // mismatch in a corruption-detecting wrapper, a transient I/O error.
@@ -331,7 +331,7 @@ func (s *SetOf[A]) CheckBlocks() error {
 // over an encoded payload: per-block first/last addresses, address
 // counts and encoded byte lengths, plus the BlockSource holding the
 // concatenated block streams (each stream is counts[i]-1 uvarint deltas
-// from mins[i] — the same layout Builder produces). The census TASSNAP2
+// from mins[i] — the same layout Builder produces). The census TASSNAP3
 // codec is the canonical caller: it decodes the file's block directory
 // into these slices in O(blocks) and never touches the payload.
 //

@@ -43,7 +43,7 @@ type SnapshotOf[A netaddr.Key[A]] struct {
 	set   *addrset.SetOf[A] // memoized block-indexed view of Addrs
 
 	// lazy marks a snapshot whose addresses live only in set (typically
-	// a lazily-decoded view over a TASSNAP2 file): Addrs stays nil and
+	// a lazily-decoded view over a TASSNAP3 file): Addrs stays nil and
 	// every counting/serialization path routes through the set. Use
 	// Materialize to obtain an Addrs-backed copy when a caller needs the
 	// slice itself.

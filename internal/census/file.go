@@ -15,19 +15,25 @@ import (
 	"github.com/tass-scan/tass/internal/netaddr"
 )
 
-// TASSNAP — the indexed snapshot file format.
+// TASSNAP3 — the indexed snapshot file format.
 //
-// Format v1 (TASSCNS/TASSCN6, census.go) is one long delta stream:
+// The v1 stream (TASSCNS/TASSCN6, census.go) is one long delta stream:
 // reading it costs O(addresses) in time and memory before the first
-// count can run. v2 prefixes the same delta-coded payload with a block
-// directory, so opening costs O(blocks): the index is parsed and
-// checksummed, the payload is mapped (or left on disk for pread) and
-// blocks decode on first touch through the addrset lazy cache. v3 adds
-// a CRC-32 per block to the directory, so payload corruption is
-// detected at first decode and localized to one block — the unit
-// `tass fsck` quarantines.
+// count can run, so it is the interchange format (Snapshot.WriteTo,
+// `tass convert -in`), never a file the load paths open. TASSNAP3
+// prefixes the same delta-coded payload with a block directory, so
+// opening costs O(blocks): the index is parsed and checksummed, the
+// payload is mapped (or left on disk for pread) and blocks decode on
+// first touch through the addrset lazy cache. Each directory record
+// carries its block's CRC-32, so payload corruption is detected at first
+// decode and localized to one block — the unit `tass fsck` quarantines.
 //
-//	magic      [8]byte "TASSNAP2" or "TASSNAP3"
+// TASSNAP2 is the same layout without the per-block CRCs. Only scrub and
+// repair still read it: repair rewrites it as TASSNAP3, its one upgrade
+// path. Open and verify reject it, and reject a v1 stream, with an error
+// naming the command that upgrades the file.
+//
+//	magic      [8]byte "TASSNAP3" ("TASSNAP2" in old files)
 //	family     byte: 4 or 6
 //	proto      uvarint length + bytes
 //	month      uvarint
@@ -43,7 +49,7 @@ import (
 //	             span      key uvarint (max - min)
 //	             count_i   uvarint
 //	             bytes_i   uvarint (encoded stream length)
-//	             crc_i     [4]byte  (v3 only) CRC-32 (IEEE) of the
+//	             crc_i     [4]byte  (not in TASSNAP2) CRC-32 (IEEE) of the
 //	                       block's payload bytes, little endian
 //	indexCRC   [4]byte  CRC-32 (IEEE) of everything above, little endian
 //	payload    payloadLen bytes: per block, count_i-1 key-uvarint deltas
@@ -52,18 +58,20 @@ import (
 // is only read by VerifySnapshotFile, keeping cold opens free of any
 // O(addresses) work. A block payload corrupted after a successful open
 // surfaces at first decode as a typed *addrset.BlockError — a per-block
-// CRC mismatch on v3, or the decoded population/max disagreeing with
-// the trusted directory on v2 — propagated or degraded around per the
-// set's FaultPolicy, never a panic.
+// CRC mismatch, or (scrubbing TASSNAP2) the decoded population/max
+// disagreeing with the trusted directory — propagated or degraded
+// around per the set's FaultPolicy, never a panic.
 var (
 	magic2 = [8]byte{'T', 'A', 'S', 'S', 'N', 'A', 'P', '2'}
 	magic3 = [8]byte{'T', 'A', 'S', 'S', 'N', 'A', 'P', '3'}
 )
 
-// snapWriteVersion is the directory format WriteSnapshotFileOf emits:
-// 3 (per-block CRCs) everywhere outside tests that pin 2 to exercise
-// the backward-compatibility read path.
-var snapWriteVersion = 3
+// The load paths' verdicts on the two older formats, each naming the
+// one command that upgrades the file.
+var (
+	errV1Stream = fmt.Errorf("%w: v1 snapshot stream, not an indexed file; convert it with \"tass convert -in FILE -o OUT\"", ErrFormat)
+	errV2File   = fmt.Errorf("%w: TASSNAP2 file (no per-block CRCs); upgrade it with \"tass fsck -repair FILE\"", ErrFormat)
+)
 
 func familyByte(width int) byte {
 	if width == 32 {
@@ -72,7 +80,7 @@ func familyByte(width int) byte {
 	return 6
 }
 
-// snapFileIndex is a parsed v2/v3 header + directory.
+// snapFileIndex is a parsed TASSNAP2/3 header + directory.
 type snapFileIndex[A netaddr.Key[A]] struct {
 	version    int // 2 or 3
 	proto      string
@@ -89,8 +97,10 @@ type snapFileIndex[A netaddr.Key[A]] struct {
 }
 
 // parseSnapFileIndex reads and validates the header, directory and
-// index CRC of an open v2/v3 file. It touches only the index prefix of
-// the file — O(blocks) bytes — never the payload.
+// index CRC of an open TASSNAP2/3 file. It touches only the index prefix
+// of the file — O(blocks) bytes — never the payload. A v1 stream is
+// rejected with errV1Stream. TASSNAP2 parses, for scrub and repair;
+// the load paths go through parseCurrentSnapIndex instead.
 func parseSnapFileIndex[A netaddr.Key[A]](m *mmapfile.File) (*snapFileIndex[A], error) {
 	size := int(m.Size())
 	// The fixed header fits well under 4 KiB (proto <= 255 bytes, seven
@@ -109,6 +119,8 @@ func parseSnapFileIndex[A netaddr.Key[A]](m *mmapfile.File) (*snapFileIndex[A], 
 		version = 2
 	case len(head) >= len(magic3)+1 && bytes.Equal(head[:8], magic3[:]):
 		version = 3
+	case len(head) >= 8 && (bytes.Equal(head[:8], magic[:]) || bytes.Equal(head[:8], magic6[:])):
+		return nil, errV1Stream
 	default:
 		return nil, fmt.Errorf("%w: not a TASSNAP2/TASSNAP3 file", ErrFormat)
 	}
@@ -276,6 +288,16 @@ func parseSnapFileIndex[A netaddr.Key[A]](m *mmapfile.File) (*snapFileIndex[A], 
 	return out, nil
 }
 
+// parseCurrentSnapIndex is parseSnapFileIndex for the load paths (open
+// and verify), which accept only the current format, TASSNAP3.
+func parseCurrentSnapIndex[A netaddr.Key[A]](m *mmapfile.File) (*snapFileIndex[A], error) {
+	idx, err := parseSnapFileIndex[A](m)
+	if err == nil && idx.version != 3 {
+		return nil, errV2File
+	}
+	return idx, err
+}
+
 // fileSource serves block extents from the payload region of an open
 // snapshot file; it is the mmap/pread BlockSource behind lazy sets.
 type fileSource struct {
@@ -287,7 +309,7 @@ type fileSource struct {
 func (s *fileSource) Bytes(off, n int) ([]byte, error) { return s.f.BytesAt(s.base+off, n) }
 func (s *fileSource) Size() int                        { return s.size }
 
-// blockCheckSource wraps a BlockSource with the v3 per-block CRCs:
+// blockCheckSource wraps a BlockSource with the per-block CRCs:
 // every whole-block extent read is checksummed against the (index-CRC
 // protected) directory before the decoder sees a byte. The check runs
 // at first decode — and again if the block is evicted and re-faulted —
@@ -323,8 +345,8 @@ func (s *blockCheckSource) Bytes(off, n int) ([]byte, error) {
 func (s *blockCheckSource) Size() int { return s.src.Size() }
 
 // snapBlockSource builds the BlockSource for a parsed index: the raw
-// payload extent server, wrapped with per-block CRC checking when the
-// file carries v3 checksums.
+// payload extent server, wrapped with per-block CRC checking unless the
+// file is a (scrubbed) TASSNAP2 one without them.
 func snapBlockSource[A netaddr.Key[A]](m *mmapfile.File, idx *snapFileIndex[A]) addrset.BlockSource {
 	var src addrset.BlockSource = &fileSource{f: m, base: idx.payloadOff, size: idx.payloadLen}
 	if idx.crcs == nil {
@@ -345,44 +367,29 @@ func OpenSnapshotFile(path string) (*Snapshot, error) {
 	return OpenSnapshotFileOf[netaddr.Addr](path, 0)
 }
 
-// OpenSnapshotFileOf opens a snapshot file of family A. A TASSNAP2/3
-// file opens in O(blocks): the index is parsed and CRC-checked, the
-// payload is mapped (pread on platforms without mmap) and blocks decode
-// on first touch, cached in an LRU capped at cacheBlocks decoded blocks
-// (0 means the addrset default). The returned snapshot is lazy: Addrs
-// is nil, counting and selection run off the block index, and Close
-// must be called to release the mapping.
+// OpenSnapshotFileOf opens a TASSNAP3 snapshot file of family A in
+// O(blocks): the index is parsed and CRC-checked, the payload is mapped
+// (pread on platforms without mmap) and blocks decode on first touch,
+// cached in an LRU capped at cacheBlocks decoded blocks (0 means the
+// addrset default). The returned snapshot is lazy: Addrs is nil,
+// counting and selection run off the block index, and Close must be
+// called to release the mapping.
 //
-// Payload integrity is checked lazily, per block, at first decode: a
-// v3 file verifies each block's CRC against the directory, a v2 file
-// falls back to checking the decoded population and max address against
-// the index. Damage surfaces as a typed *addrset.BlockError through the
-// snapshot's fault plumbing (StorageErr/StorageFaults, FaultPolicy) —
-// run VerifySnapshotFile first for an eager whole-file check on files
-// of doubtful provenance.
+// Payload integrity is checked lazily, per block, at first decode
+// against the block's directory CRC. Damage surfaces as a typed
+// *addrset.BlockError through the snapshot's fault plumbing
+// (StorageErr/StorageFaults, FaultPolicy) — run VerifySnapshotFile
+// first for an eager whole-file check on files of doubtful provenance.
 //
-// A v1 file (TASSCNS/TASSCN6) is read eagerly as ReadSnapshotOf would,
-// so callers can open either format through one entry point.
+// A v1 stream or a TASSNAP2 file is rejected with an error wrapping
+// ErrFormat that names its upgrade command: `tass convert -in` for v1,
+// `tass fsck -repair` for TASSNAP2.
 func OpenSnapshotFileOf[A netaddr.Key[A]](path string, cacheBlocks int) (*SnapshotOf[A], error) {
 	m, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if int(m.Size()) >= 8 {
-		var zero A
-		v1 := snapMagic(zero.Width())
-		if head, err := m.BytesAt(0, 8); err == nil && bytes.Equal(head, v1[:]) {
-			// v1: one eager pass, as before this format existed.
-			m.Close()
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			return ReadSnapshotOf[A](f)
-		}
-	}
-	idx, err := parseSnapFileIndex[A](m)
+	idx, err := parseCurrentSnapIndex[A](m)
 	if err != nil {
 		m.Close()
 		return nil, err
@@ -401,13 +408,12 @@ func OpenSnapshotFileOf[A netaddr.Key[A]](path string, cacheBlocks int) (*Snapsh
 	}, nil
 }
 
-// VerifySnapshotFile deep-checks a snapshot file of any format and
-// family. v2/v3 files get the full pass: index CRC, payload CRC, then a
-// decode of every block against the directory (and, on v3, its block
-// CRC). v1 files have no index to cross-check, so verification is one
-// eager decode of the whole stream — the same validation ReadSnapshotOf
-// applies. It is the O(addresses) pass that makes the lazy open's
-// per-block trust safe for files of unknown provenance.
+// VerifySnapshotFile deep-checks a TASSNAP3 snapshot file of either
+// family: index CRC, payload CRC, then a decode of every block against
+// the directory and its block CRC. It is the O(addresses) pass that
+// makes the lazy open's per-block trust safe for files of unknown
+// provenance. Older formats are rejected as OpenSnapshotFileOf rejects
+// them.
 func VerifySnapshotFile(path string) error {
 	m, err := mmapfile.Open(path)
 	if err != nil {
@@ -421,32 +427,14 @@ func VerifySnapshotFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	if bytes.Equal(head[:8], magic[:]) || bytes.Equal(head[:8], magic6[:]) {
-		return verifySnapV1(path, head[:8])
-	}
 	if head[8] == 6 {
 		return verifySnapFile[netaddr.Addr6](m)
 	}
 	return verifySnapFile[netaddr.Addr](m)
 }
 
-// verifySnapV1 verifies a v1 stream file by decoding it in full.
-func verifySnapV1(path string, magicBytes []byte) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if bytes.Equal(magicBytes, magic6[:]) {
-		_, err = ReadSnapshotOf[netaddr.Addr6](f)
-	} else {
-		_, err = ReadSnapshotOf[netaddr.Addr](f)
-	}
-	return err
-}
-
 func verifySnapFile[A netaddr.Key[A]](m *mmapfile.File) error {
-	idx, err := parseSnapFileIndex[A](m)
+	idx, err := parseCurrentSnapIndex[A](m)
 	if err != nil {
 		return err
 	}
@@ -468,7 +456,7 @@ func verifySnapFile[A netaddr.Key[A]](m *mmapfile.File) error {
 	}
 	// Cache cap 1: CheckBlocks streams every block once, nothing worth
 	// keeping resident. The CRC-checking source makes CheckBlocks verify
-	// each v3 block checksum along the way.
+	// each block checksum along the way.
 	set, err := addrset.FromIndex(idx.mins, idx.maxs, idx.counts, idx.blens, idx.blockSize, snapBlockSource(m, idx), 1)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrFormat, err)
@@ -500,7 +488,7 @@ func WriteSnapshotFileOf[A netaddr.Key[A]](path string, s *SnapshotOf[A]) error 
 
 // writeSnapStream writes the addresses yielded by walk — which must
 // yield the same ascending sequence every time it is called — to path
-// as a TASSNAP file (version snapWriteVersion). It is the writer behind
+// as a TASSNAP3 file. It is the writer behind
 // both WriteSnapshotFileOf (walk = set.Walk) and snapshot repair (walk
 // = the intact-blocks-only walk). The two encode passes are cross-
 // checked: if the payload streamed in pass 2 diverges in length from
@@ -530,14 +518,9 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 			total += count
 		})
 
-	version := snapWriteVersion
-	magicV := magic3
-	if version == 2 {
-		magicV = magic2
-	}
 	var zero A
 	var hdr bytes.Buffer
-	hdr.Write(magicV[:])
+	hdr.Write(magic3[:])
 	hdr.WriteByte(familyByte(zero.Width()))
 	var vbuf [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) { hdr.Write(vbuf[:binary.PutUvarint(vbuf[:], v)]) }
@@ -562,10 +545,8 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 		dir.Write(netaddr.AppendKeyUvarint(kbuf[:0], netaddr.KeySub(maxs[i], mins[i])))
 		dir.Write(vbuf[:binary.PutUvarint(vbuf[:], uint64(counts[i]))])
 		dir.Write(vbuf[:binary.PutUvarint(vbuf[:], uint64(blens[i]))])
-		if version >= 3 {
-			binary.LittleEndian.PutUint32(crcb[:], crcs[i])
-			dir.Write(crcb[:])
-		}
+		binary.LittleEndian.PutUint32(crcb[:], crcs[i])
+		dir.Write(crcb[:])
 		prevMin = mins[i]
 	}
 	putUvarint(uint64(dir.Len()))

@@ -2,10 +2,12 @@ package census
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/netaddr"
@@ -70,30 +72,26 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotFileV1Fallback(t *testing.T) {
+// TestSnapshotFileV1Rejected pins that a v1 stream is interchange data,
+// not a file the load paths open: open and verify reject it with an
+// ErrFormat error naming the conversion command.
+func TestSnapshotFileV1Rejected(t *testing.T) {
 	eager := fileFixtureSnap(2, 3000)
 	path := filepath.Join(t.TempDir(), "census.v1")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, encodeSnapshot(t, eager), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eager.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	snap, err := OpenSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("OpenSnapshotFile(v1): %v", err)
+	if err == nil {
+		snap.Close()
 	}
-	defer snap.Close()
-	if snap.Lazy() {
-		t.Fatal("v1 file opened lazy")
+	for name, err := range map[string]error{"open": err, "verify": VerifySnapshotFile(path)} {
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "tass convert -in") {
+			t.Errorf("%s of a v1 stream: got %v, want ErrFormat naming tass convert", name, err)
+		}
 	}
-	if !slices.Equal(snap.Addrs, eager.Addrs) {
-		t.Fatal("v1 fallback decodes differently")
+	if _, err := OpenSnapshotFileOf[netaddr.Addr6](path, 0); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "tass convert -in") {
+		t.Errorf("IPv6 open of an IPv4 v1 stream: got %v", err)
 	}
 }
 

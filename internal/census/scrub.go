@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 
 	"github.com/tass-scan/tass/internal/addrset"
 	"github.com/tass-scan/tass/internal/atomicfile"
@@ -28,13 +28,14 @@ type BlockDamage struct {
 // snapshot file.
 type SnapshotScrub struct {
 	Path   string
-	Format string // "TASSNAP3", "TASSNAP2", or the v1 stream magic
+	Format string // "TASSNAP3", "TASSNAP2", "TASSNAP1" (a v1 stream) or "unknown"
 	Blocks int
 	Hosts  int // addresses decodable from intact blocks
 
 	// PayloadCRCOK reports the whole-payload checksum. It can fail
-	// while every block still decodes (v2 damage that preserves block
-	// structure); repair then rewrites the file with fresh checksums.
+	// while every block still decodes (TASSNAP2 damage that preserves
+	// block structure); repair then rewrites the file with fresh
+	// checksums.
 	PayloadCRCOK bool
 
 	// Damage lists every block that failed its checksum or decode.
@@ -43,22 +44,25 @@ type SnapshotScrub struct {
 	// IndexErr is non-nil when the header or block directory itself is
 	// unusable (bad magic, index CRC mismatch, truncation) — nothing
 	// can be localized and the file cannot be repaired in place. For a
-	// v1 file it carries any decode error, since v1 has no structure
-	// to localize damage with.
+	// v1 stream it is the error naming `tass convert -in`: the stream
+	// is interchange data, not a file to scrub or repair.
 	IndexErr error
 }
 
-// Clean reports whether the scrub found nothing wrong.
+// Clean reports whether the scrub found nothing wrong: an undamaged
+// file in the current format. An undamaged TASSNAP2 file is not clean;
+// RepairSnapshotFile upgrades it.
 func (r *SnapshotScrub) Clean() bool {
-	return r.IndexErr == nil && len(r.Damage) == 0 && r.PayloadCRCOK
+	return r.IndexErr == nil && len(r.Damage) == 0 && r.PayloadCRCOK && r.Format == "TASSNAP3"
 }
 
-// ScrubSnapshotFile verifies a snapshot file block by block and reports
-// every finding instead of stopping at the first, streaming with O(one
-// block) resident memory. v2/v3 files are checked index-first (header,
-// directory, index CRC), then payload CRC, then a decode of every block
-// against the directory (and its per-block CRC on v3). v1 files decode
-// in one eager pass. It is the read-only half of `tass fsck`.
+// ScrubSnapshotFile verifies a TASSNAP3 or TASSNAP2 snapshot file block
+// by block and reports every finding instead of stopping at the first,
+// streaming with O(one block) resident memory. The check runs
+// index-first (header, directory, index CRC), then payload CRC, then a
+// decode of every block against the directory and, on TASSNAP3, its
+// per-block CRC. A v1 stream is reported as such, undecoded. It is the
+// read-only half of `tass fsck`.
 func ScrubSnapshotFile(path string) (*SnapshotScrub, error) {
 	m, err := mmapfile.Open(path)
 	if err != nil {
@@ -77,35 +81,9 @@ func ScrubSnapshotFile(path string) (*SnapshotScrub, error) {
 		rep.IndexErr = err
 		return rep, nil
 	}
-	switch {
-	case bytes.Equal(head[:8], magic[:]), bytes.Equal(head[:8], magic6[:]):
-		rep.Format = "TASSNAP1"
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		var hosts int
-		if bytes.Equal(head[:8], magic6[:]) {
-			var snap *SnapshotOf[netaddr.Addr6]
-			snap, err = ReadSnapshotOf[netaddr.Addr6](f)
-			if snap != nil {
-				hosts = snap.Hosts()
-			}
-		} else {
-			var snap *Snapshot
-			snap, err = ReadSnapshotOf[netaddr.Addr](f)
-			if snap != nil {
-				hosts = snap.Hosts()
-			}
-		}
-		rep.Hosts = hosts
-		rep.IndexErr = err
-		rep.PayloadCRCOK = err == nil
-		return rep, nil
-	case head[8] == 6:
+	if head[8] == 6 {
 		scrubSnap[netaddr.Addr6](m, rep)
-	default:
+	} else {
 		scrubSnap[netaddr.Addr](m, rep)
 	}
 	return rep, nil
@@ -115,6 +93,9 @@ func scrubSnap[A netaddr.Key[A]](m *mmapfile.File, rep *SnapshotScrub) {
 	idx, err := parseSnapFileIndex[A](m)
 	if err != nil {
 		rep.Format = "TASSNAP2/3"
+		if errors.Is(err, errV1Stream) {
+			rep.Format = "TASSNAP1"
+		}
 		rep.IndexErr = err
 		return
 	}
@@ -216,14 +197,16 @@ type quarantineRecord struct {
 	ReadErr string `json:"read_err,omitempty"`
 }
 
-// RepairSnapshotFile scrubs path and, if damage is found, re-derives
-// every intact block into a fresh file of the current write format,
-// atomically replacing path; the damaged blocks' raw bytes are saved to
-// path+".quarantine" first, so the repair destroys nothing. The
-// repaired file is re-verified before RepairSnapshotFile returns. Files
-// whose index (header, directory, index CRC) is itself damaged cannot
-// be repaired in place — localization depends on a trusted directory —
-// and return an error, as do v1 files with any damage.
+// RepairSnapshotFile scrubs path and, if damage or the older TASSNAP2
+// format is found, re-derives every intact block into a fresh TASSNAP3
+// file, atomically replacing path; the damaged blocks' raw bytes are
+// saved to path+".quarantine" first, so the repair destroys nothing. It
+// is the one upgrade path for TASSNAP2 files. The repaired file is
+// re-verified before RepairSnapshotFile returns. Files whose index
+// (header, directory, index CRC) is itself damaged cannot be repaired
+// in place — localization depends on a trusted directory — and return
+// an error, as do v1 streams, which `tass convert -in` turns into
+// TASSNAP3 instead.
 func RepairSnapshotFile(path string) (*SnapshotRepair, error) {
 	scrub, err := ScrubSnapshotFile(path)
 	if err != nil {
@@ -236,9 +219,6 @@ func RepairSnapshotFile(path string) (*SnapshotRepair, error) {
 	if scrub.Clean() {
 		res.RecoveredHosts = scrub.Hosts
 		return res, nil
-	}
-	if scrub.Format == "TASSNAP1" {
-		return res, fmt.Errorf("census: %s: v1 stream files have no block structure to repair", path)
 	}
 
 	if len(scrub.Damage) > 0 {

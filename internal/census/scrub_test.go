@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/addrset"
@@ -209,58 +210,6 @@ func TestRepairUnusableIndex(t *testing.T) {
 	}
 }
 
-// TestVerifySnapshotFileV1 pins the satellite behavior: VerifySnapshotFile
-// accepts a valid v1 stream file and rejects a damaged one.
-func TestVerifySnapshotFileV1(t *testing.T) {
-	eager := fileFixtureSnap(25, 2000)
-	path := filepath.Join(t.TempDir(), "census.v1")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eager.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySnapshotFile(path); err != nil {
-		t.Fatalf("valid v1 file fails verify: %v", err)
-	}
-	scrub, err := ScrubSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !scrub.Clean() || scrub.Format != "TASSNAP1" || scrub.Hosts != eager.Hosts() {
-		t.Fatalf("v1 scrub: %+v", scrub)
-	}
-
-	// Truncation is damage every v1 reader must catch (the stream has no
-	// checksum, but the host count no longer matches the bytes).
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := filepath.Join(t.TempDir(), "cut.v1")
-	if err := os.WriteFile(cut, raw[:len(raw)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySnapshotFile(cut); err == nil {
-		t.Fatal("truncated v1 file passed verify")
-	}
-	scrub, err = ScrubSnapshotFile(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scrub.IndexErr == nil {
-		t.Fatal("truncated v1 scrubbed clean")
-	}
-	// v1 has no block structure: damage is unrepairable by design.
-	if _, err := RepairSnapshotFile(cut); err == nil {
-		t.Fatal("repaired a damaged v1 stream")
-	}
-}
-
 // TestVerifyIndexOKPayloadCorrupt pins the split the lazy stack depends
 // on: a payload flip leaves the index CRC valid, so open succeeds and the
 // damage surfaces only at first decode — as a typed *addrset.BlockError —
@@ -301,52 +250,96 @@ func TestVerifyIndexOKPayloadCorrupt(t *testing.T) {
 	}
 }
 
-// TestSnapshotFileV2Compat pins backward compatibility: files written in
-// the CRC-less v2 format still open, verify, and decode identically.
-func TestSnapshotFileV2Compat(t *testing.T) {
-	defer func(v int) { snapWriteVersion = v }(snapWriteVersion)
-	snapWriteVersion = 2
-
-	eager := fileFixtureSnap(27, 9000)
-	path := writeSnapFile(t, eager)
-	raw, err := os.ReadFile(path)
+// copyV2Fixture copies the checked-in TASSNAP2 fixture — a file the
+// pre-TASSNAP3 writer produced for fileFixtureSnap(27, 2000) — to a
+// scratch path the test may rewrite.
+func copyV2Fixture(t *testing.T) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "v2.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(raw[:8]) != "TASSNAP2" {
-		t.Fatalf("magic %q want TASSNAP2", raw[:8])
+		t.Fatalf("fixture magic %q want TASSNAP2", raw[:8])
 	}
-	if err := VerifySnapshotFile(path); err != nil {
-		t.Fatalf("v2 file fails verify: %v", err)
-	}
-	snap, err := OpenSnapshotFile(path)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "census.snap2")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer snap.Close()
-	if !slices.Equal(snap.Set().AppendTo(nil), eager.Addrs) {
-		t.Fatal("v2 file decodes differently")
+	return path
+}
+
+// TestSnapshotFileV2Upgrade pins the TASSNAP2 upgrade path: the load
+// paths reject the file naming `tass fsck -repair`, scrub reports it,
+// and repair rewrites it as TASSNAP3 with the same addresses, protocol
+// and month — after which it opens and verifies.
+func TestSnapshotFileV2Upgrade(t *testing.T) {
+	want := fileFixtureSnap(27, 2000)
+	path := copyV2Fixture(t)
+
+	snap, err := OpenSnapshotFile(path)
+	if err == nil {
+		snap.Close()
+	}
+	for name, err := range map[string]error{"open": err, "verify": VerifySnapshotFile(path)} {
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "tass fsck -repair") {
+			t.Errorf("%s of a TASSNAP2 file: got %v, want ErrFormat naming tass fsck -repair", name, err)
+		}
 	}
 	scrub, err := ScrubSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !scrub.Clean() || scrub.Format != "TASSNAP2" {
+	if scrub.Clean() || scrub.Format != "TASSNAP2" || scrub.IndexErr != nil ||
+		len(scrub.Damage) != 0 || !scrub.PayloadCRCOK || scrub.Hosts != want.Hosts() {
 		t.Fatalf("v2 scrub: %+v", scrub)
 	}
-	// Repairing a damaged v2 file upgrades it to the current format.
+
+	rep, err := RepairSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("upgrading v2: %v", err)
+	}
+	if !rep.Repaired || rep.RecoveredHosts != want.Hosts() || rep.LostAddrs != 0 || rep.QuarantinePath != "" {
+		t.Fatalf("v2 upgrade: %+v", rep)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw[:8]) != "TASSNAP3" {
+		t.Fatalf("repair wrote %q, want TASSNAP3", raw[:8])
+	}
+	if err := VerifySnapshotFile(path); err != nil {
+		t.Fatalf("upgraded file fails verify: %v", err)
+	}
+	snap, err = OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("upgraded file does not open: %v", err)
+	}
+	defer snap.Close()
+	if snap.Protocol != want.Protocol || snap.Month != want.Month {
+		t.Fatalf("upgrade changed the header: %q/%d", snap.Protocol, snap.Month)
+	}
+	if !slices.Equal(snap.Set().AppendTo(nil), want.Addrs) {
+		t.Fatal("upgraded file decodes differently")
+	}
+	if again, err := ScrubSnapshotFile(path); err != nil || !again.Clean() {
+		t.Fatalf("upgraded file scrubs dirty: %+v, %v", again, err)
+	}
+
+	// Repairing a damaged v2 file also upgrades it to TASSNAP3.
+	path = copyV2Fixture(t)
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flipByte(t, path, st.Size()-8, 0x20)
-	snapWriteVersion = 3
-	rep, err := RepairSnapshotFile(path)
+	rep, err = RepairSnapshotFile(path)
 	if err != nil {
 		t.Fatalf("repairing damaged v2: %v", err)
 	}
-	if !rep.Repaired {
-		t.Fatal("damaged v2 not repaired")
+	if !rep.Repaired || rep.LostAddrs == 0 || rep.QuarantinePath == "" {
+		t.Fatalf("damaged v2 repair: %+v", rep)
 	}
 	raw, err = os.ReadFile(path)
 	if err != nil {
@@ -354,6 +347,9 @@ func TestSnapshotFileV2Compat(t *testing.T) {
 	}
 	if string(raw[:8]) != "TASSNAP3" {
 		t.Fatalf("repair wrote %q, want an upgraded TASSNAP3", raw[:8])
+	}
+	if err := VerifySnapshotFile(path); err != nil {
+		t.Fatalf("repaired v2 fails verify: %v", err)
 	}
 }
 
@@ -379,19 +375,10 @@ func FuzzSnapshotFileCorruption(f *testing.F) {
 		f.Add(corrupt)
 	}
 	f.Add(raw[:len(raw)/3])
-	v2 := func() []byte {
-		defer func(v int) { snapWriteVersion = v }(snapWriteVersion)
-		snapWriteVersion = 2
-		p := filepath.Join(dir, "seed.snap2")
-		if err := WriteSnapshotFile(p, seedSnap); err != nil {
-			f.Fatal(err)
-		}
-		b, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}()
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(v2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -104,9 +104,6 @@ func TestChaosSnapshotBitSweep(t *testing.T) {
 }
 
 func TestChaosCheckpointBitSweep(t *testing.T) {
-	defer func(f func(string)) { scan.LegacyCheckpointWarn = f }(scan.LegacyCheckpointWarn)
-	scan.LegacyCheckpointWarn = func(string) {}
-
 	cp := &scan.Checkpoint{
 		N: 100000, Seed: 99, Shard: 1, Shards: 4, Workers: 2,
 		Consumed: []uint64{1234, 5678},

@@ -1,20 +1,24 @@
 // Package fsck verifies and repairs the scanner's on-disk artifacts:
-// census snapshot files (TASSNAP2/3 and the v1 stream), scan checkpoint
-// files, and coordinator state files. It is the library behind
-// `tass fsck` — Check is the read-only scrub, Repair additionally
-// salvages what it can and quarantines what it cannot, never deleting
-// damaged bytes.
+// census snapshot files, scan checkpoint files, and coordinator state
+// files. It is the library behind `tass fsck` — Check is the read-only
+// scrub, Repair additionally salvages what it can and quarantines what
+// it cannot, never deleting damaged bytes. It is also the one upgrade
+// path for the older formats the load paths reject: a TASSNAP2 snapshot
+// and a checksum-less checkpoint are findings that Repair rewrites in
+// the current format.
 //
 // Repair semantics by kind:
 //
-//   - Snapshot (TASSNAP2/3): intact blocks are re-derived into a fresh
-//     file of the current format; damaged blocks' raw bytes go to a
-//     .quarantine sidecar. A file whose index itself is damaged cannot
-//     be repaired in place and is moved aside whole.
-//   - Checkpoint: a valid legacy checksum-less file is upgraded to the
-//     enveloped format; a corrupt file is moved aside whole (resume
-//     state cannot be partially salvaged — a wrong cursor re-probes or
-//     skips addresses).
+//   - Snapshot (TASSNAP3, or TASSNAP2 to upgrade): intact blocks are
+//     re-derived into a fresh TASSNAP3 file; damaged blocks' raw bytes
+//     go to a .quarantine sidecar. A file whose index itself is damaged
+//     cannot be repaired in place and is moved aside whole. A v1 stream
+//     is valid interchange data: it is reported with its conversion
+//     command (`tass convert -in`) and never moved or rewritten.
+//   - Checkpoint: a valid checksum-less file from an older release is
+//     upgraded to the enveloped format; a corrupt file is moved aside
+//     whole (resume state cannot be partially salvaged — a wrong cursor
+//     re-probes or skips addresses).
 //   - Coordinator state: a corrupt file is moved aside whole, so a
 //     restarted coordinator starts a fresh campaign instead of
 //     refusing to boot.
@@ -147,6 +151,10 @@ func runSnapshot(res *Result, repair bool) error {
 		return err
 	}
 	res.RecoveredHosts = scrub.Hosts
+	if scrub.Format == "TASSNAP1" {
+		res.Findings = append(res.Findings, scrub.IndexErr.Error())
+		return nil
+	}
 	if scrub.IndexErr != nil {
 		res.Findings = append(res.Findings, fmt.Sprintf("index unusable: %v", scrub.IndexErr))
 		if repair {
@@ -159,6 +167,9 @@ func runSnapshot(res *Result, repair bool) error {
 			res.Findings = append(res.Findings, "file moved aside whole (no trusted directory to localize damage with)")
 		}
 		return nil
+	}
+	if scrub.Format == "TASSNAP2" {
+		res.Findings = append(res.Findings, "TASSNAP2 format (no per-block CRCs); -repair rewrites it as TASSNAP3")
 	}
 	if !scrub.PayloadCRCOK {
 		res.Findings = append(res.Findings, "payload CRC mismatch")
@@ -185,35 +196,36 @@ func runCheckpoint(res *Result, repair bool) error {
 	if err != nil {
 		return err
 	}
-	var env struct {
-		Format string `json:"format"`
+	_, readErr := scan.ReadCheckpoint(bytes.NewReader(data))
+	if readErr == nil {
+		return nil
 	}
-	legacy := json.Unmarshal(data, &env) == nil && env.Format == ""
-	warn := scan.LegacyCheckpointWarn
-	scan.LegacyCheckpointWarn = func(string) {} // fsck reports legacy itself
-	cp, readErr := scan.ReadCheckpoint(bytes.NewReader(data))
-	scan.LegacyCheckpointWarn = warn
-	switch {
-	case readErr != nil:
-		res.Findings = append(res.Findings, fmt.Sprintf("unreadable: %v", readErr))
-		if repair {
-			qpath, err := moveAside(res.Path)
-			if err != nil {
-				return err
-			}
-			res.QuarantinePath = qpath
-			res.Repaired = true
-			res.Findings = append(res.Findings, "file moved aside whole (a wrong cursor would skip or re-probe addresses)")
-		}
-	case legacy:
+	// The checksum-less format of older releases: one JSON object with
+	// the checkpoint fields at top level. Decode strictly — a corrupted
+	// envelope (stray "crc"/"body" keys) must not pass for one.
+	var legacy scan.Checkpoint
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if json.Valid(data) && dec.Decode(&legacy) == nil {
 		res.Findings = append(res.Findings, "legacy checksum-less format (corruption undetectable)")
 		if repair {
-			if err := scan.WriteCheckpointFile(res.Path, cp); err != nil {
+			if err := scan.WriteCheckpointFile(res.Path, &legacy); err != nil {
 				return err
 			}
 			res.Repaired = true
 			res.Findings = append(res.Findings, "upgraded to the enveloped format")
 		}
+		return nil
+	}
+	res.Findings = append(res.Findings, fmt.Sprintf("unreadable: %v", readErr))
+	if repair {
+		qpath, err := moveAside(res.Path)
+		if err != nil {
+			return err
+		}
+		res.QuarantinePath = qpath
+		res.Repaired = true
+		res.Findings = append(res.Findings, "file moved aside whole (a wrong cursor would skip or re-probe addresses)")
 	}
 	return nil
 }

@@ -2,10 +2,13 @@ package fsck_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/census"
@@ -94,6 +97,54 @@ func TestFsckSnapshot(t *testing.T) {
 	}
 }
 
+// TestFsckSnapshotV2Upgrade runs the TASSNAP2 upgrade path end to end
+// on the checked-in fixture: Check flags the format, Repair rewrites the
+// file as TASSNAP3 holding the same addresses, protocol and month, and
+// the result checks clean.
+func TestFsckSnapshotV2Upgrade(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "census", "testdata", "v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "census.snap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// What the fixture holds, read through the scrub (the only reader
+	// that still opens TASSNAP2) before the upgrade.
+	before, err := census.ScrubSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := fsck.Check(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Clean || len(res.Findings) != 1 || !strings.Contains(res.Findings[0], "TASSNAP2") {
+		t.Fatalf("v2 check: %+v", res)
+	}
+	res, err = fsck.Repair(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Repaired || res.QuarantinePath != "" || res.LostAddrs != 0 || res.RecoveredHosts != before.Hosts {
+		t.Fatalf("v2 repair: %+v", res)
+	}
+	if res, err := fsck.Check(path); err != nil || !res.Clean {
+		t.Fatalf("upgraded file: %+v, %v", res, err)
+	}
+	snap, err := census.OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("upgraded file does not open: %v", err)
+	}
+	defer snap.Close()
+	// fileFixtureSnap(27, 2000) in the census tests wrote the fixture.
+	if snap.Protocol != "https" || snap.Month != 4 || snap.Hosts() != 2000 {
+		t.Fatalf("upgrade changed the snapshot: %q/%d, %d hosts", snap.Protocol, snap.Month, snap.Hosts())
+	}
+}
+
 func TestFsckSnapshotIndexDamage(t *testing.T) {
 	path, _ := writeSnapshot(t, t.TempDir())
 	flip(t, path, 14, 0x01) // inside the directory: index CRC fails
@@ -114,10 +165,6 @@ func TestFsckSnapshotIndexDamage(t *testing.T) {
 }
 
 func TestFsckCheckpoint(t *testing.T) {
-	defer func(f func(string)) { scan.LegacyCheckpointWarn = f }(scan.LegacyCheckpointWarn)
-	var warned int
-	scan.LegacyCheckpointWarn = func(string) { warned++ }
-
 	dir := t.TempDir()
 	cp := &scan.Checkpoint{N: 500, Seed: 1, Shards: 1, Workers: 1, Consumed: []uint64{7}}
 	path := filepath.Join(dir, "scan.checkpoint")
@@ -148,8 +195,8 @@ func TestFsckCheckpoint(t *testing.T) {
 	if res.Clean || !strings.Contains(strings.Join(res.Findings, " "), "legacy") {
 		t.Fatalf("legacy not flagged: %+v", res)
 	}
-	if warned != 0 {
-		t.Fatal("fsck leaked the deprecation warning while reporting legacy itself")
+	if _, err := scan.ReadCheckpointFile(lpath); err == nil || !strings.Contains(err.Error(), "tass fsck -repair") {
+		t.Fatalf("legacy checkpoint load: got %v, want an error naming tass fsck -repair", err)
 	}
 	res, err = fsck.Repair(lpath)
 	if err != nil {
@@ -158,15 +205,11 @@ func TestFsckCheckpoint(t *testing.T) {
 	if !res.Repaired {
 		t.Fatalf("legacy not upgraded: %+v", res)
 	}
-	warned = 0
 	back, err := scan.ReadCheckpointFile(lpath)
 	if err != nil {
 		t.Fatalf("upgraded checkpoint unreadable: %v", err)
 	}
-	if warned != 0 {
-		t.Fatal("upgraded checkpoint still loads through the legacy path")
-	}
-	if back.N != cp.N || back.Consumed[0] != cp.Consumed[0] {
+	if !reflect.DeepEqual(back, cp) {
 		t.Fatalf("upgrade changed the cursor: %+v", back)
 	}
 
@@ -249,5 +292,68 @@ func TestFsckUnknown(t *testing.T) {
 	}
 	if _, err := fsck.Check(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file produced a result")
+	}
+}
+
+// TestFsckConcurrentChecks runs Check and Repair from several
+// goroutines at once over checkpoint (current and checksum-less) and
+// snapshot files. fsck holds no process-wide state, so under -race the
+// calls must not touch any shared variable, and every result must match
+// what a lone call reports.
+func TestFsckConcurrentChecks(t *testing.T) {
+	const goroutines = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		dir := t.TempDir()
+		cp := &scan.Checkpoint{N: 900, Seed: int64(g), Shards: 1, Workers: 1, Consumed: []uint64{uint64(g)}}
+		cpath := filepath.Join(dir, "scan.checkpoint")
+		if err := scan.WriteCheckpointFile(cpath, cp); err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lpath := filepath.Join(dir, "legacy.checkpoint")
+		if err := os.WriteFile(lpath, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spath, _ := writeSnapshot(t, dir)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				for _, p := range []string{cpath, lpath, spath} {
+					res, err := fsck.Check(p)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if p != lpath && !res.Clean {
+						errs <- fmt.Errorf("%s: clean file reported dirty: %v", p, res.Findings)
+						return
+					}
+				}
+			}
+			if res, err := fsck.Repair(spath); err != nil || !res.Clean || res.Repaired {
+				errs <- fmt.Errorf("clean snapshot repair: %+v, %v", res, err)
+				return
+			}
+			res, err := fsck.Repair(lpath)
+			if err != nil || !res.Repaired {
+				errs <- fmt.Errorf("legacy upgrade: %+v, %v", res, err)
+				return
+			}
+			back, err := scan.ReadCheckpointFile(lpath)
+			if err != nil || back.Seed != cp.Seed || back.Consumed[0] != cp.Consumed[0] {
+				errs <- fmt.Errorf("upgraded checkpoint: %+v, %v", back, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

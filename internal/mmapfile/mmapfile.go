@@ -1,6 +1,6 @@
 // Package mmapfile opens a file for random read access, memory-mapping
 // it read-only where the platform allows and degrading to pread
-// elsewhere. It is the bottom of the lazy census stack: the TASSNAP2
+// elsewhere. It is the bottom of the lazy census stack: the TASSNAP3
 // codec maps a snapshot file once and serves block extents from the
 // mapping, so opening a multi-gigabyte census costs page-table setup,
 // not a read of the payload — the kernel pages blocks in as the set
@@ -104,21 +104,8 @@ func retryableRead(read, want int, err error) bool {
 	return read > 0 && read < want && (errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF))
 }
 
-// Bytes returns the file bytes [off, off+n), panicking on failure. It
-// is the legacy accessor for callers whose extents were validated
-// against the file's directory at open, where a failure means the file
-// changed or vanished underneath us (the moral equivalent of an mmap
-// SIGBUS). New code should use BytesAt and propagate the error.
-func (m *File) Bytes(off, n int) []byte {
-	b, err := m.BytesAt(off, n)
-	if err != nil {
-		panic(err.Error())
-	}
-	return b
-}
-
-// Close unmaps and closes the file. Slices previously returned by Bytes
-// on a mapped File become invalid.
+// Close unmaps and closes the file. Slices previously returned by
+// BytesAt on a mapped File become invalid.
 func (m *File) Close() error {
 	var err error
 	if m.mapped {

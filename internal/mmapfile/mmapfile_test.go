@@ -27,8 +27,8 @@ func testExtents(t *testing.T, m *File, content []byte) {
 	for i := 0; i < 200; i++ {
 		off := rng.Intn(len(content) + 1)
 		n := rng.Intn(len(content) - off + 1)
-		if got := m.Bytes(off, n); !bytes.Equal(got, content[off:off+n]) {
-			t.Fatalf("Bytes(%d, %d) mismatch", off, n)
+		if got, err := m.BytesAt(off, n); err != nil || !bytes.Equal(got, content[off:off+n]) {
+			t.Fatalf("BytesAt(%d, %d) mismatch (err %v)", off, n, err)
 		}
 	}
 	// Concurrent readers over overlapping extents.
@@ -41,8 +41,8 @@ func testExtents(t *testing.T, m *File, content []byte) {
 			for i := 0; i < 100; i++ {
 				off := rng.Intn(len(content))
 				n := rng.Intn(len(content) - off)
-				if !bytes.Equal(m.Bytes(off, n), content[off:off+n]) {
-					t.Errorf("concurrent Bytes(%d, %d) mismatch", off, n)
+				if got, err := m.BytesAt(off, n); err != nil || !bytes.Equal(got, content[off:off+n]) {
+					t.Errorf("concurrent BytesAt(%d, %d) mismatch (err %v)", off, n, err)
 					return
 				}
 			}
@@ -87,8 +87,8 @@ func TestOpenEmpty(t *testing.T) {
 	if m.Size() != 0 {
 		t.Fatalf("Size = %d", m.Size())
 	}
-	if got := m.Bytes(0, 0); len(got) != 0 {
-		t.Fatalf("Bytes(0,0) returned %d bytes", len(got))
+	if got, err := m.BytesAt(0, 0); err != nil || len(got) != 0 {
+		t.Fatalf("BytesAt(0,0) returned %d bytes (err %v)", len(got), err)
 	}
 }
 
@@ -105,14 +105,9 @@ func TestBytesOutOfRange(t *testing.T) {
 	}
 	defer m.Close()
 	for _, c := range [][2]int{{0, 4}, {3, 1}, {-1, 1}, {1, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Bytes(%d, %d) did not panic", c[0], c[1])
-				}
-			}()
-			m.Bytes(c[0], c[1])
-		}()
+		if b, err := m.BytesAt(c[0], c[1]); err == nil {
+			t.Errorf("BytesAt(%d, %d) = %q, want an error", c[0], c[1], b)
+		}
 	}
 }
 

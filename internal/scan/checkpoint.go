@@ -98,8 +98,9 @@ func (s *Scanner) Resume(cp *Checkpoint) error {
 }
 
 // The checkpoint wire format is a small JSON envelope around the
-// checkpoint body: a format marker (so corruption of the envelope is
-// never mistaken for a legacy file), a format version (readers reject
+// checkpoint body: a format marker (a file without one is the
+// checksum-less format of older releases, which only `tass fsck
+// -repair` still reads), a format version (readers reject
 // files from the future instead of resuming from misparsed state), and
 // a CRC-32 over the exact body bytes (torn writes and bit flips are
 // detected before a single address is skipped or re-probed).
@@ -114,13 +115,6 @@ type checkpointEnvelope struct {
 	CRC     uint32          `json:"crc"`
 	Body    json.RawMessage `json:"body"`
 }
-
-// LegacyCheckpointWarn receives the deprecation notice emitted when a
-// legacy checksum-less checkpoint file is loaded. The un-enveloped
-// format was accepted for one release of grace; re-saving under a
-// current binary upgrades the file. Tests (and embedders with their own
-// logging) may swap it; the default writes to standard error.
-var LegacyCheckpointWarn = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 
 // WriteCheckpoint serializes a checkpoint: a versioned JSON envelope
 // whose body is the checkpoint fields and whose crc field checksums the
@@ -142,9 +136,9 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 // ReadCheckpoint parses a checkpoint written by WriteCheckpoint,
 // verifying the format version and body checksum: truncated, corrupted
 // or future-version files are rejected with a clear error instead of
-// silently resuming a cycle from garbage cursors. Checksum-less files
-// from before the envelope format are still accepted (one release of
-// grace for cursors written by old binaries).
+// silently resuming a cycle from garbage cursors. A checksum-less file
+// from before the envelope format is rejected with an error naming
+// `tass fsck -repair`, which upgrades it.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -158,17 +152,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("scan: reading checkpoint: truncated or corrupt: %w", err)
 	}
 	if env.Format == "" {
-		// Legacy checksum-less checkpoint: the body fields at top level.
-		// Decode strictly — a corrupted envelope (extra "crc"/"body"
-		// keys) must not slip through the compatibility path unchecked.
-		var cp Checkpoint
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cp); err != nil {
-			return nil, fmt.Errorf("scan: reading checkpoint: not a checkpoint file: %w", err)
-		}
-		LegacyCheckpointWarn("scan: deprecated: loaded a legacy checksum-less checkpoint; corruption in this file cannot be detected — re-save it (or run `tass fsck -repair`) to upgrade to the enveloped format")
-		return &cp, nil
+		return nil, fmt.Errorf("scan: reading checkpoint: no %q envelope (a checksum-less checkpoint from an older release?); upgrade it with \"tass fsck -repair FILE\"", checkpointFormat)
 	}
 	if env.Format != checkpointFormat {
 		return nil, fmt.Errorf("scan: reading checkpoint: format %q is not %q", env.Format, checkpointFormat)
@@ -201,8 +185,7 @@ func WriteCheckpointFile(path string, cp *Checkpoint) error {
 	return atomicfile.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// ReadCheckpointFile loads a checkpoint persisted by WriteCheckpointFile
-// (or a legacy checksum-less cursor file).
+// ReadCheckpointFile loads a checkpoint persisted by WriteCheckpointFile.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {

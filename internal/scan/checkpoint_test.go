@@ -37,56 +37,21 @@ func TestCheckpointEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyAccepted keeps one release of compatibility with
-// checksum-less cursor files written by the old WriteCheckpoint.
-func TestCheckpointLegacyAccepted(t *testing.T) {
-	cp := testCheckpoint()
-	legacy, err := json.Marshal(cp) // the old format: bare fields, no envelope
+// TestCheckpointLegacyRejected pins the end of the checksum-less
+// format's grace period: a cursor file written by the old
+// WriteCheckpoint (bare fields, no envelope) no longer loads, and the
+// error names the command that upgrades it.
+func TestCheckpointLegacyRejected(t *testing.T) {
+	legacy, err := json.Marshal(testCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCheckpoint(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
+	cp, err := ReadCheckpoint(bytes.NewReader(legacy))
+	if err == nil {
+		t.Fatalf("legacy checkpoint loaded: %+v", cp)
 	}
-	if !reflect.DeepEqual(back, cp) {
-		t.Fatalf("legacy round trip mismatch: %+v vs %+v", back, cp)
-	}
-}
-
-// TestLegacyCheckpointWarning pins the deprecation surface: loading a
-// checksum-less legacy file warns exactly once through the swappable
-// hook, loading an enveloped file never does.
-func TestLegacyCheckpointWarning(t *testing.T) {
-	var warnings []string
-	defer func(f func(string)) { LegacyCheckpointWarn = f }(LegacyCheckpointWarn)
-	LegacyCheckpointWarn = func(msg string) { warnings = append(warnings, msg) }
-
-	cp := testCheckpoint()
-	legacy, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(legacy)); err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if len(warnings) != 1 {
-		t.Fatalf("%d warnings for a legacy load, want 1: %q", len(warnings), warnings)
-	}
-	if !strings.Contains(warnings[0], "deprecated") || !strings.Contains(warnings[0], "fsck") {
-		t.Fatalf("warning does not name the deprecation or the fix: %q", warnings[0])
-	}
-
-	warnings = nil
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if len(warnings) != 0 {
-		t.Fatalf("enveloped load warned: %q", warnings)
+	if !strings.Contains(err.Error(), "tass fsck -repair") {
+		t.Fatalf("error does not name the upgrade command: %v", err)
 	}
 }
 
@@ -113,8 +78,8 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 		{"future version", strings.Replace(good, `"v":1`, `"v":99`, 1)},
 		{"invalid version", strings.Replace(good, `"v":1`, `"v":0`, 1)},
 		{"garbage", "not json at all"},
-		// A corrupted envelope must not fall back to the lax legacy
-		// path: "format" gone but envelope keys present.
+		// A corrupted envelope: "format" gone but envelope keys
+		// present.
 		{"envelope posing as legacy", strings.Replace(good, `"format"`, `"fxrmat"`, 1)},
 	}
 	for _, tc := range cases {

@@ -45,14 +45,14 @@ var (
 	benchCensusOnce sync.Once
 	benchCensusErr  error
 	benchV1Path     string // v1 stream (Snapshot.WriteTo bytes)
-	benchV2Path     string // indexed TASSNAP2 file
+	benchSnapPath   string // indexed TASSNAP3 file
 	benchCensusLast tass.Addr
 )
 
 // benchCensusFiles writes the tier's synthetic census once per process,
 // in both formats, and returns the two paths plus the highest address
 // (for building counting partitions over the populated span).
-func benchCensusFiles(b *testing.B) (v1, v2 string, last tass.Addr) {
+func benchCensusFiles(b *testing.B) (v1, indexed string, last tass.Addr) {
 	b.Helper()
 	benchCensusOnce.Do(func() {
 		hosts := benchCensusHosts()
@@ -93,13 +93,13 @@ func benchCensusFiles(b *testing.B) (v1, v2 string, last tass.Addr) {
 			benchCensusErr = err
 			return
 		}
-		benchV2Path = filepath.Join(dir, "census.snap2")
-		benchCensusErr = tass.WriteSnapshotFile(benchV2Path, snap)
+		benchSnapPath = filepath.Join(dir, "census.snap")
+		benchCensusErr = tass.WriteSnapshotFile(benchSnapPath, snap)
 	})
 	if benchCensusErr != nil {
 		b.Fatal(benchCensusErr)
 	}
-	return benchV1Path, benchV2Path, benchCensusLast
+	return benchV1Path, benchSnapPath, benchCensusLast
 }
 
 // benchCensusPartition covers the census's populated span with /12s —
@@ -126,10 +126,10 @@ func benchCensusPartition(b *testing.B, last tass.Addr) tass.Partition {
 // path's O(hosts) full decode. The huge tier's acceptance bar is lazy
 // ≥10× faster than eager.
 func BenchmarkOpenSnapshot(b *testing.B) {
-	v1Path, v2Path, _ := benchCensusFiles(b)
+	v1Path, snapPath, _ := benchCensusFiles(b)
 	b.Run("lazy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			snap, err := tass.OpenSnapshotFile(v2Path)
+			snap, err := tass.OpenSnapshotFile(snapPath)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -155,12 +155,12 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 // (reported as block-decodes/op), warm re-counts against whatever the
 // LRU kept resident (resident-blocks/op bounds the working set).
 func BenchmarkLazyCount(b *testing.B) {
-	_, v2Path, last := benchCensusFiles(b)
+	_, snapPath, last := benchCensusFiles(b)
 	part := benchCensusPartition(b, last)
 	b.Run("cold", func(b *testing.B) {
 		var decodes, resident float64
 		for i := 0; i < b.N; i++ {
-			snap, err := tass.OpenSnapshotFile(v2Path)
+			snap, err := tass.OpenSnapshotFile(snapPath)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func BenchmarkLazyCount(b *testing.B) {
 		b.ReportMetric(resident, "resident-blocks")
 	})
 	b.Run("warm", func(b *testing.B) {
-		snap, err := tass.OpenSnapshotFile(v2Path)
+		snap, err := tass.OpenSnapshotFile(snapPath)
 		if err != nil {
 			b.Fatal(err)
 		}

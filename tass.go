@@ -406,23 +406,25 @@ func NewSnapshot(protocol string, month int, addrs []Addr) *Snapshot {
 // ReadSnapshot parses a binary snapshot written with Snapshot.WriteTo.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) { return census.ReadSnapshot(r) }
 
-// OpenSnapshotFile opens a census snapshot file in O(index): an indexed
-// TASSNAP2 file (see WriteSnapshotFile) yields a lazy snapshot whose
-// blocks decode on demand from the mapped file, so a full 2^32-scale
-// census opens in milliseconds and counting passes hold only a bounded
-// working set resident. Plain v1 streams (Snapshot.WriteTo) are read
-// eagerly as a fallback. Close the snapshot when done; Materialize
-// detaches a fully in-memory copy.
+// OpenSnapshotFile opens a TASSNAP3 census snapshot file (see
+// WriteSnapshotFile) in O(index), yielding a lazy snapshot whose blocks
+// decode on demand from the mapped file, so a full 2^32-scale census
+// opens in milliseconds and counting passes hold only a bounded working
+// set resident. Close the snapshot when done; Materialize detaches a
+// fully in-memory copy. Older formats are rejected with an error naming
+// their upgrade: ConvertSnapshotFile (`tass convert -in`) for a v1
+// stream (Snapshot.WriteTo bytes), RepairSnapshotFile (`tass fsck
+// -repair`) for a TASSNAP2 file.
 func OpenSnapshotFile(path string) (*Snapshot, error) { return census.OpenSnapshotFile(path) }
 
-// WriteSnapshotFile writes s in the indexed TASSNAP2 format that
+// WriteSnapshotFile writes s in the indexed TASSNAP3 format that
 // OpenSnapshotFile reads lazily. The write is atomic (temp file +
 // rename) and streams block by block, so writing never needs the
 // decoded address slice in memory.
 func WriteSnapshotFile(path string, s *Snapshot) error { return census.WriteSnapshotFile(path, s) }
 
-// VerifySnapshotFile deeply checks an indexed snapshot file: index and
-// payload checksums plus a full decode of every block. Run it once on
+// VerifySnapshotFile deeply checks a TASSNAP3 snapshot file: index,
+// payload and block checksums plus a full decode of every block. Run it once on
 // untrusted files before lazy use — OpenSnapshotFile verifies only the
 // index, and trusts the payload bytes it faults in afterwards.
 func VerifySnapshotFile(path string) error { return census.VerifySnapshotFile(path) }
@@ -466,9 +468,10 @@ const (
 // of stopping at the first. It is the read-only half of `tass fsck`.
 func ScrubSnapshotFile(path string) (*SnapshotScrub, error) { return census.ScrubSnapshotFile(path) }
 
-// RepairSnapshotFile re-derives every intact block of a damaged
-// snapshot file into a fresh verified file, atomically replacing path;
-// damaged blocks' raw bytes are quarantined beside it first.
+// RepairSnapshotFile re-derives every intact block of a damaged (or
+// TASSNAP2) snapshot file into a fresh verified TASSNAP3 file,
+// atomically replacing path; damaged blocks' raw bytes are quarantined
+// beside it first.
 func RepairSnapshotFile(path string) (*SnapshotRepair, error) {
 	return census.RepairSnapshotFile(path)
 }
@@ -478,12 +481,14 @@ func RepairSnapshotFile(path string) (*SnapshotRepair, error) {
 func FsckCheck(path string) (*FsckResult, error) { return fsck.Check(path) }
 
 // FsckRepair scrubs and repairs any tass artifact: snapshots are
-// re-derived block by block, valid legacy checkpoints upgraded, and
-// unrepairable files moved aside whole to a .quarantine sibling.
+// re-derived block by block (upgrading TASSNAP2 to TASSNAP3), valid
+// checksum-less checkpoints upgraded to the envelope, and unrepairable
+// files moved aside whole to a .quarantine sibling. A v1 stream is
+// reported, never rewritten: ConvertSnapshotFile upgrades it.
 func FsckRepair(path string) (*FsckResult, error) { return fsck.Repair(path) }
 
 // ConvertSnapshotFile streams a v1 snapshot (Snapshot.WriteTo bytes,
-// e.g. a census archive) into an indexed TASSNAP2 file without ever
+// e.g. a census archive) into an indexed TASSNAP3 file without ever
 // materializing the address slice. It is the bulk-import path behind
 // `tass convert`.
 func ConvertSnapshotFile(r io.Reader, path string) error {

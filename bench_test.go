@@ -746,11 +746,14 @@ func BenchmarkDeaggregateTable(b *testing.B) {
 // hierarchy against a global-only pacer, on the fast path (tokens
 // always available: the refill outruns the benchmark loop, so no sleep
 // is ever taken — exactly the steady state of a scan running below its
-// rate caps). The hierarchy folds the per-AS and per-prefix buckets
-// under the global bucket's one mutex and one clock read, so layering
-// must cost bucket arithmetic only: the acceptance bar is ≤10% per-probe
-// overhead for global+AS+prefix (policy-hierarchy) versus global-only
-// (policy-global).
+// rate caps). Each level is a lock-free GCRA bucket: Wait reads the
+// monotonic clock once and takes one CAS per configured level, so
+// global+AS+prefix (policy-hierarchy) costs two CASes more than
+// global-only (policy-global), about what the single-mutex global-only
+// pacer it replaced cost on its own. policy-hierarchy-parallel runs the
+// hierarchy from GOMAXPROCS goroutines, as the scanner's workers do:
+// with no shared lock, contention is confined to the CAS on the shared
+// global bucket's cache line.
 func BenchmarkPolicyLimiter(b *testing.B) {
 	const (
 		rate     = 1e9 // refill far above benchmark throughput: never blocks
@@ -777,7 +780,7 @@ func BenchmarkPolicyLimiter(b *testing.B) {
 			}
 		}
 	})
-	b.Run("policy-hierarchy", func(b *testing.B) {
+	hierarchy := func(b *testing.B) *scan.PolicyLimiter {
 		p, err := scan.NewPolicyLimiter(scan.PolicyConfig{
 			Rate: rate, Burst: burst,
 			ASRate: rate, ASBurst: burst,
@@ -788,6 +791,10 @@ func BenchmarkPolicyLimiter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		return p
+	}
+	b.Run("policy-hierarchy", func(b *testing.B) {
+		p := hierarchy(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -795,5 +802,18 @@ func BenchmarkPolicyLimiter(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("policy-hierarchy-parallel", func(b *testing.B) {
+		p := hierarchy(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if err := p.Wait(ctx, i%prefixes); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
 	})
 }

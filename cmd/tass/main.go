@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"github.com/tass-scan/tass"
+	"github.com/tass-scan/tass/internal/prof"
 )
 
 func main() {
@@ -112,6 +113,7 @@ func usage() {
               [-incremental] [-rate F] [-burst N] [-workers N]
               [-shard I -shards N] [-checkpoint FILE] [-exclude FILE]
               [-seed N] [-max N] [-loss F]
+              [-cpuprofile FILE] [-memprofile FILE]
   tass coordinate -listen ADDR -state FILE [-campaign ID -targets PREFIXES]
               [-cycles N] [-shards N] [-phi F] [-seed N] [-workers N]
               [-lease-ttl D] [-chunk N] [-rate F] [-exclude FILE]
@@ -502,7 +504,7 @@ func runFsck(args []string) error {
 // scan cycle, or a multi-cycle feedback campaign (scan → select → scan
 // the tightened plan). Responsive addresses go to stdout, one per line,
 // ready for `tass select -addrs`.
-func runScan(args []string) error {
+func runScan(args []string) (err error) {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	targetsPath := fs.String("targets", "", "prefixes to scan, one CIDR per line (required)")
 	simPath := fs.String("sim", "", "simulate against this responsive-address file instead of real probes")
@@ -532,6 +534,8 @@ func runScan(args []string) error {
 	budget := fs.Uint64("budget", 0, "max probes per origin AS per cycle, held across checkpoint resumes (needs -pfx2as)")
 	backoffN := fs.Int("backoff", 0, "consecutive errors inside one AS that halve its rate (needs -as-rate)")
 	footprint := fs.Bool("footprint", false, "print the per-origin-AS footprint table to stderr (needs -pfx2as)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	fs.Parse(args)
 
 	if *targetsPath == "" {
@@ -574,6 +578,16 @@ func runScan(args []string) error {
 	if perAS && *pfx2asPath == "" {
 		return fmt.Errorf("scan: -as-rate/-budget/-backoff/-footprint need -pfx2as to map targets to origin ASes")
 	}
+	stopCPU, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		stopCPU()
+		if herr := prof.WriteHeap(*memProfile); err == nil {
+			err = herr
+		}
+	}()
 	var asTable *tass.Table
 	if *pfx2asPath != "" {
 		f, err := os.Open(*pfx2asPath)

@@ -191,3 +191,42 @@ func TestWaitCancellationInBlockingPath(t *testing.T) {
 		t.Errorf("wait after a canceled reservation slept %v, want 1s", slept)
 	}
 }
+
+// TestWaitStaleClockSleepsToSlot: Wait reads the clock before taking its
+// tokens, so a waiter delayed in between finds the reservation of a
+// waiter that read the clock later. Its sleep must end at its own slot,
+// measured by a fresh reading, not that far past its stale one.
+func TestWaitStaleClockSleepsToSlot(t *testing.T) {
+	lim, clock, _ := virtualPolicy(t, PolicyConfig{Rate: 100, Burst: 1}) // 10 ms per token
+	if err := lim.Wait(context.Background(), 0); err != nil {
+		t.Fatal(err) // the burst token
+	}
+	clock.advance(100 * time.Millisecond) // the bucket is full again
+
+	// The first waiter reads 100 ms; before it takes its token a second
+	// one reads 150 ms and takes the only token, without sleeping.
+	interleaved := false
+	lim.now = func() time.Time {
+		now := clock.now()
+		if !interleaved {
+			interleaved = true
+			clock.advance(50 * time.Millisecond)
+			if err := lim.Wait(context.Background(), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return now
+	}
+	var slept []time.Duration
+	lim.sleep = func(ctx context.Context, d time.Duration) error {
+		slept = append(slept, d)
+		return nil
+	}
+	if err := lim.Wait(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	// The delayed waiter's slot is 160 ms and the clock reads 150 ms.
+	if len(slept) != 1 || slept[0] != 10*time.Millisecond {
+		t.Fatalf("sleeps %v, want exactly [10ms]", slept)
+	}
+}

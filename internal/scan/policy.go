@@ -79,55 +79,96 @@ func (b *BackoffConfig) withDefaults() BackoffConfig {
 	return out
 }
 
-// bucket is one token-bucket level of a PolicyLimiter. It carries no
-// lock: all buckets of one PolicyLimiter share the owner's mutex, so
-// layering per-AS and per-prefix pacing under the global rate costs
-// arithmetic, not extra lock acquisitions. Timestamps are int64
-// nanoseconds, not time.Time: a probe refills up to three buckets, and
-// the integer subtraction keeps the per-bucket cost to a few ns (the
-// ≤10% hierarchy-overhead budget of BenchmarkPolicyLimiter).
+// bucket is one token-bucket level of a PolicyLimiter, kept in GCRA
+// form (generic cell rate algorithm) so a probe takes its token with one
+// compare-and-swap and no lock. tat, the theoretical arrival time, is
+// the limiter-clock instant at which the bucket's debt clears; the
+// balance at time t is min(burst, (t-tat)/interval) tokens, so the state
+// is the same machine as a token bucket holding that balance.
+//
+// Times are float64 nanoseconds on the limiter clock, which starts at
+// zero, and the interval is rounded to a multiple of 2^-12 ns (off by
+// at most 1.2e-4 ns per token). While the clock is below 2^41 ns (about
+// 36 minutes) and the rate unchanged, every sum is exact, so tokens
+// taken at one instant add up exactly; otherwise the error stays within
+// float64 resolution, a fraction of a nanosecond per token after a month.
+//
+// Rate changes (backoff, recovery, SetASRate) run under the owner's mu
+// and convert the balance at the old interval to the new one in a single
+// CAS on tat, then publish the new interval. A Wait racing a rate change
+// may charge its token at the old interval against the converted tat:
+// the error is at most one token per racing Wait.
 type bucket struct {
-	rate     float64 // current refill rate (backoff moves it)
-	base     float64 // configured rate (recovery target)
+	tat      atomic.Uint64 // math.Float64bits of the debt-clear instant; -Inf = full, never taken
+	interval atomic.Uint64 // math.Float64bits of ns per token at the current rate
+	rate     atomic.Uint64 // math.Float64bits of the current rate (backoff moves it); written under mu
+	streak   atomic.Int64  // consecutive errors (backoff detection)
+	base     float64       // configured rate (recovery target)
 	burst    float64
-	tokens   float64
-	lastNs   int64  // UnixNano of the last refill; 0 = never refilled
-	streak   int    // consecutive errors (backoff detection)
-	backoffs uint64 // rate-halving events
 }
 
 func newBucket(rate float64, burst int) *bucket {
-	return &bucket{rate: rate, base: rate, burst: float64(burst), tokens: float64(burst)}
+	b := &bucket{base: rate, burst: float64(burst)}
+	b.tat.Store(math.Float64bits(math.Inf(-1)))
+	b.interval.Store(math.Float64bits(intervalOf(rate)))
+	b.rate.Store(math.Float64bits(rate))
+	return b
 }
 
-func (b *bucket) refill(nowNs int64) {
-	if b.lastNs != 0 {
-		b.tokens += float64(nowNs-b.lastNs) * b.rate * 1e-9
-		if b.tokens > b.burst {
-			b.tokens = b.burst
+// intervalGrid is the reciprocal of the interval rounding step (ns).
+const intervalGrid = 1 << 12
+
+// intervalOf converts a rate to nanoseconds per token, rounded to the
+// grid (and at least one grid step).
+func intervalOf(rate float64) float64 {
+	return max(math.Round(1e9*intervalGrid/rate), 1) / intervalGrid
+}
+
+func (b *bucket) currentRate() float64 { return math.Float64frombits(b.rate.Load()) }
+
+func (b *bucket) currentInterval() float64 { return math.Float64frombits(b.interval.Load()) }
+
+// take reserves one token at time now (driving the balance negative) and
+// returns the instant the refill covers the debt: at or before now when
+// the token was immediately available.
+func (b *bucket) take(now float64) float64 {
+	for {
+		old := b.tat.Load()
+		iv := b.currentInterval()
+		// The balance is capped at burst.
+		tat := max(math.Float64frombits(old), now-b.burst*iv) + iv
+		if b.tat.CompareAndSwap(old, math.Float64bits(tat)) {
+			return tat
 		}
 	}
-	b.lastNs = nowNs
 }
 
-// take reserves one token (driving the bucket negative) and returns the
-// seconds until the refill covers the debt — 0 when the token was
-// immediately available.
-func (b *bucket) take(nowNs int64) float64 {
-	b.refill(nowNs)
-	b.tokens--
-	if b.tokens >= 0 {
-		return 0
-	}
-	return -b.tokens / b.rate
-}
-
-// untake returns a canceled reservation.
+// untake returns a canceled reservation. The burst cap is applied by the
+// next take, so the refund itself needs no clock.
 func (b *bucket) untake() {
-	b.tokens++
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+	for {
+		old := b.tat.Load()
+		tat := math.Float64frombits(old) - b.currentInterval()
+		if b.tat.CompareAndSwap(old, math.Float64bits(tat)) {
+			return
+		}
 	}
+}
+
+// retune switches the bucket to rate at time now: the balance accrued at
+// the old interval carries over unchanged in tokens. Callers hold the
+// owner's mu, so rate changes never race each other.
+func (b *bucket) retune(now, rate float64) {
+	oldIv, newIv := b.currentInterval(), intervalOf(rate)
+	for {
+		old := b.tat.Load()
+		tokens := (now - max(math.Float64frombits(old), now-b.burst*oldIv)) / oldIv
+		if b.tat.CompareAndSwap(old, math.Float64bits(now-tokens*newIv)) {
+			break
+		}
+	}
+	b.interval.Store(math.Float64bits(newIv))
+	b.rate.Store(math.Float64bits(rate))
 }
 
 // PolicyLimiter is the scanner's probe pacer, the politeness mechanism
@@ -143,18 +184,23 @@ func (b *bucket) untake() {
 // and sleeps once for the longest debt, so concurrent waiters wake one
 // at a time in reservation order at every level — no thundering herd of
 // workers waking together to fight over one refilled token. A canceled
-// wait returns its reservations. All levels share one mutex: the global
-// bucket serializes every probe anyway, so the per-AS and per-prefix
-// levels add bucket arithmetic under the already-taken lock rather than
-// extra lock traffic.
+// wait returns its reservations.
 //
-// Per-AS buckets are created lazily on first probe into the AS (a 2^32
-// scan over ~70 k ASes allocates only what it touches), and per-prefix
-// buckets likewise. SetASRate and the Observe backoff path retune a
-// single AS's rate while a cycle runs.
+// The probe path takes no lock: Wait reads the clock once, resolves its
+// buckets through atomic per-prefix caches, and takes each token with a
+// CAS; only a Wait that must sleep reads the clock again, to sleep until
+// its slot. mu guards only what is rare — lazy bucket creation and rate
+// changes. Per-AS buckets are created lazily on first probe into the AS
+// (a 2^32 scan over ~70 k ASes allocates only what it touches), and
+// per-prefix buckets likewise. SetASRate and the Observe backoff path
+// retune a single AS's rate while a cycle runs.
 type PolicyLimiter struct {
-	mu       sync.Mutex
+	mu    sync.Mutex // guards bucket creation (as, caches) and rate changes
+	epoch time.Time  // zero of the monotonic limiter clock
+	// now, when set, replaces the monotonic clock (tests inject a virtual
+	// one); its readings count from its first, in nowBase.
 	now      func() time.Time
+	nowBase  atomic.Int64
 	sleep    func(ctx context.Context, d time.Duration) error
 	global   *bucket // nil when no global rate
 	asRate   float64
@@ -164,8 +210,8 @@ type PolicyLimiter struct {
 	origins  []uint32
 	backoff  BackoffConfig
 	as       map[uint32]*bucket
-	asByPfx  []*bucket // per-prefix cache of the owning AS bucket
-	pfx      []*bucket
+	asByPfx  []atomic.Pointer[bucket] // per-prefix cache of the owning AS bucket
+	pfx      []atomic.Pointer[bucket]
 }
 
 // PolicyConfig parameterizes NewPolicyLimiter. Rate/Burst are the global
@@ -213,7 +259,7 @@ func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
 		cfg.PrefixBurst = 8
 	}
 	p := &PolicyLimiter{
-		now:      time.Now,
+		epoch:    time.Now(),
 		sleep:    timerSleep,
 		asRate:   cfg.ASRate,
 		asBurst:  cfg.ASBurst,
@@ -227,11 +273,12 @@ func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
 	}
 	if cfg.ASRate > 0 || cfg.Backoff.Threshold > 0 {
 		p.as = make(map[uint32]*bucket)
-		p.asByPfx = make([]*bucket, len(cfg.Origins))
+		p.asByPfx = make([]atomic.Pointer[bucket], len(cfg.Origins))
 	}
 	if cfg.PrefixRate > 0 {
-		p.pfx = make([]*bucket, cfg.Prefixes)
+		p.pfx = make([]atomic.Pointer[bucket], cfg.Prefixes)
 	}
+	p.nowBase.Store(noBase)
 	return p, nil
 }
 
@@ -247,19 +294,58 @@ func timerSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// noBase marks an injected clock that has not been read yet.
+const noBase = math.MinInt64
+
+// clock reads the limiter clock in nanoseconds: a monotonic-only read
+// since the epoch or, with an injected clock, the time since its first
+// reading. Either way it starts at zero, where float64 is most precise.
+func (p *PolicyLimiter) clock() float64 {
+	if p.now == nil {
+		return float64(time.Since(p.epoch))
+	}
+	t := p.now().UnixNano()
+	p.nowBase.CompareAndSwap(noBase, t)
+	return float64(t - p.nowBase.Load())
+}
+
 // asBucketFor resolves (lazily creating) the AS bucket owning target
-// prefix pfxIdx. Callers hold p.mu.
+// prefix pfxIdx.
 func (p *PolicyLimiter) asBucketFor(pfxIdx int) *bucket {
-	if b := p.asByPfx[pfxIdx]; b != nil {
+	if b := p.asByPfx[pfxIdx].Load(); b != nil {
 		return b
 	}
-	as := p.origins[pfxIdx]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b := p.asBucketLocked(p.origins[pfxIdx])
+	p.asByPfx[pfxIdx].Store(b)
+	return b
+}
+
+// asBucketLocked returns (lazily creating) the bucket of one AS. Callers
+// hold p.mu.
+func (p *PolicyLimiter) asBucketLocked(as uint32) *bucket {
 	b := p.as[as]
 	if b == nil {
 		b = newBucket(p.asRate, p.asBurst)
 		p.as[as] = b
 	}
-	p.asByPfx[pfxIdx] = b
+	return b
+}
+
+// pfxBucketFor resolves (lazily creating) the bucket of target prefix
+// pfxIdx.
+func (p *PolicyLimiter) pfxBucketFor(pfxIdx int) *bucket {
+	if b := p.pfx[pfxIdx].Load(); b != nil {
+		return b
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b := p.pfx[pfxIdx].Load()
+	if b == nil {
+		b = newBucket(p.pfxRate, p.pfxBurst)
+		p.pfx[pfxIdx].Store(b)
+	}
 	return b
 }
 
@@ -267,52 +353,44 @@ func (p *PolicyLimiter) asBucketFor(pfxIdx int) *bucket {
 // context is canceled (the reservations are returned). One sleep covers
 // the deepest debt across all configured levels.
 func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
-	p.mu.Lock()
-	now := p.now().UnixNano()
-	var need float64
+	now := p.clock()
 	var taken [3]*bucket
 	n := 0
 	if p.global != nil {
-		if d := p.global.take(now); d > need {
-			need = d
-		}
 		taken[n] = p.global
 		n++
 	}
 	if p.asRate > 0 {
-		b := p.asBucketFor(pfxIdx)
-		if d := b.take(now); d > need {
-			need = d
-		}
-		taken[n] = b
+		taken[n] = p.asBucketFor(pfxIdx)
 		n++
 	}
 	if p.pfx != nil {
-		b := p.pfx[pfxIdx]
-		if b == nil {
-			b = newBucket(p.pfxRate, p.pfxBurst)
-			p.pfx[pfxIdx] = b
-		}
-		if d := b.take(now); d > need {
-			need = d
-		}
-		taken[n] = b
+		taken[n] = p.pfxBucketFor(pfxIdx)
 		n++
 	}
-	p.mu.Unlock()
-	if need <= 0 {
+	deadline := now // the deepest level's debt-clear instant
+	for _, b := range taken[:n] {
+		deadline = max(deadline, b.take(now))
+	}
+	if deadline <= now {
 		return nil
 	}
-	d := time.Duration(need * float64(time.Second))
+	// now was read before the CASes. A waiter delayed in between sees the
+	// reservations of waiters that read the clock later as debt against
+	// its older reading, so sleep until the slot by a fresh reading: the
+	// slot may already have passed.
+	wait := deadline - p.clock()
+	if wait <= 0 {
+		return nil
+	}
+	d := time.Duration(wait)
 	if d < time.Microsecond {
 		d = time.Microsecond
 	}
 	if err := p.sleep(ctx, d); err != nil {
-		p.mu.Lock()
-		for i := 0; i < n; i++ {
-			taken[i].untake()
+		for _, b := range taken[:n] {
+			b.untake()
 		}
-		p.mu.Unlock()
 		return err
 	}
 	return nil
@@ -323,43 +401,51 @@ func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
 // Backoff.Threshold consecutive errors inside one AS halves that AS's
 // bucket rate (floored at MinRateShare of the base); each success resets
 // the streak and restores Recovery of the base rate. A no-op when
-// backoff is disabled.
+// backoff is disabled. The streak is counted lock-free; only an actual
+// rate change takes p.mu.
 func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 	if p.backoff.Threshold <= 0 {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	b := p.asBucketFor(pfxIdx)
-	now := p.now().UnixNano()
 	if ok {
-		b.streak = 0
-		if b.rate < b.base {
-			// Credit accrual at the old rate before raising it.
-			b.refill(now)
-			b.rate += b.base * p.backoff.Recovery
-			if b.rate > b.base {
-				b.rate = b.base
+		if b.streak.Load() != 0 {
+			b.streak.Store(0)
+		}
+		if b.currentRate() < b.base {
+			p.mu.Lock()
+			if r := b.currentRate(); r < b.base {
+				b.retune(p.clock(), min(r+b.base*p.backoff.Recovery, b.base))
 			}
+			p.mu.Unlock()
 		}
 		return false
 	}
-	b.streak++
-	if b.streak < p.backoff.Threshold {
-		return false
+	// Each error either extends the streak or completes it (resetting
+	// it to zero) in one CAS, so concurrent errors are counted exactly
+	// once and exactly one of them claims each completed streak.
+	thr := int64(p.backoff.Threshold)
+	for {
+		s := b.streak.Load()
+		next := s + 1
+		if next >= thr {
+			next = 0
+		}
+		if b.streak.CompareAndSwap(s, next) {
+			if next != 0 {
+				return false
+			}
+			break
+		}
 	}
-	b.streak = 0
-	floor := b.base * p.backoff.MinRateShare
-	next := b.rate / 2
-	if next < floor {
-		next = floor
-	}
-	if next >= b.rate {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r := b.currentRate()
+	next := max(r/2, b.base*p.backoff.MinRateShare)
+	if next >= r {
 		return false // already at the floor: no further event
 	}
-	b.refill(now)
-	b.rate = next
-	b.backoffs++
+	b.retune(p.clock(), next)
 	return true
 }
 
@@ -376,13 +462,7 @@ func (p *PolicyLimiter) SetASRate(as uint32, rate float64) error {
 	if p.as == nil {
 		return fmt.Errorf("scan: per-AS pacing is not configured")
 	}
-	b := p.as[as]
-	if b == nil {
-		b = newBucket(p.asRate, p.asBurst)
-		p.as[as] = b
-	}
-	b.refill(p.now().UnixNano())
-	b.rate = rate
+	p.asBucketLocked(as).retune(p.clock(), rate)
 	return nil
 }
 
@@ -396,7 +476,7 @@ func (p *PolicyLimiter) ASRateOf(as uint32) (rate float64, ok bool) {
 		return 0, false
 	}
 	if b := p.as[as]; b != nil {
-		return b.rate, true
+		return b.currentRate(), true
 	}
 	return p.asRate, true
 }

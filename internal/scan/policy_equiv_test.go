@@ -1,0 +1,270 @@
+package scan
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+)
+
+// recSleeper records a pacer's sleep requests without sleeping: the
+// schedule, not the sleeper, decides when virtual time passes.
+type recSleeper struct {
+	n    int
+	d    time.Duration
+	fail error // returned instead of nil (a canceled sleep)
+}
+
+func (r *recSleeper) sleep(ctx context.Context, d time.Duration) error {
+	r.n++
+	r.d = d
+	return r.fail
+}
+
+// randomPolicyConfig draws a pacer hierarchy over six prefixes in three
+// ASes (plus the AS-0 bucket), with rates whose per-token intervals are
+// mostly not whole nanoseconds.
+func randomPolicyConfig(rng *rand.Rand) PolicyConfig {
+	rates := []float64{3, 7, 10, 64, 100, 333.3, 1000, 12345.6}
+	pick := func() float64 { return rates[rng.Intn(len(rates))] }
+	cfg := PolicyConfig{
+		Origins:  []uint32{10, 10, 20, 20, 30, 0},
+		Prefixes: 6,
+	}
+	for cfg.Rate == 0 && cfg.ASRate == 0 && cfg.PrefixRate == 0 {
+		if rng.Intn(2) == 0 {
+			cfg.Rate, cfg.Burst = pick(), rng.Intn(4)
+		}
+		if rng.Intn(2) == 0 {
+			cfg.ASRate, cfg.ASBurst = pick(), rng.Intn(4)
+		}
+		if rng.Intn(2) == 0 {
+			cfg.PrefixRate, cfg.PrefixBurst = pick(), rng.Intn(4)
+		}
+	}
+	if cfg.ASRate > 0 && rng.Intn(2) == 0 {
+		cfg.Backoff = BackoffConfig{
+			Threshold:    1 + rng.Intn(4),
+			MinRateShare: []float64{0, 1.0 / 8, 1.0 / 3}[rng.Intn(3)],
+			Recovery:     []float64{0, 0.25, 0.3}[rng.Intn(3)],
+		}
+	}
+	return cfg
+}
+
+// TestPolicyLimiterMatchesMutexReference drives the CAS pacer and the
+// mutex pacer it replaced (policy_legacy_test.go) through the same
+// seeded schedules on one virtual clock: waits, canceled waits, probe
+// outcomes, external rate changes and clock advances. Every step must
+// agree on errors and on ASRateOf, sleep lengths may differ by at most
+// 1 ns (float rounding of the two refill forms), and both must make the
+// same sleep-or-not decision — except where the reference's own debt is
+// float residue around zero (at most 1 in 100 waits may be).
+func TestPolicyLimiterMatchesMutexReference(t *testing.T) {
+	const seeds, steps = 60, 1500
+	ases := []uint32{0, 10, 20, 30, 99}
+	// noiseNs bounds the reference's float residue: its token counts
+	// carry ~1e-16 relative error, a debt far below 1e-3 ns.
+	const noiseNs = 1e-3
+	ops, waits, noise := 0, 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := randomPolicyConfig(rng)
+		live, err := NewPolicyLimiter(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ref, err := newMutexPolicy(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		clock := newFakeClock()
+		var liveSleep, refSleep recSleeper
+		live.now, live.sleep = clock.now, liveSleep.sleep
+		ref.now, ref.sleep = clock.now, refSleep.sleep
+		canceledCtx, cancel := context.WithCancel(context.Background())
+		cancel()
+
+		for step := 0; step < steps; step++ {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d step %d (%+v): "+format, append([]any{seed, step, cfg}, args...)...)
+			}
+			pfx := rng.Intn(cfg.Prefixes)
+			switch op := rng.Intn(20); {
+			case op < 11: // Wait; 2 in 11 canceled
+				waits++
+				ctx, sleepErr := context.Background(), error(nil)
+				if op >= 9 {
+					ctx, sleepErr = canceledCtx, context.Canceled
+				}
+				liveSleep, refSleep = recSleeper{fail: sleepErr}, recSleeper{fail: sleepErr}
+				refNeed := mutexNeedNs(ref, pfx, clock.now().UnixNano())
+				lerr, rerr := live.Wait(ctx, pfx), ref.Wait(ctx, pfx)
+				if !errors.Is(lerr, rerr) || (lerr == nil) != (rerr == nil) {
+					fail("Wait errors differ: live %v, reference %v", lerr, rerr)
+				}
+				switch {
+				case liveSleep.n == refSleep.n:
+					if diff := liveSleep.d - refSleep.d; diff < -1 || diff > 1 {
+						fail("live slept %v, reference %v", liveSleep.d, refSleep.d)
+					}
+				case math.Abs(refNeed) <= noiseNs:
+					// The reference's debt is float residue around zero,
+					// so its verdict is rounding, not policy; the side that
+					// slept must have slept only the 1 µs floor.
+					if max(liveSleep.d, refSleep.d) != time.Microsecond {
+						fail("noise-band debt %.3g ns slept live %v, reference %v", refNeed, liveSleep.d, refSleep.d)
+					}
+					noise++
+				default:
+					fail("live slept %d times, reference %d (reference debt %.3f ns)", liveSleep.n, refSleep.n, refNeed)
+				}
+				if sleepErr == nil && refSleep.n > 0 && rng.Intn(2) == 0 {
+					clock.advance(refSleep.d) // the worker wakes on time
+				}
+			case op < 15:
+				ok := rng.Intn(3) == 0
+				if l, r := live.Observe(pfx, ok), ref.Observe(pfx, ok); l != r {
+					fail("Observe(%d, %v): live %v, reference %v", pfx, ok, l, r)
+				}
+			case op < 16:
+				rate := []float64{0, -1, math.NaN(), 2.5, 50, 333.3, 5000}[rng.Intn(7)]
+				as := ases[rng.Intn(len(ases))]
+				lerr, rerr := live.SetASRate(as, rate), ref.SetASRate(as, rate)
+				if (lerr == nil) != (rerr == nil) {
+					fail("SetASRate(%d, %v): live %v, reference %v", as, rate, lerr, rerr)
+				}
+			default:
+				// Log-uniform from 1 ns to ~4 s: sub-token gaps and full refills.
+				clock.advance(time.Duration(math.Exp(rng.Float64() * math.Log(4e9))))
+			}
+			for _, as := range ases {
+				lr, lok := live.ASRateOf(as)
+				rr, rok := ref.ASRateOf(as)
+				if lr != rr || lok != rok {
+					fail("ASRateOf(%d): live %v %v, reference %v %v", as, lr, lok, rr, rok)
+				}
+			}
+			ops++
+		}
+	}
+	t.Logf("%d scheduled operations agreed (%d waits, %d with the reference's debt in its rounding noise)", ops, waits, noise)
+	if noise*100 > waits {
+		t.Errorf("%d of %d waits fell in the reference's noise band", noise, waits)
+	}
+}
+
+// mutexNeedNs is the debt, in ns, that the reference's next Wait on
+// prefix pfx at time nowNs would sleep for (≤ 0: no sleep), computed on
+// copies of its buckets so the reference itself is untouched.
+func mutexNeedNs(p *mutexPolicy, pfx int, nowNs int64) float64 {
+	need := math.Inf(-1)
+	takeCopy := func(b *mutexBucket, rate float64, burst int) {
+		c := newMutexBucket(rate, burst)
+		if b != nil {
+			*c = *b
+		}
+		c.take(nowNs)
+		need = max(need, -c.tokens/c.rate*1e9)
+	}
+	if p.global != nil {
+		takeCopy(p.global, 0, 0)
+	}
+	if p.asRate > 0 {
+		b := p.asByPfx[pfx]
+		if b == nil {
+			b = p.as[p.origins[pfx]]
+		}
+		takeCopy(b, p.asRate, p.asBurst)
+	}
+	if p.pfx != nil {
+		takeCopy(p.pfx[pfx], p.pfxRate, p.pfxBurst)
+	}
+	return need
+}
+
+// TestPolicyLimiterStressSlotsExact: on a frozen virtual clock with burst
+// 1, k goroutines × m Waits each reserve a distinct slot, so the sleeps
+// are exactly {1, …, k·m} intervals — a lost CAS update would double a
+// slot, a lost refund or a torn read would skip one.
+//
+// With several levels each level takes its token in its own CAS, so two
+// waiters can hold slots i and i+1 at one level and i+1 and i at another,
+// and both wake at i+1. The hierarchy case therefore checks every level
+// separately: each handed out exactly k·m slots (its balance is exactly
+// -k·m), and every sleep is one of them.
+func TestPolicyLimiterStressSlotsExact(t *testing.T) {
+	const k, m = 8, 64
+	const interval = 10 * time.Millisecond // rate 100
+	for _, tc := range []struct {
+		name  string
+		cfg   PolicyConfig
+		exact bool // one level: the sleeps are exactly the slots
+	}{
+		{"global", PolicyConfig{Rate: 100, Burst: 1}, true},
+		{"hierarchy", PolicyConfig{
+			Rate: 100, Burst: 1, ASRate: 100, ASBurst: 1, PrefixRate: 100, PrefixBurst: 1,
+			Origins: []uint32{7}, Prefixes: 1,
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _, _ := virtualPolicy(t, tc.cfg)
+			var mu sync.Mutex
+			var slept []time.Duration
+			p.sleep = func(ctx context.Context, d time.Duration) error {
+				mu.Lock()
+				slept = append(slept, d)
+				mu.Unlock()
+				return nil // the clock stays frozen
+			}
+			if err := p.Wait(context.Background(), 0); err != nil {
+				t.Fatal(err) // the burst token
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < k; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < m; i++ {
+						if err := p.Wait(context.Background(), 0); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if len(slept) != k*m {
+				t.Fatalf("%d sleeps for %d waits", len(slept), k*m)
+			}
+			sort.Slice(slept, func(i, j int) bool { return slept[i] < slept[j] })
+			for i, d := range slept {
+				want := time.Duration(i+1) * interval
+				if tc.exact && d != want {
+					t.Fatalf("slot %d slept %v, want %v", i, d, want)
+				}
+				if d%interval != 0 || d < interval || d > k*m*interval {
+					t.Fatalf("sleep %v is not one of the %d slots", d, k*m)
+				}
+			}
+			if last := slept[len(slept)-1]; last != k*m*interval {
+				t.Fatalf("last wake at %v, want %v", last, k*m*interval)
+			}
+			levels := []*bucket{p.global}
+			if p.asRate > 0 {
+				levels = append(levels, p.asByPfx[0].Load(), p.pfx[0].Load())
+			}
+			now := p.clock()
+			for _, b := range levels {
+				if b.balance(now) != -k*m {
+					t.Fatalf("bucket balance %v after %d reserved slots, want %d", b.balance(now), k*m, -k*m)
+				}
+			}
+		})
+	}
+}

@@ -42,6 +42,13 @@ func virtualPolicy(t *testing.T, cfg PolicyConfig) (*PolicyLimiter, *fakeClock, 
 	return p, clock, &sleeps
 }
 
+// balance is a bucket's token count at limiter time now: the
+// token-bucket view of its GCRA state.
+func (b *bucket) balance(now float64) float64 {
+	iv := b.currentInterval()
+	return (now - max(math.Float64frombits(b.tat.Load()), now-b.burst*iv)) / iv
+}
+
 func TestPolicyLimiterValidation(t *testing.T) {
 	origins := []uint32{1, 2}
 	bad := []PolicyConfig{
@@ -153,8 +160,9 @@ func TestPolicyLimiterCancelRefundsAllLevels(t *testing.T) {
 	if err := p.Wait(canceled, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Wait returned %v", err)
 	}
+	now := p.clock()
 	p.mu.Lock()
-	g, a, x := p.global.tokens, p.as[1].tokens, p.pfx[0].tokens
+	g, a, x := p.global.balance(now), p.as[1].balance(now), p.pfx[0].Load().balance(now)
 	p.mu.Unlock()
 	// All three buckets were at 0 after the draining probe; the refund
 	// must restore the canceled take exactly (modulo refill credit,

@@ -14,7 +14,6 @@ import (
 
 	"github.com/tass-scan/tass/internal/netaddr"
 	"github.com/tass-scan/tass/internal/rib"
-	"github.com/tass-scan/tass/internal/trie"
 )
 
 // Config parameterizes a scan run.
@@ -96,16 +95,17 @@ func (r *Report) Hitrate() float64 {
 // Run gives every worker a private shard of the target permutation
 // (Permutation.Shard), so there is no feeder goroutine and no channel
 // handoff: each worker iterates, probes and buffers results locally, and
-// the per-worker buffers are merged once at the end. Counter updates are
-// atomic; nothing on the per-probe path takes a lock beyond the optional
-// PolicyLimiter.
+// the per-worker buffers are merged once at the end. Nothing on the
+// per-probe path takes a shared lock: counters are per-worker or atomic,
+// the exclusion check is a binary search over an atomically swapped
+// range list, cancellation is polled on the context's Done channel, and
+// the PolicyLimiter paces with CAS token buckets.
 type Scanner struct {
 	cfg Config
 	cum []uint64 // cumulative target sizes for index→address mapping
 	// exclude is swapped atomically by SetExclusions, so a reloaded
 	// list takes effect mid-cycle without pausing the workers.
-	exclude   atomic.Pointer[trie.Trie[struct{}]]
-	excludeN  atomic.Int64
+	exclude   atomic.Pointer[exclusionList]
 	policy    *PolicyLimiter // probe pacing (nil without any rate)
 	fp        *footprint     // per-AS accounting (nil without per-AS features)
 	backoffOn bool
@@ -181,6 +181,56 @@ func New(cfg Config) (*Scanner, error) {
 	return s, nil
 }
 
+// exclusionList is one installed exclusion list: the prefixes as sorted,
+// merged address ranges (disjoint and non-adjacent), plus the number of
+// prefixes they came from.
+type exclusionList struct {
+	ranges   []netaddr.AddrRange
+	prefixes int
+}
+
+// newExclusionList merges ps into sorted, disjoint, non-adjacent ranges:
+// nested, overlapping, adjacent and duplicate prefixes collapse.
+func newExclusionList(ps []netaddr.Prefix) *exclusionList {
+	rs := make([]netaddr.AddrRange, len(ps))
+	for i, p := range ps {
+		rs[i] = p.Range()
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].First < rs[j].First })
+	out := rs[:0]
+	for _, r := range rs {
+		if n := len(out); n > 0 {
+			last := &out[n-1]
+			// last.Last+1 would wrap at 255.255.255.255, where every
+			// later range is covered anyway.
+			if last.Last == math.MaxUint32 || r.First <= last.Last+1 {
+				if r.Last > last.Last {
+					last.Last = r.Last
+				}
+				continue
+			}
+		}
+		out = append(out, r)
+	}
+	return &exclusionList{ranges: out, prefixes: len(ps)}
+}
+
+// contains reports whether a falls in an excluded range. It runs once per
+// draw on every worker, so the binary search is hand-rolled like addrAt's.
+func (l *exclusionList) contains(a netaddr.Addr) bool {
+	rs := l.ranges
+	lo, hi := 0, len(rs) // first i with rs[i].First > a
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rs[mid].First > a {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo > 0 && a <= rs[lo-1].Last
+}
+
 // SetExclusions atomically replaces the exclusion list. Safe to call
 // while Run is in flight: workers see the new list on their next draw,
 // and addresses a resumed cycle re-draws under a grown list are counted
@@ -188,21 +238,18 @@ func New(cfg Config) (*Scanner, error) {
 func (s *Scanner) SetExclusions(ps []netaddr.Prefix) {
 	if len(ps) == 0 {
 		s.exclude.Store(nil)
-		s.excludeN.Store(0)
 		return
 	}
-	tr := trie.New[struct{}]()
-	for _, p := range ps {
-		tr.Insert(p, struct{}{})
-	}
-	s.exclude.Store(tr)
-	s.excludeN.Store(int64(len(ps)))
+	s.exclude.Store(newExclusionList(ps))
 }
 
 // ExclusionCount returns the number of exclusion prefixes currently
-// active.
+// active (as given, before merging).
 func (s *Scanner) ExclusionCount() int {
-	return int(s.excludeN.Load())
+	if l := s.exclude.Load(); l != nil {
+		return l.prefixes
+	}
+	return 0
 }
 
 // Policy exposes the probe pacer, non-nil whenever any rate is set
@@ -305,6 +352,8 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 		go func(w int) {
 			defer wg.Done()
 			sh := shards[w]
+			// Polled without blocking instead of ctx.Err(), which locks.
+			done := ctx.Done()
 			var local []netaddr.Addr
 			// Per-worker tallies, flushed into the shared atomics once at
 			// exit: the per-probe path touches no shared cache line. Only
@@ -316,20 +365,18 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					break
 				}
 				addr, pi := s.addrAt(idx)
-				if tr := s.exclude.Load(); tr != nil {
-					if _, _, hit := tr.Lookup(addr); hit {
-						// Exclusion hits consume neither a rate token nor
-						// a probe: only transmitted probes are accounted.
-						nExcluded++
-						if s.fp != nil {
-							s.fp.at(pi).excluded.Add(1)
-						}
-						continue
+				if ex := s.exclude.Load(); ex != nil && ex.contains(addr) {
+					// Exclusion hits consume neither a rate token nor a
+					// probe: only transmitted probes are accounted.
+					nExcluded++
+					if s.fp != nil {
+						s.fp.at(pi).excluded.Add(1)
 					}
+					continue
 				}
-				if err := ctx.Err(); err != nil {
+				if canceled(done) {
 					sh.rewind() // drawn but not probed
-					fail(err)
+					fail(ctx.Err())
 					break
 				}
 				var fpc *asCounter
@@ -419,6 +466,16 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 	})
 	report.Elapsed = time.Since(start)
 	return report, runErr
+}
+
+// canceled polls a context's Done channel without blocking.
+func canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // reserveProbe claims one probe slot under the max budget; it reports

@@ -9,6 +9,7 @@ package tass_test
 // The full paper-scale regeneration is `go run ./cmd/experiments`.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -385,6 +386,70 @@ func BenchmarkIntersect(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCounterPass measures one full-partition pass of a block-set
+// range counter — the counting kernel under NewRanker and RankCached:
+// every prefix of the m-partition counted against the seed's
+// block-indexed set, so consecutive range boundaries mostly land in an
+// already-decoded block. "fine" splits the sparse fixture's span into
+// /26s, a few addresses per prefix, where nearly every boundary shares
+// a block with the previous one.
+func BenchmarkCounterPass(b *testing.B) {
+	w := world(b)
+	seed := w.Series["http"].At(0)
+	sparse, _ := sparseFixture(b)
+	fine := make([]netaddr.Prefix, 4096<<8)
+	for i := range fine {
+		fine[i] = netaddr.MustPrefixFrom(netaddr.Addr(1<<28+uint32(i)<<6), 26)
+	}
+	finePart, err := tass.NewPartition(fine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sh := range []struct {
+		name string
+		part rib.Partition
+		snap *census.Snapshot
+	}{
+		{"mpart", w.U.More, seed},
+		{"fine", finePart, sparse},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			set := sh.snap.Set() // build outside the timer; it is memoized
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, outside := sh.part.CountAddrsSet(set); outside == set.Len() {
+					b.Fatal("empty count")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadDelta measures parsing one binary census delta — the
+// reseed loop's per-cycle input — from an in-memory stream: a six-month
+// churn delta of the benchmark world, its born and died runs validated
+// (ascending, disjoint) as they decode.
+func BenchmarkReadDelta(b *testing.B) {
+	w := world(b)
+	d := w.Series["http"].At(0).Diff(w.Series["http"].At(6))
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := census.ReadDelta(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Changed() != d.Changed() {
+			b.Fatalf("read %d changed addresses, wrote %d", got.Changed(), d.Changed())
+		}
 	}
 }
 

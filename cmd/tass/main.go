@@ -463,7 +463,7 @@ func runFsck(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("fsck: at least one file is required")
 	}
-	damaged := 0
+	damaged, convert := 0, 0
 	for _, path := range fs.Args() {
 		var res *tass.FsckResult
 		var err error
@@ -480,6 +480,9 @@ func runFsck(args []string) error {
 			fmt.Printf("%s: %s: clean\n", path, res.Kind)
 		case res.Repaired:
 			fmt.Printf("%s: %s: repaired\n", path, res.Kind)
+		case res.NeedsConversion:
+			fmt.Printf("%s: %s: needs conversion (tass convert -in %s)\n", path, res.Kind, path)
+			convert++
 		default:
 			fmt.Printf("%s: %s: DAMAGED\n", path, res.Kind)
 			damaged++
@@ -494,8 +497,15 @@ func runFsck(args []string) error {
 			fmt.Printf("  recovered %d addresses, lost %d\n", res.RecoveredHosts, res.LostAddrs)
 		}
 	}
+	var problems []string
 	if damaged > 0 {
-		return fmt.Errorf("fsck: %d file(s) damaged (run with -repair to salvage)", damaged)
+		problems = append(problems, fmt.Sprintf("%d file(s) damaged (run with -repair to salvage)", damaged))
+	}
+	if convert > 0 {
+		problems = append(problems, fmt.Sprintf("%d file(s) need conversion (tass convert -in FILE)", convert))
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("fsck: %s", strings.Join(problems, "; "))
 	}
 	return nil
 }

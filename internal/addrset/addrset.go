@@ -372,8 +372,8 @@ func (s *SetOf[A]) Contains(a A) bool {
 // [lo, hi]. Cost is O(log blocks + blocksize): interior blocks are
 // counted from the cumulative index, only the two boundary blocks are
 // decoded. For many ascending ranges (counting a partition), use a
-// Counter, which replaces the binary search with a galloping hint and
-// caches boundary-block decodes.
+// Counter, which replaces the binary searches with a galloping block
+// hint and an in-block cursor and caches boundary-block decodes.
 func (s *SetOf[A]) CountRange(lo, hi A) int {
 	if s.n == 0 || lo.Compare(hi) > 0 {
 		return 0
@@ -407,21 +407,30 @@ func (s *SetOf[A]) Rank(a A) int {
 	return c.Count(z, netaddr.KeyDec(a))
 }
 
-// CounterOf counts ascending address ranges against the set using a
-// moving block hint: ranges must be disjoint and ascending (each
-// Count's lo must be greater than the previous Count's hi). Sorted
-// disjoint partitions produce exactly this pattern. The counter caches the last decoded
-// boundary block, so a full pass over K prefixes decodes each touched
-// block once — total work is O(K log blocksize + touched blocks), never
-// asymptotically worse than the merge walk.
+// CounterOf counts address ranges against the set in one forward
+// pass. The rule is the one Count states: each range's lo must be >= the
+// previous range's lo. Ranges may overlap or nest; sorted disjoint
+// partitions — the case every caller has — satisfy it trivially. The
+// counter keeps a galloping block hint and the last decoded boundary
+// block, with an in-block cursor at the previous answer: a boundary in
+// the decoded block walks forward from the cursor instead of searching
+// the block again, so a full pass over K prefixes decodes each touched
+// block once and walks it once — total work is O(K + touched blocks ·
+// blocksize) plus the block gallops, never asymptotically worse than the
+// merge walk.
 //
 // A Counter is single-goroutine state; create one per pass.
 type CounterOf[A netaddr.Key[A]] struct {
-	s    *SetOf[A]
-	hint int   // first candidate block for the next boundary search
-	bufI int   // index of the decoded block in buf, -1 if none
-	buf  []A   // decoded block cache
-	err  error // first block fault hit by this counter's pass
+	s *SetOf[A]
+	// Block hints: loBlk and hiBlk are the blocks the previous Count's
+	// lo and hi resolved to, hi its upper bound. A next lo above hi
+	// starts its search at hiBlk, any other lo at loBlk.
+	loBlk, hiBlk int
+	hi           A
+	bufI         int   // index of the decoded block in buf, -1 if none
+	buf          []A   // decoded block cache
+	pos          int   // cursor: the previous in-block answer for block bufI
+	err          error // first block fault hit by this counter's pass
 }
 
 // Err returns the first block fault this counter hit while decoding
@@ -440,11 +449,11 @@ func (s *SetOf[A]) Counter() *CounterOf[A] {
 	return &CounterOf[A]{s: s, bufI: -1}
 }
 
-// findBlock returns the first block index >= c.hint whose max is >= a
-// (or > a when strict), galloping forward from the hint and finishing
-// with a binary search inside the galloped window. Returns len(mins)
-// when every remaining block ends below the bound.
-func (c *CounterOf[A]) findBlock(a A, strict bool) int {
+// findBlock returns the first block index >= from whose max is >= a
+// (or > a when strict), galloping forward from from and finishing with
+// a binary search inside the galloped window. Returns len(mins) when
+// every remaining block ends below the bound.
+func (c *CounterOf[A]) findBlock(from int, a A, strict bool) int {
 	maxs := c.s.maxs
 	nb := len(maxs)
 	above := func(m A) bool {
@@ -453,7 +462,7 @@ func (c *CounterOf[A]) findBlock(a A, strict bool) int {
 		}
 		return m.Compare(a) >= 0
 	}
-	lo := c.hint
+	lo := from
 	if lo >= nb {
 		return nb
 	}
@@ -476,21 +485,21 @@ func (c *CounterOf[A]) findBlock(a A, strict bool) int {
 }
 
 // rank returns the number of set addresses strictly below a (incl ==
-// false) or at most a (incl == true), moving the hint forward. The
-// block search uses the matching strictness so a run of duplicates that
-// spans block boundaries is counted in full: for an inclusive rank,
-// every block whose max equals a lies entirely at or below a and is
-// counted from the cumulative index.
-func (c *CounterOf[A]) rank(a A, incl bool) int {
+// false) or at most a (incl == true), searching blocks from block from
+// on, and the block the boundary resolved to. The block search uses the
+// matching strictness so a run of duplicates that spans block
+// boundaries is counted in full: for an inclusive rank, every block
+// whose max equals a lies entirely at or below a and is counted from the
+// cumulative index.
+func (c *CounterOf[A]) rank(from int, a A, incl bool) (int, int) {
 	s := c.s
-	bi := c.findBlock(a, incl)
-	c.hint = bi
+	bi := c.findBlock(from, a, incl)
 	if bi == len(s.mins) {
-		return s.n
+		return s.n, bi
 	}
 	if a.Compare(s.mins[bi]) < 0 {
 		// Boundary falls in the gap before the block: nothing of it counts.
-		return s.cum[bi]
+		return s.cum[bi], bi
 	}
 	if c.bufI != bi {
 		dec, err := s.decodeBlock(bi, c.buf)
@@ -507,24 +516,67 @@ func (c *CounterOf[A]) rank(a A, incl bool) int {
 		}
 		c.buf = dec
 		c.bufI = bi
+		c.pos = 0
 	}
-	var k int
-	if incl {
-		k = sort.Search(len(c.buf), func(i int) bool { return c.buf[i].Compare(a) > 0 })
-	} else {
-		k = sort.Search(len(c.buf), func(i int) bool { return c.buf[i].Compare(a) >= 0 })
+	c.pos = cursorRank(c.buf, c.pos, a, incl)
+	return s.cum[bi] + c.pos, bi
+}
+
+// cursorRank returns the number of buf entries below a (at most a when
+// incl), given the cursor k of a previous answer in the same ascending
+// block. When every entry before the cursor is below the bound — always
+// so for ascending boundaries — it walks forward from k; a bound that
+// falls below the cursor, which overlapping ranges produce, is found by
+// binary search in buf[:k] instead, so the answer never depends on the
+// query order.
+func cursorRank[A netaddr.Key[A]](buf []A, k int, a A, incl bool) int {
+	if v4, ok := any(buf).([]netaddr.Addr); ok {
+		// IPv4 fast path: "below" is one integer compare against
+		// a (exclusive) or a+1 (inclusive), with no method calls.
+		x := uint64(any(a).(netaddr.Addr))
+		if incl {
+			x++
+		}
+		if k > 0 && uint64(v4[k-1]) >= x {
+			return sort.Search(k, func(i int) bool { return uint64(v4[i]) >= x })
+		}
+		for k < len(v4) && uint64(v4[k]) < x {
+			k++
+		}
+		return k
 	}
-	return s.cum[bi] + k
+	below := func(v A) bool {
+		if incl {
+			return v.Compare(a) <= 0
+		}
+		return v.Compare(a) < 0
+	}
+	if k > 0 && !below(buf[k-1]) {
+		return sort.Search(k, func(i int) bool { return !below(buf[i]) })
+	}
+	for k < len(buf) && below(buf[k]) {
+		k++
+	}
+	return k
 }
 
 // Count returns the number of set addresses in [lo, hi]. lo must be >=
-// the lo of the previous Count on this counter.
+// the lo of the previous Count on this counter (the CounterOf rule).
 func (c *CounterOf[A]) Count(lo, hi A) int {
 	if c.s.n == 0 || lo.Compare(hi) > 0 {
 		return 0
 	}
-	below := c.rank(lo, false)
-	return c.rank(hi, true) - below
+	// Every block before loBlk ends below the previous lo, hence below
+	// this one; when lo is above the previous hi, so does every block
+	// before hiBlk.
+	from := c.loBlk
+	if lo.Compare(c.hi) > 0 {
+		from = c.hiBlk
+	}
+	below, bi := c.rank(from, lo, false)
+	upto, bj := c.rank(bi, hi, true)
+	c.loBlk, c.hiBlk, c.hi = bi, bj, hi
+	return upto - below
 }
 
 // IntersectCount returns |s ∩ t|. Both cursors gallop: a run of one set

@@ -353,23 +353,59 @@ func ReadDeltaOf[A netaddr.Key[A]](r io.Reader) (*DeltaOf[A], error) {
 	}
 	// Born and died must be disjoint: check with one merge pass so a
 	// parsed delta upholds the same invariants a Diff-produced one does.
+	if a, ok := firstCommon(d.Born, d.Died); ok {
+		return nil, fmt.Errorf("%w: address %v both born and died", ErrFormat, a)
+	}
+	return d, nil
+}
+
+// firstCommon returns the first address two strictly ascending runs
+// share, by one merge pass; ok is false when they are disjoint.
+func firstCommon[A netaddr.Key[A]](a, b []A) (common A, ok bool) {
+	if a4, is4 := any(a).([]netaddr.Addr); is4 {
+		// IPv4: direct integer compares, and a branch-free advance —
+		// born and died interleave at random, so a branch on the order
+		// would mispredict about every other step.
+		b4 := any(b).([]netaddr.Addr)
+		i, j := 0, 0
+		for i < len(a4) && j < len(b4) {
+			x, y := a4[i], b4[j]
+			if x == y {
+				return any(x).(A), true
+			}
+			lt := b2i(x < y)
+			i += lt
+			j += 1 - lt
+		}
+		return common, false
+	}
 	i, j := 0, 0
-	for i < len(d.Born) && j < len(d.Died) {
-		switch c := d.Born[i].Compare(d.Died[j]); {
+	for i < len(a) && j < len(b) {
+		switch c := a[i].Compare(b[j]); {
 		case c < 0:
 			i++
 		case c > 0:
 			j++
 		default:
-			return nil, fmt.Errorf("%w: address %v both born and died", ErrFormat, d.Born[i])
+			return a[i], true
 		}
 	}
-	return d, nil
+	return common, false
+}
+
+// b2i converts a bool to 0 or 1; the compiler lowers it to a flag move.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // readAddrRun decodes one length-prefixed strictly-ascending address
 // run, with the same attacker-controlled-count allocation cap as the
-// snapshot codec.
+// snapshot codec. Families up to 64 bits batch-decode the run from the
+// reader's buffered window (readNarrowRun); wider ones read it one
+// varint at a time.
 func readAddrRun[A netaddr.Key[A]](br *bufio.Reader) ([]A, error) {
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -383,27 +419,139 @@ func readAddrRun[A netaddr.Key[A]](br *bufio.Reader) ([]A, error) {
 		capHint = maxAddrPrealloc
 	}
 	addrs := make([]A, 0, capHint)
-	var zero, prev A
+	var zero A
+	if zero.Width() <= 64 {
+		return readNarrowRun(br, addrs, int(count))
+	}
+	var prev A
 	for i := 0; i < int(count); i++ {
-		d, err := netaddr.ReadKeyUvarint[A](br)
+		v, err := readRunAddr(br, i, prev)
 		if err != nil {
-			if errors.Is(err, netaddr.ErrOverflow) {
-				return nil, fmt.Errorf("%w: address overflow", ErrFormat)
-			}
-			return nil, fmt.Errorf("census: delta address %d: %w", i, err)
-		}
-		v := d
-		if i > 0 {
-			if d == zero {
-				return nil, fmt.Errorf("%w: zero delta", ErrFormat)
-			}
-			v = netaddr.KeyAdd(prev, d)
-			if v.Compare(prev) <= 0 {
-				return nil, fmt.Errorf("%w: address overflow", ErrFormat)
-			}
+			return nil, err
 		}
 		addrs = append(addrs, v)
 		prev = v
 	}
 	return addrs, nil
+}
+
+// readRunAddr reads run element i through the scalar varint reader: the
+// absolute first address, or the delta onto prev after it. Every
+// element the batch path cannot decode from the buffered window comes
+// through here, so both paths share one set of checks and messages.
+func readRunAddr[A netaddr.Key[A]](br *bufio.Reader, i int, prev A) (A, error) {
+	var zero A
+	d, err := netaddr.ReadKeyUvarint[A](br)
+	if err != nil {
+		if errors.Is(err, netaddr.ErrOverflow) {
+			return zero, fmt.Errorf("%w: address overflow", ErrFormat)
+		}
+		return zero, fmt.Errorf("census: delta address %d: %w", i, err)
+	}
+	if i == 0 {
+		return d, nil
+	}
+	if d == zero {
+		return zero, fmt.Errorf("%w: zero delta", ErrFormat)
+	}
+	v := netaddr.KeyAdd(prev, d)
+	if v.Compare(prev) <= 0 {
+		return zero, fmt.Errorf("%w: address overflow", ErrFormat)
+	}
+	return v, nil
+}
+
+// runChunk is how many varints readNarrowRun decodes per batch: the
+// uint64 scratch stays on the stack and the window it peeks stays a few
+// cache lines.
+const runChunk = 128
+
+// readNarrowRun appends count run elements of a ≤64-bit family to addrs.
+// It batch-decodes whole varints straight out of the reader's buffered
+// window (Peek of at most Buffered bytes never reads, Discard consumes
+// exactly the decoded bytes) through addrset.DecodeUvarints. A value
+// the window cannot hold whole, or that the kernel rejects, is read by
+// readRunAddr — the scalar reader the run used before batching — so the
+// batch path never consumes, or blocks on, a byte the scalar path would
+// not have read, and back-to-back records in one stream stay intact.
+// The checks are the scalar path's: width, zero delta, overflow, strict
+// ascent.
+func readNarrowRun[A netaddr.Key[A]](br *bufio.Reader, addrs []A, count int) ([]A, error) {
+	var zero A
+	wide := ^uint64(0) >> (64 - zero.Width()) // largest value of the family
+	var scratch [runChunk]uint64
+	var prev uint64
+	for i := 0; i < count; {
+		c := count - i
+		if c > runChunk {
+			c = runChunk
+		}
+		win := br.Buffered()
+		if win > c*binary.MaxVarintLen64 {
+			win = c * binary.MaxVarintLen64
+		}
+		buf, _ := br.Peek(win) // win <= Buffered(): no read, no error
+		n := addrset.DecodeUvarints(scratch[:c], buf)
+		if n < 0 {
+			// The window ends inside a value or holds one the kernel
+			// rejects: take the whole values before it.
+			c, n = 0, 0
+			for c < len(scratch) && i+c < count {
+				v, m := binary.Uvarint(buf[n:])
+				if m <= 0 {
+					break
+				}
+				scratch[c] = v
+				c++
+				n += m
+			}
+		}
+		if c == 0 {
+			v, err := readRunAddr(br, i, zero.FromHalves(0, prev))
+			if err != nil {
+				return nil, err
+			}
+			addrs = append(addrs, v)
+			_, prev = v.Halves()
+			i++
+			continue
+		}
+		for k, d := range scratch[:c] {
+			if d > wide {
+				return nil, fmt.Errorf("%w: address overflow", ErrFormat)
+			}
+			v := d
+			if i+k > 0 {
+				if d == 0 {
+					return nil, fmt.Errorf("%w: zero delta", ErrFormat)
+				}
+				v = prev + d
+				if v < prev || v > wide {
+					return nil, fmt.Errorf("%w: address overflow", ErrFormat)
+				}
+			}
+			scratch[k] = v
+			prev = v
+		}
+		addrs = appendLows(addrs, scratch[:c])
+		br.Discard(n) // n peeked bytes: cannot fail
+		i += c
+	}
+	return addrs, nil
+}
+
+// appendLows appends the ≤64-bit family values vs to dst; IPv4 runs
+// convert with a plain integer cast instead of a FromHalves call each.
+func appendLows[A netaddr.Key[A]](dst []A, vs []uint64) []A {
+	if d4, ok := any(dst).([]netaddr.Addr); ok {
+		for _, v := range vs {
+			d4 = append(d4, netaddr.Addr(v))
+		}
+		return any(d4).([]A)
+	}
+	var zero A
+	for _, v := range vs {
+		dst = append(dst, zero.FromHalves(0, v))
+	}
+	return dst
 }

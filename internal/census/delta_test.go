@@ -213,7 +213,10 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 // it accepts must satisfy the Delta invariants (strictly ascending,
 // disjoint runs) and survive a write/read round trip unchanged; any
 // stream it rejects must fail with an error, never a panic or a
-// pathological allocation.
+// pathological allocation. Differentially, the batched reader must
+// accept and reject exactly what the per-byte reference does, with the
+// same error and the same delta, for both families (the IPv6 case reads
+// the same bytes behind the IPv6 magic) and under every stream shape.
 func FuzzDeltaCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("TASSDLT\x01"))
@@ -227,8 +230,21 @@ func FuzzDeltaCodec(f *testing.F) {
 	f.Add(append([]byte("TASSDLT\x01"), 0x01, 'x', 0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x01))
 	// Address both born and died.
 	f.Add(append([]byte("TASSDLT\x01"), 0x01, 'x', 0x00, 0x01, 0x01, 0x07, 0x01, 0x07))
+	// Varints the batch kernel rejects but the scalar reader takes: an
+	// overlong 11-byte zero delta, and a 10-byte value past 64 bits.
+	f.Add(append([]byte("TASSDLT\x01"), 0x01, 'x', 0x00, 0x01, 0x02, 0x05,
+		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00))
+	f.Add(append([]byte("TASSDLT\x01"), 0x01, 'x', 0x00, 0x01, 0x01,
+		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00))
+	// A delta past the 32-bit width, and a zero delta, mid-run.
+	f.Add(append([]byte("TASSDLT\x01"), 0x01, 'x', 0x00, 0x01, 0x03, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x01, 0x00))
+	f.Add(append([]byte("TASSDLT\x01"), 0x01, 'x', 0x00, 0x01, 0x03, 0x01, 0x01, 0x00, 0x00))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		diffDeltaReaders[netaddr.Addr](t, data)
+		if len(data) >= len(deltaMagic6) {
+			diffDeltaReaders[netaddr.Addr6](t, append(deltaMagic6[:], data[len(deltaMagic6):]...))
+		}
 		d, err := ReadDelta(bytes.NewReader(data))
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic

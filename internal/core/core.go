@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"github.com/tass-scan/tass/internal/census"
@@ -68,8 +67,8 @@ func density[A netaddr.Key[A]](c int, p netaddr.Pfx[A]) float64 {
 // call. The ranking is byte-identical with or without a cache at any
 // worker count.
 //
-// For IPv4 the sort is a key-packed slices.Sort on one uint64 per
-// responsive prefix rather than a sort.Slice comparator: density
+// For IPv4 the sort orders one packed uint64 per responsive prefix
+// (sortPackedKeys) rather than running a sort.Slice comparator: density
 // ρ = c/2^(32-len) compares exactly as the integer v = c<<len (both are
 // v/2^32), and within equal v a larger host count means a shorter
 // prefix, so (density desc, hosts desc, prefix asc) packs losslessly
@@ -114,7 +113,7 @@ func RankCached[A netaddr.Key[A]](seed *census.SnapshotOf[A], part rib.PartOf[A]
 		}
 	}
 	if packed {
-		slices.Sort(keys)
+		sortPackedKeys(keys, nil) // appended in stats-index order
 		out := make([]StatOf[A], len(stats))
 		for j, k := range keys {
 			out[j] = stats[keyIndex(k)]

@@ -100,7 +100,13 @@ func NewRanker(seed *census.Snapshot, universe rib.Partition, workers int, cache
 		r.lasts[i] = l
 		r.info[i] = prefixInfo{pfx: universe.Prefix(i), dens: float64(counts[i]) / float64(uint64(l-f)+1)}
 	}
-	r.keys = make([]uint64, 0, len(counts)/2)
+	responsive := 0
+	for _, c := range counts {
+		if c > 0 {
+			responsive++
+		}
+	}
+	r.keys = make([]uint64, 0, responsive)
 	for i, c := range counts {
 		if c == 0 {
 			continue
@@ -112,7 +118,9 @@ func NewRanker(seed *census.Snapshot, universe rib.Partition, workers int, cache
 		r.total += c
 		r.keys = append(r.keys, k)
 	}
-	slices.Sort(r.keys)
+	// Appended in index order: the radix repair applies, and its
+	// scratch becomes the merge buffer every Apply reuses.
+	r.scratch = sortPackedKeys(r.keys, nil)
 	return r, nil
 }
 
@@ -223,7 +231,11 @@ func (r *Ranker) Apply(d *census.Delta) error {
 	// Adjust counts and densities, mark the displaced prefixes, build
 	// replacements.
 	r.newKeys = r.newKeys[:0]
+	dropped := 0 // touched prefixes whose stale key leaves r.keys
 	for t, idx := range r.touchedIdx {
+		if r.counts[idx] > 0 {
+			dropped++
+		}
 		c := r.counts[idx] + int(r.touchedDelta[t])
 		r.counts[idx] = c
 		// Exact: the range size is a power of two, so this division
@@ -236,7 +248,13 @@ func (r *Ranker) Apply(d *census.Delta) error {
 			r.newKeys = append(r.newKeys, k)
 		}
 	}
-	slices.Sort(r.newKeys)
+	// The merge target holds exactly the new ranking; sized once here,
+	// it is also the radix scratch (newKeys never outnumbers it), and
+	// touchedIdx ascends, so the rebuilt keys are in index order.
+	if n := len(r.keys) - dropped + len(r.newKeys); cap(r.scratch) < n {
+		r.scratch = make([]uint64, 0, n)
+	}
+	r.scratch = sortPackedKeys(r.newKeys, r.scratch)
 
 	// One pass: drop every displaced key, merge the rebuilt ones in.
 	out := r.scratch[:0]

@@ -55,6 +55,12 @@ type Result struct {
 	Clean    bool
 	Findings []string
 
+	// NeedsConversion marks a v1 snapshot stream: interchange data, not
+	// damage, and nothing Repair touches — `tass convert -in FILE`
+	// writes it as TASSNAP3 (and validates it on the way). Clean is
+	// false for such a file.
+	NeedsConversion bool
+
 	// Repair outcome (Repair only).
 	Repaired       bool
 	QuarantinePath string
@@ -152,6 +158,7 @@ func runSnapshot(res *Result, repair bool) error {
 	}
 	res.RecoveredHosts = scrub.Hosts
 	if scrub.Format == "TASSNAP1" {
+		res.NeedsConversion = true
 		res.Findings = append(res.Findings, scrub.IndexErr.Error())
 		return nil
 	}

@@ -145,6 +145,49 @@ func TestFsckSnapshotV2Upgrade(t *testing.T) {
 	}
 }
 
+// TestFsckSnapshotV1NeedsConversion checks the v1 stream status: not
+// clean, not damage, untouched by Repair, and pointing at convert.
+func TestFsckSnapshotV1NeedsConversion(t *testing.T) {
+	dir := t.TempDir()
+	_, snap := writeSnapshot(t, dir)
+	path := filepath.Join(dir, "census.v1")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []func(string) (*fsck.Result, error){fsck.Check, fsck.Repair} {
+		res, err := run(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Clean || !res.NeedsConversion || res.Repaired || res.QuarantinePath != "" || res.Kind != fsck.KindSnapshot {
+			t.Fatalf("v1 stream: %+v", res)
+		}
+		if len(res.Findings) != 1 || !strings.Contains(res.Findings[0], "tass convert -in") {
+			t.Fatalf("v1 stream findings: %q", res.Findings)
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(raw) {
+		t.Fatalf("fsck changed the v1 stream (err %v)", err)
+	}
+	// Damage never reads as a conversion.
+	damaged, _ := writeSnapshot(t, t.TempDir())
+	flip(t, damaged, 14, 0x01)
+	if res, err := fsck.Check(damaged); err != nil || res.NeedsConversion || res.Clean {
+		t.Fatalf("damaged TASSNAP3: %+v, %v", res, err)
+	}
+}
+
 func TestFsckSnapshotIndexDamage(t *testing.T) {
 	path, _ := writeSnapshot(t, t.TempDir())
 	flip(t, path, 14, 0x01) // inside the directory: index CRC fails

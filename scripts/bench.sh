@@ -2,8 +2,10 @@
 # bench.sh — run the benchmark suite and record the perf trajectory.
 #
 # Emits BENCH_<YYYY-MM-DD>.<run>.json in the repo root (or $1 if
-# given): one JSON object per benchmark with name, iterations, ns/op,
-# bytes/op and allocs/op, plus host metadata for comparing runs. The
+# given): one JSON object per benchmark holding the median over COUNT
+# runs of ns/op, bytes/op, allocs/op and every custom b.ReportMetric
+# unit (under "metrics"), plus host metadata — CPU, GOMAXPROCS, run
+# count — for comparing runs. The
 # run suffix is monotonic per day, so same-day re-runs never clash and
 # "latest" is decided by the (date, run) in the name — not by mtime,
 # which a git checkout flattens. If a previous BENCH_*.json exists, a
@@ -12,12 +14,19 @@
 # EXPERIMENTS.md quotes the headline numbers.
 #
 # Usage: scripts/bench.sh [-universe huge] [outfile]
+#        scripts/bench.sh -ab BASEDIR BASE.json HEAD.json
 #        scripts/bench.sh -compare OLD.json NEW.json
 #        scripts/bench.sh -gate [OLD.json] NEW.json
 #        scripts/bench.sh -latest
 #   BENCH=<regex>       benchmarks to run (default: the counting/selection core)
 #   BENCHTIME=<n>       -benchtime value (default: go test's heuristic)
+#   COUNT=<n>           runs per benchmark; the record keeps medians (default: 5)
 #   GATE_THRESHOLD=<p>  -gate failure threshold in percent (default: 15)
+#
+# -ab measures two checkouts on one machine: COUNT rounds, each running
+# every benchmark once here and once in BASEDIR (another checkout of
+# the repository, e.g. the base commit), so host drift over the run
+# lands on both sides alike. It writes one record per side.
 #
 # -universe huge switches to the lazy-census tier: a ~50M-host synthetic
 # census (TASS_HUGE_HOSTS overrides) measured by BenchmarkOpenSnapshot
@@ -157,6 +166,14 @@ case "${1:-}" in
     ;;
 esac
 
+mode=""
+if [ "${1:-}" = "-ab" ]; then
+    mode=ab
+    abdir="${2:?bench.sh: -ab needs BASEDIR BASE.json HEAD.json}"
+    abbase="${3:?bench.sh: -ab needs BASEDIR BASE.json HEAD.json}"
+    set -- "${4:?bench.sh: -ab needs BASEDIR BASE.json HEAD.json}"
+fi
+
 # Default output name: a monotonic per-day run suffix, never clobbering
 # or shadowing an existing record.
 if [ -n "${1:-}" ]; then
@@ -180,45 +197,117 @@ elif [ -n "$tier" ]; then
     echo "bench.sh: unknown -universe tier \"$tier\" (want huge)" >&2
     exit 2
 else
-    bench="${BENCH:-BenchmarkSparseCount|BenchmarkIntersect|BenchmarkSelect$|BenchmarkSelect6$|BenchmarkRank$|BenchmarkRunAll$|BenchmarkBuildWorld$|BenchmarkChurnStep$|BenchmarkScanCycle|BenchmarkChurnToSelect|BenchmarkIncrementalRank|BenchmarkAblationCounting|BenchmarkPolicyLimiter|BenchmarkVarintDecode}"
+    bench="${BENCH:-BenchmarkSparseCount|BenchmarkIntersect|BenchmarkSelect$|BenchmarkSelect6$|BenchmarkRank$|BenchmarkRunAll$|BenchmarkBuildWorld$|BenchmarkChurnStep$|BenchmarkScanCycle|BenchmarkChurnToSelect|BenchmarkIncrementalRank|BenchmarkAblationCounting|BenchmarkPolicyLimiter|BenchmarkVarintDecode|BenchmarkReadDelta|BenchmarkCounterPass}"
 fi
 benchtime="${BENCHTIME:-}"
+count="${COUNT:-5}"
 
-args="-run=^$ -bench=$bench -benchmem -count=1"
+args="-run=^$ -bench=$bench -benchmem"
 if [ -n "$benchtime" ]; then
     args="$args -benchtime=$benchtime"
+fi
+
+# run_bench DIR RAW N: run the benchmarks N times in checkout DIR,
+# appending go test's output to RAW (and echoing it).
+run_bench() {
+    # shellcheck disable=SC2086 # args are intentionally word-split
+    (cd "$1" && go test $args -count="$3" .) | tee -a "$2"
+}
+
+# write_record RAW OUT: turn raw go test output into a JSON record, one
+# object per benchmark with the median of every value/unit pair across
+# its runs. GOMAXPROCS is the -N suffix go test puts on every name (no
+# suffix means 1).
+write_record() {
+    {
+        printf '{\n'
+        printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+        printf '  "goos": "%s",\n' "$(go env GOOS)"
+        printf '  "goarch": "%s",\n' "$(go env GOARCH)"
+        printf '  "go": "%s",\n' "$(go env GOVERSION)"
+        printf '  "cpu": "%s",\n' "$(host_cpu)"
+        awk 'BEGIN { p = 0 }
+        $1 ~ /^Benchmark/ && $4 == "ns/op" {
+            p = 1
+            if (match($1, /-[0-9]+$/)) p = substr($1, RSTART + 1) + 0
+            exit
+        }
+        END { printf "  \"gomaxprocs\": %d,\n", p }' "$1"
+        printf '  "count": %s,\n' "$count"
+        printf '  "benchmarks": [\n'
+        awk '
+        # median of the n values v[1..n], sorted in place (n is small).
+        function median(v, n,    i, j, x) {
+            for (i = 2; i <= n; i++) {
+                x = v[i]
+                for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+                v[j + 1] = x
+            }
+            return (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+        }
+        $1 ~ /^Benchmark/ && $4 == "ns/op" {
+            name = $1
+            if (!(name in runs)) order[nb++] = name
+            r = ++runs[name]
+            iters[name, r] = $2
+            for (f = 3; f < NF; f += 2) {
+                unit = $(f + 1)
+                if (!((name, unit) in seen)) {
+                    seen[name, unit] = 1
+                    units[name] = units[name] " " unit
+                }
+                nv[name, unit]++
+                val[name, unit, nv[name, unit]] = $f
+            }
+        }
+        END {
+            for (b = 0; b < nb; b++) {
+                name = order[b]
+                for (i = 1; i <= runs[name]; i++) w[i] = iters[name, i]
+                printf "    {\"name\": \"%s\", \"runs\": %d, \"iterations\": %d", name, runs[name], median(w, runs[name])
+                nu = split(substr(units[name], 2), us, " ")
+                custom = ""
+                for (u = 1; u <= nu; u++) {
+                    unit = us[u]
+                    n = nv[name, unit]
+                    for (i = 1; i <= n; i++) w[i] = val[name, unit, i]
+                    m = median(w, n)
+                    if (unit == "ns/op") printf ", \"ns_per_op\": %.10g", m
+                    else if (unit == "B/op") printf ", \"bytes_per_op\": %.10g", m
+                    else if (unit == "allocs/op") printf ", \"allocs_per_op\": %.10g", m
+                    else custom = custom sprintf("%s\"%s\": %.10g", (custom == "" ? "" : ", "), unit, m)
+                }
+                if (custom != "") printf ", \"metrics\": {%s}", custom
+                printf "}%s\n", (b < nb - 1 ? "," : "")
+            }
+        }' "$1"
+        printf '  ]\n'
+        printf '}\n'
+    } > "$2"
+    echo "wrote $2" >&2
+}
+
+tmp=$(mktemp)
+tmpbase=$(mktemp)
+trap 'rm -f "$tmp" "$tmpbase"' EXIT
+
+if [ "$mode" = "ab" ]; then
+    i=0
+    while [ "$i" -lt "$count" ]; do
+        run_bench . "$tmp" 1
+        run_bench "$abdir" "$tmpbase" 1
+        i=$((i + 1))
+    done
+    write_record "$tmpbase" "$abbase"
+    write_record "$tmp" "$out"
+    exit 0
 fi
 
 # The most recent previous record, for the post-run delta table.
 prev=$(latest_bench | grep -Fxv "$out" || true)
 
-tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
-
-# shellcheck disable=SC2086 # args are intentionally word-split
-go test $args . | tee "$tmp"
-
-{
-    printf '{\n'
-    printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    printf '  "goos": "%s",\n' "$(go env GOOS)"
-    printf '  "goarch": "%s",\n' "$(go env GOARCH)"
-    printf '  "go": "%s",\n' "$(go env GOVERSION)"
-    printf '  "cpu": "%s",\n' "$(host_cpu)"
-    printf '  "benchmarks": [\n'
-    awk '$1 ~ /^Benchmark/ && $4 == "ns/op" {
-        if (n++) printf ",\n"
-        printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $1, $2, $3
-        if ($6 == "B/op") printf ", \"bytes_per_op\": %s", $5
-        if ($8 == "allocs/op") printf ", \"allocs_per_op\": %s", $7
-        printf "}"
-    }
-    END { printf "\n" }' "$tmp"
-    printf '  ]\n'
-    printf '}\n'
-} > "$out"
-
-echo "wrote $out" >&2
+run_bench . "$tmp" "$count"
+write_record "$tmp" "$out"
 
 if [ -n "$prev" ]; then
     echo "" >&2

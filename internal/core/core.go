@@ -13,18 +13,19 @@
 //  5. hands prefixes 1..k to the periodic scanner until the next reseed.
 //
 // Steps 1–4 live here; step 5 is the scan scheduler in internal/scan and
-// the public tass package. The engine is generic over the address
-// family (W = 32 or 128): the IPv4 instantiations keep their packed
-// integer ranking sort, IPv6 rankings use the comparator path, and both
-// share every line of selection logic — which is exactly the paper's
-// future-work direction, where brute-forcing the space is impossible
-// and prefix selection is the only viable scan scoping.
+// the public tass package. Every ranking and selection runs through one
+// engine, RankerOf, generic over the address family (W = 32 or 128):
+// only its key codec tells the families apart — IPv4 keeps a packed
+// integer key, IPv6 a wide float key — and both share every line of
+// selection logic, which is exactly the paper's future-work direction,
+// where brute-forcing the space is impossible and prefix selection is
+// the only viable scan scoping.
 package core
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"github.com/tass-scan/tass/internal/census"
 	"github.com/tass-scan/tass/internal/netaddr"
@@ -45,15 +46,6 @@ type StatOf[A netaddr.Key[A]] struct {
 // PrefixStat is the IPv4 instantiation of StatOf.
 type PrefixStat = StatOf[netaddr.Addr]
 
-// density returns ρ = c / 2^(W-len) exactly: scaling by a power of two
-// is lossless in IEEE 754, so Ldexp(c, len-W) is bit-identical to the
-// division float64(c)/float64(2^(W-len)) the IPv4 path historically
-// used — and it cannot overflow the denominator for W = 128.
-func density[A netaddr.Key[A]](c int, p netaddr.Pfx[A]) float64 {
-	var z A
-	return math.Ldexp(float64(c), p.Bits()-z.Width())
-}
-
 // RankCached computes the responsive-prefix statistics of a seed
 // snapshot over a partition, sorted by descending density (steps 1–3).
 // Ties break by host count (more first) and then prefix order, keeping
@@ -65,72 +57,12 @@ func density[A netaddr.Key[A]](c int, p netaddr.Pfx[A]) float64 {
 // by (seed, part) identity: the first ranking of a pair pays for the
 // walk, every later one reuses the counts. A nil cache computes every
 // call. The ranking is byte-identical with or without a cache at any
-// worker count.
-//
-// For IPv4 the sort orders one packed uint64 per responsive prefix
-// (sortPackedKeys) rather than running a sort.Slice comparator: density
-// ρ = c/2^(32-len) compares exactly as the integer v = c<<len (both are
-// v/2^32), and within equal v a larger host count means a shorter
-// prefix, so (density desc, hosts desc, prefix asc) packs losslessly
-// into (^v, len, rank-index) — no interface calls, no reflection swaps,
-// no float comparisons on the ~100 K-entry paper-scale ranking. Wider
-// families cannot pack v = c<<len into 33 bits and use the comparator
-// sort, whose order is identical.
+// worker count, and equals Ranked on a Ranker of the same seed. Unlike
+// the selection entry points, it ranks a faulted lazy seed's partial
+// counts; check the snapshot's StorageErr when that matters.
 func RankCached[A netaddr.Key[A]](seed *census.SnapshotOf[A], part rib.PartOf[A], workers int, cache *census.CountCacheOf[A]) []StatOf[A] {
 	counts, _ := cache.Counts(seed, part, workers)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	stats := make([]StatOf[A], 0, len(counts)/2)
-	keys := make([]uint64, 0, len(counts)/2)
-	// The packed key spends 33 bits on v (≤ 2^32), 6 on the prefix
-	// length and 25 on the rank index: only the 32-bit family fits.
-	// Partitions too large for 25 bits (or counts exceeding the prefix
-	// size, impossible for snapshot input but cheap to guard) fall back
-	// to the comparator sort.
-	var zero A
-	packed := zero.Width() == 32 && part.Len() < maxPackedPrefixes
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := part.Prefix(i)
-		stats = append(stats, StatOf[A]{
-			Prefix:   p,
-			Hosts:    c,
-			Density:  density(c, p),
-			Coverage: float64(c) / float64(total),
-		})
-		if packed {
-			l := uint(p.Bits())
-			v := uint64(c) << l
-			if v > 1<<32 {
-				packed = false
-				continue
-			}
-			keys = append(keys, packKey(v, l, len(stats)-1))
-		}
-	}
-	if packed {
-		sortPackedKeys(keys, nil) // appended in stats-index order
-		out := make([]StatOf[A], len(stats))
-		for j, k := range keys {
-			out[j] = stats[keyIndex(k)]
-		}
-		return out
-	}
-	sort.Slice(stats, func(a, b int) bool {
-		sa, sb := &stats[a], &stats[b]
-		if sa.Density != sb.Density {
-			return sa.Density > sb.Density
-		}
-		if sa.Hosts != sb.Hosts {
-			return sa.Hosts > sb.Hosts
-		}
-		return sa.Prefix.Compare(sb.Prefix) < 0
-	})
-	return stats
+	return newRankerOf(part, counts, keysFor[A](part.Len())).Ranked()
 }
 
 // Options parameterizes a selection.
@@ -189,41 +121,22 @@ func (o Options) validate() error {
 }
 
 // SelectCached runs TASS prefix selection (steps 1–4) on a seed
-// snapshot, ranking through RankCached with the same workers and cache
-// (a single worker and a nil cache are the plain serial selection). The
-// selection is identical at any worker count, cached or not.
+// snapshot: a Ranker counted with the same workers and cache as
+// RankCached (a single worker and a nil cache are the plain serial
+// selection), then one Select. The selection is identical at any
+// worker count, cached or not. A lazy seed that hit damaged blocks
+// while counting is refused unless the snapshot opted into degraded
+// reads.
 func SelectCached[A netaddr.Key[A]](seed *census.SnapshotOf[A], universe rib.PartOf[A], opts Options, workers int, cache *census.CountCacheOf[A]) (*SelectionOf[A], error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	ranked := RankCached(seed, universe, workers, cache)
-	// A lazy seed records block faults instead of panicking; refuse to
-	// build a plan over counts that silently miss damaged blocks unless
-	// the caller opted into degraded reads on the snapshot itself.
-	if err := seed.StorageErr(); err != nil {
-		return nil, fmt.Errorf("core: seed snapshot storage fault: %w", err)
+	r, err := rankSeed(seed, universe, workers, cache)
+	if err != nil {
+		return nil, err
 	}
-	return selectRanked(ranked, universe, opts)
+	return r.selectFrom(r.Ranked(), opts)
 }
-
-// packKey packs one responsive prefix into the uint64 ranking key: the
-// density integer v = hosts<<len inverted (so ascending key order is
-// descending density), the prefix length (equal v with a longer prefix
-// means fewer hosts, ranked later), and a 25-bit tiebreak index that
-// must be monotone in partition order. Both the batch sort in
-// RankCached and the incremental repair in Ranker sort these same keys,
-// which is what makes the two paths byte-identical. IPv4 only: v and
-// len do not fit for wider families.
-func packKey(v uint64, bits uint, idx int) uint64 {
-	return (^v&(1<<33-1))<<31 | uint64(bits)<<25 | uint64(idx)
-}
-
-// maxPackedPrefixes bounds the universes the packed key can rank: the
-// tiebreak index has 25 bits.
-const maxPackedPrefixes = 1 << 25
-
-// keyIndex recovers the tiebreak index of a packed ranking key.
-func keyIndex(k uint64) int { return int(k & (maxPackedPrefixes - 1)) }
 
 // addSat adds address counts saturating at the maximum uint64.
 func addSat(a, b uint64) uint64 {
@@ -233,22 +146,16 @@ func addSat(a, b uint64) uint64 {
 	return ^uint64(0)
 }
 
-// selectRanked runs selection steps 4–5 on a precomputed ranking. The
-// ranked slice is shared read-only by the returned Selection. Callers
-// have already validated opts.
-func selectRanked[A netaddr.Key[A]](ranked []StatOf[A], universe rib.PartOf[A], opts Options) (*SelectionOf[A], error) {
-	total := 0
-	for i := range ranked {
-		total += ranked[i].Hosts
-	}
-	return selectRankedTotal(ranked, total, universe, opts)
-}
-
-// selectionHead walks the top of the ranking — it stops at the
-// smallest k reaching φ (or a MinDensity/MaxPrefixes cut), never
-// touching the tail — and fills everything of the Selection except the
-// derived partition, which callers build on their own fast path.
-func selectionHead[A netaddr.Key[A]](ranked []StatOf[A], total int, universe rib.PartOf[A], opts Options) (*SelectionOf[A], error) {
+// selectFrom runs selection steps 4–5 on ranked, this Ranker's
+// materialized ranking, which the Selection shares. The walk stops at
+// the smallest k reaching φ (or a MinDensity/MaxPrefixes cut), never
+// touching the tail. The selected partition is built without a sort:
+// the chosen prefixes' universe indices are collected through a
+// bitmap, which yields them in ascending — already sorted and disjoint
+// — order. It only reads the Ranker, so selections may run
+// concurrently.
+func (r *RankerOf[A]) selectFrom(ranked []StatOf[A], opts Options) (*SelectionOf[A], error) {
+	total := r.total
 	if total == 0 {
 		return nil, fmt.Errorf("core: seed snapshot has no hosts inside the universe")
 	}
@@ -290,29 +197,20 @@ func selectionHead[A netaddr.Key[A]](ranked []StatOf[A], total int, universe rib
 	if spaceF > 0 {
 		sel.SpaceBits = math.Log2(spaceF)
 	}
-	if s := universe.AddressCount(); s > 0 {
+	if s := r.universe.AddressCount(); s > 0 {
 		sel.SpaceShare = float64(sel.Space) / float64(s)
 	}
-	return sel, nil
-}
-
-// selectRankedTotal is selectRanked for callers that already maintain
-// the seed-host total: the O(ranked) re-sum is skipped.
-func selectRankedTotal[A netaddr.Key[A]](ranked []StatOf[A], total int, universe rib.PartOf[A], opts Options) (*SelectionOf[A], error) {
-	sel, err := selectionHead(ranked, total, universe, opts)
-	if err != nil {
-		return nil, err
+	bm := make([]uint64, (r.universe.Len()+63)/64)
+	r.keys.top(sel.K, bm)
+	idx := make([]int32, 0, sel.K)
+	for w, word := range bm {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			idx = append(idx, int32(w<<6+b))
+		}
 	}
-	ps := make([]netaddr.Pfx[A], sel.K)
-	for i := 0; i < sel.K; i++ {
-		ps[i] = ranked[i].Prefix
-	}
-	part, err := rib.NewPartition(ps)
-	if err != nil {
-		// Cannot happen: the universe is disjoint, so any subset is too.
-		return nil, fmt.Errorf("core: internal: %w", err)
-	}
-	sel.part = part
+	sel.part = r.universe.SubsetAscending(idx)
 	return sel, nil
 }
 
@@ -355,9 +253,9 @@ func (s *SelectionOf[A]) Hitrate(snap *census.SnapshotOf[A]) float64 {
 	return float64(snap.CountIn(s.part)) / float64(snap.Hosts())
 }
 
-// CoverageCurve returns, for each rank r (1-based, downsampled to at most
-// points entries), the cumulative host coverage and cumulative space
-// share — the solid and dashed curves of the paper's Figure 4.
+// CurvePoint is one sample of the ranked density/coverage curves: at
+// rank Rank (1-based), the prefix density and the cumulative host
+// coverage and space share.
 type CurvePoint struct {
 	Rank       int
 	Density    float64
@@ -365,8 +263,10 @@ type CurvePoint struct {
 	SpaceShare float64
 }
 
-// CoverageCurve computes the ranked density/coverage curves of Figure 4.
-// points bounds the number of samples (0 means every rank).
+// CoverageCurve returns, for each rank r (1-based, downsampled to at
+// most points entries; 0 means every rank), the cumulative host
+// coverage and cumulative space share — the solid and dashed curves of
+// the paper's Figure 4.
 func CoverageCurve[A netaddr.Key[A]](ranked []StatOf[A], universeSpace uint64, points int) []CurvePoint {
 	if len(ranked) == 0 {
 		return nil

@@ -285,38 +285,7 @@ func TestCoverageCurve(t *testing.T) {
 func TestRankPackedMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		var ps []netaddr.Prefix
-		var addrs []netaddr.Addr
-		base := netaddr.Addr(uint32(10) << 24)
-		for i := 0; i < 40; i++ {
-			bits := 20 + rng.Intn(13) // /20 .. /32
-			p := netaddr.MustPrefixFrom(base, bits)
-			// Align up to the prefix size, then advance past it.
-			size := p.NumAddresses()
-			first := (uint64(base) + size - 1) / size * size
-			if first+size > 1<<32 {
-				break
-			}
-			p = netaddr.MustPrefixFrom(netaddr.Addr(first), bits)
-			base = netaddr.Addr(first + size)
-			ps = append(ps, p)
-			// Host counts biased toward small powers of two so that
-			// c<<len collides across prefixes frequently.
-			c := 1 << rng.Intn(4)
-			if c > int(size) {
-				c = int(size)
-			}
-			if rng.Intn(5) == 0 {
-				c = 0
-			}
-			for k := 0; k < c; k++ {
-				addrs = append(addrs, p.First()+netaddr.Addr(k))
-			}
-		}
-		part, err := rib.NewPartition(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		part, addrs := tieUniverse[netaddr.Addr](rng, 40)
 		seed := census.NewSnapshot("x", 0, addrs)
 		got := RankCached(seed, part, 1, nil)
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/census"
@@ -10,18 +9,20 @@ import (
 	"github.com/tass-scan/tass/internal/rib"
 )
 
-// incPartition builds a universe of 512 /20s with mixed-length holes:
-// enough prefixes that rankings have real structure, small enough that
-// the test stays quick.
-func incPartition(t testing.TB) rib.Partition {
+// incPartitionOf builds a universe of 512 prefixes of length W-12 (a
+// /20 for IPv4) with mixed-length holes: enough prefixes that rankings
+// have real structure, small enough that the test stays quick.
+func incPartitionOf[A netaddr.Key[A]](t testing.TB) rib.PartOf[A] {
 	t.Helper()
-	ps := make([]netaddr.Prefix, 0, 512)
+	var z A
+	hi, _ := familyBase[A]()
+	ps := make([]netaddr.Pfx[A], 0, 512)
 	for i := 0; i < 512; i++ {
-		bits := 20
+		bits := z.Width() - 12
 		if i%7 == 0 {
-			bits = 22 // a sprinkle of longer prefixes for tie shapes
+			bits += 2 // a sprinkle of longer prefixes for tie shapes
 		}
-		ps = append(ps, netaddr.MustPrefixFrom(netaddr.Addr(1<<28+uint32(i)<<12), bits))
+		ps = append(ps, netaddr.MustPfxFrom(z.FromHalves(hi, 1<<28+uint64(i)<<12), bits))
 	}
 	p, err := rib.NewPartition(ps)
 	if err != nil {
@@ -30,36 +31,48 @@ func incPartition(t testing.TB) rib.Partition {
 	return p
 }
 
-func incSnapshot(rng *rand.Rand, month, n int) *census.Snapshot {
-	seen := make(map[netaddr.Addr]bool, n)
-	addrs := make([]netaddr.Addr, 0, n)
+func incPartition(t testing.TB) rib.Partition { return incPartitionOf[netaddr.Addr](t) }
+
+// incAddr returns address off of block block in incPartitionOf's
+// layout; blocks past 511 fall outside the universe.
+func incAddr[A netaddr.Key[A]](block, off int) A {
+	var z A
+	hi, _ := familyBase[A]()
+	return z.FromHalves(hi, 1<<28+uint64(block)<<12+uint64(off))
+}
+
+func incSnapshotOf[A netaddr.Key[A]](rng *rand.Rand, month, n int) *census.SnapshotOf[A] {
+	seen := make(map[A]bool, n)
+	addrs := make([]A, 0, n)
 	for len(addrs) < n {
 		// Concentrate on a few prefixes so densities vary and ties occur.
-		block := rng.Intn(600) // some addresses fall outside the partition
-		a := netaddr.Addr(1<<28 + uint32(block)<<12 + uint32(rng.Intn(64)))
+		a := incAddr[A](rng.Intn(600), rng.Intn(64)) // some addresses fall outside the partition
 		if seen[a] {
 			continue
 		}
 		seen[a] = true
 		addrs = append(addrs, a)
 	}
-	return census.NewSnapshot("x", month, addrs)
+	return census.NewSnapshotOf("x", month, addrs)
 }
 
-func churnSnapshot(rng *rand.Rand, s *census.Snapshot, month int, pDie float64) *census.Snapshot {
-	present := make(map[netaddr.Addr]bool, len(s.Addrs))
+func incSnapshot(rng *rand.Rand, month, n int) *census.Snapshot {
+	return incSnapshotOf[netaddr.Addr](rng, month, n)
+}
+
+func churnSnapshot[A netaddr.Key[A]](rng *rand.Rand, s *census.SnapshotOf[A], month int, pDie float64) *census.SnapshotOf[A] {
+	present := make(map[A]bool, len(s.Addrs))
 	for _, a := range s.Addrs {
 		present[a] = true
 	}
-	var addrs []netaddr.Addr
+	var addrs []A
 	for _, a := range s.Addrs {
 		if rng.Float64() >= pDie {
 			addrs = append(addrs, a)
 		}
 	}
 	for births := int(pDie * float64(len(s.Addrs))); births > 0; {
-		block := rng.Intn(600)
-		a := netaddr.Addr(1<<28 + uint32(block)<<12 + uint32(rng.Intn(64)))
+		a := incAddr[A](rng.Intn(600), rng.Intn(64))
 		if present[a] {
 			continue
 		}
@@ -67,39 +80,20 @@ func churnSnapshot(rng *rand.Rand, s *census.Snapshot, month int, pDie float64) 
 		addrs = append(addrs, a)
 		births--
 	}
-	return census.NewSnapshot("x", month, addrs)
-}
-
-// mustEqualSelections asserts byte-identity of two selections,
-// including the full ranking and the derived partition.
-func mustEqualSelections(t *testing.T, label string, got, want *Selection) {
-	t.Helper()
-	if got.K != want.K || got.SeedHosts != want.SeedHosts ||
-		got.HostCoverage != want.HostCoverage || got.Space != want.Space ||
-		got.SpaceShare != want.SpaceShare {
-		t.Fatalf("%s: selection header diverged:\ngot  K=%d N=%d cov=%v space=%d share=%v\nwant K=%d N=%d cov=%v space=%d share=%v",
-			label, got.K, got.SeedHosts, got.HostCoverage, got.Space, got.SpaceShare,
-			want.K, want.SeedHosts, want.HostCoverage, want.Space, want.SpaceShare)
-	}
-	if len(got.Ranked) != len(want.Ranked) {
-		t.Fatalf("%s: ranking length %d, want %d", label, len(got.Ranked), len(want.Ranked))
-	}
-	for i := range got.Ranked {
-		if got.Ranked[i] != want.Ranked[i] {
-			t.Fatalf("%s: rank %d diverged: got %+v, want %+v", label, i, got.Ranked[i], want.Ranked[i])
-		}
-	}
-	if !slices.Equal(got.Partition().Prefixes(), want.Partition().Prefixes()) {
-		t.Fatalf("%s: selected partitions diverge", label)
-	}
+	return census.NewSnapshotOf("x", month, addrs)
 }
 
 // TestRankerMatchesFullRecompute is the core golden-equality property:
 // a Ranker advanced by monthly deltas produces selections byte-identical
 // to a full SelectCached on every month's snapshot, across seeds,
-// worker counts, churn levels and option shapes.
+// worker counts, churn levels, option shapes and both families.
 func TestRankerMatchesFullRecompute(t *testing.T) {
-	part := incPartition(t)
+	t.Run("ipv4", rankerMatchesFullRecompute[netaddr.Addr])
+	t.Run("ipv6", rankerMatchesFullRecompute[netaddr.Addr6])
+}
+
+func rankerMatchesFullRecompute[A netaddr.Key[A]](t *testing.T) {
+	part := incPartitionOf[A](t)
 	grids := []Options{
 		{Phi: 0.95},
 		{Phi: 1},
@@ -109,7 +103,7 @@ func TestRankerMatchesFullRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, workers := range []int{1, 2, 8} {
 			rng := rand.New(rand.NewSource(seed))
-			snap := incSnapshot(rng, 0, 4000)
+			snap := incSnapshotOf[A](rng, 0, 4000)
 			r, err := NewRanker(snap, part, workers, nil)
 			if err != nil {
 				t.Fatal(err)

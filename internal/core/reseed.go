@@ -14,10 +14,9 @@ import (
 //
 // An incremental Reseeder counts its first snapshot once into a Ranker
 // and repairs that ranking from each later delta; otherwise every
-// Select recounts its snapshot with SelectCached. A universe too large
-// for the packed ranking (2^25 prefixes or more) always recounts. Every
-// selection is byte-identical to SelectCached on the latest snapshot,
-// whichever path computed it.
+// Select recounts its snapshot with SelectCached. Every selection is
+// byte-identical to SelectCached on the latest snapshot, whichever path
+// computed it.
 //
 // A Reseeder is single-goroutine state.
 type Reseeder struct {
@@ -41,7 +40,7 @@ func NewReseeder(universe rib.Partition, opts Options, workers int, cache *censu
 		opts:        opts,
 		workers:     workers,
 		cache:       cache,
-		incremental: incremental && universe.Len() < maxPackedPrefixes,
+		incremental: incremental,
 	}
 }
 

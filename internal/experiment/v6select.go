@@ -84,15 +84,20 @@ func V6Select(w *World) (Result, error) {
 	}
 	universeBits := math.Log2(uSpace)
 
+	// One ranking serves the whole φ grid.
+	grid := make([]core.Options, len(Phis))
+	for i, phi := range Phis {
+		grid[i] = core.Options{Phi: phi}
+	}
+	sels, err := core.SelectManyCached(seed, u, grid, 1, nil)
+	if err != nil {
+		return Result{}, err
+	}
 	var tb stats.Table
 	tb.AddRow("φ", "K", "coverage", "space bits", "universe bits")
-	for _, phi := range Phis {
-		sel, err := core.SelectCached(seed, u, core.Options{Phi: phi}, 1, nil)
-		if err != nil {
-			return Result{}, err
-		}
+	for i, sel := range sels {
 		tb.AddRow(
-			fmt.Sprintf("%.2f", phi),
+			fmt.Sprintf("%.2f", Phis[i]),
 			fmt.Sprintf("%d", sel.K),
 			fmt.Sprintf("%.3f", sel.HostCoverage),
 			fmt.Sprintf("%.2f", sel.SpaceBits),

@@ -236,9 +236,9 @@ func findBlockZeroFlip(t *testing.T, path string) int64 {
 }
 
 // TestSelectionOverDamagedSnapshot drives the top of the stack: target
-// selection over a lazily-read snapshot with a damaged payload block
-// fails loudly under FailFast and completes (reporting the skipped
-// block) under Degrade.
+// selection — single and over a φ grid — over a lazily-read snapshot
+// with a damaged payload block fails loudly under FailFast and
+// completes (reporting the skipped block) under Degrade.
 func TestSelectionOverDamagedSnapshot(t *testing.T) {
 	snap := chaosSnapshot(t, 4000)
 	dir := t.TempDir()
@@ -274,6 +274,10 @@ func TestSelectionOverDamagedSnapshot(t *testing.T) {
 	if _, err := core.SelectCached(failfast, part, core.Options{Phi: 1}, 2, census.NewCountCache()); err == nil {
 		t.Fatal("selection over damaged snapshot succeeded under FailFast")
 	}
+	grid := []core.Options{{Phi: 1}, {Phi: 0.5}}
+	if _, err := core.SelectManyCached(failfast, part, grid, 2, census.NewCountCache()); err == nil {
+		t.Fatal("grid selection over damaged snapshot succeeded under FailFast")
+	}
 
 	degraded, err := census.OpenSnapshotFile(path)
 	if err != nil {
@@ -290,5 +294,15 @@ func TestSelectionOverDamagedSnapshot(t *testing.T) {
 	}
 	if len(degraded.StorageFaults()) == 0 {
 		t.Fatal("degraded selection reported no storage faults")
+	}
+	sels, err := core.SelectManyCached(degraded, part, grid, 2, census.NewCountCache())
+	if err != nil {
+		t.Fatalf("degraded grid selection failed: %v", err)
+	}
+	if len(sels) != len(grid) || sels[0].K != sel.K {
+		t.Fatalf("degraded grid selection diverged from the single selection: %d plans", len(sels))
+	}
+	if len(degraded.StorageFaults()) == 0 {
+		t.Fatal("degraded grid selection reported no storage faults")
 	}
 }

@@ -285,6 +285,11 @@ func (p PartOf[A]) FirstAt(i int) A { return p.firsts[i] }
 // construction-time cache as FirstAt.
 func (p PartOf[A]) LastAt(i int) A { return p.lasts[i] }
 
+// Bounds returns the construction-time caches behind FirstAt and
+// LastAt, indexed like Prefix(i). The slices are shared; do not modify
+// them.
+func (p PartOf[A]) Bounds() (firsts, lasts []A) { return p.firsts, p.lasts }
+
 // AddressCount returns the total number of addresses covered,
 // saturating at the maximum uint64 (IPv6 partitions routinely exceed
 // it; use SpaceBits accounting there instead).

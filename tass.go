@@ -164,8 +164,8 @@ type (
 // NewIncrementalSelector counts seed over universe once (sharded over
 // workers goroutines, memoized in cache — both as in SelectCached) and
 // returns the selector that keeps that ranking current under deltas.
-// It errors for universes of 2^25 prefixes or more; fall back to
-// SelectCached there.
+// Like SelectCached, it refuses a lazy seed whose storage faulted
+// during the count unless the snapshot opted into degraded reads.
 func NewIncrementalSelector(seed *Snapshot, universe Partition, workers int, cache *CountCache) (*IncrementalSelector, error) {
 	return core.NewRanker(seed, universe, workers, cache)
 }

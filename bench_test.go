@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -547,7 +548,9 @@ func scanCycleTargets(b *testing.B) rib.Partition {
 // permutation, handing every address to workers through a channel,
 // mutex-guarded report). The sharded engine gives each worker a private
 // slice of the permutation cycle, so throughput scales with workers;
-// the baseline is bound by the feeder and the channel handoff.
+// the baseline is bound by the feeder and the channel handoff. The
+// campaign-politeness case runs the scanner the way the end-to-end
+// campaign workload does.
 func BenchmarkScanCycle(b *testing.B) {
 	targets := scanCycleTargets(b)
 	for _, workers := range []int{1, 4, 8} {
@@ -573,6 +576,42 @@ func BenchmarkScanCycle(b *testing.B) {
 			}
 		})
 	}
+	// The campaign workload's scanner: a lossy SimProber, the global and
+	// per-AS limiters on every probe (rates far above what the workers
+	// reach, so pacing never sleeps), per-AS footprint accounting and a
+	// 16-prefix blocklist. The limiter bench explains what pacing adds.
+	b.Run("campaign-politeness/workers=2", func(b *testing.B) {
+		w := world(b)
+		prober, err := scan.NewSimProber(w.Series["ftp"].At(1).Addrs, 0.03, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		origins := w.U.Table.OriginsOf(targets)
+		exclude := campaignBlocklist(targets)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, err := scan.New(scan.Config{
+				Targets:    targets,
+				Prober:     prober,
+				Rate:       1e9,
+				Workers:    2,
+				Seed:       int64(i),
+				Exclude:    exclude,
+				Politeness: scan.Politeness{ASRate: 1e9, Footprint: true, Origins: origins},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			report, err := s.Run(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if report.Probed+report.Excluded != targets.AddressCount() {
+				b.Fatalf("probed %d and excluded %d of %d", report.Probed, report.Excluded, targets.AddressCount())
+			}
+		}
+	})
 	b.Run("baseline-channel/workers=8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -585,6 +624,21 @@ func BenchmarkScanCycle(b *testing.B) {
 			}
 		}
 	})
+}
+
+// campaignBlocklist is the campaign workload's operator blocklist scaled
+// to a plan: 16 prefixes, one at the start of every sixteenth of the
+// plan's span, each about 1/2048 of it.
+func campaignBlocklist(targets rib.Partition) []netaddr.Prefix {
+	first, last := targets.Prefix(0).First(), targets.Prefix(targets.Len()-1).Last()
+	span := uint64(last-first) + 1
+	size := max(span/2048, 1)
+	length := 33 - bits.Len64(size) // the largest power of two ≤ size
+	var out []netaddr.Prefix
+	for k := uint64(0); k < 16; k++ {
+		out = append(out, netaddr.MustPrefixFrom(first+netaddr.Addr(k*(span/16)), length))
+	}
+	return out
 }
 
 // channelFedCycle reproduces the pre-sharding engine for the baseline

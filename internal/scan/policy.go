@@ -143,12 +143,35 @@ func (b *bucket) take(now float64) float64 {
 	}
 }
 
-// untake returns a canceled reservation. The burst cap is applied by the
-// next take, so the refund itself needs no clock.
-func (b *bucket) untake() {
+// claim is take for a batch: in one CAS it takes every token already due
+// at time now, up to k, and returns how many it took and the instant the
+// refill covers the bucket's debt, at or before now. When no token is
+// due it reserves one exactly as take does, and that instant lies past
+// now; so at k = 1 it is take.
+func (b *bucket) claim(now float64, k int) (int, float64) {
 	for {
 		old := b.tat.Load()
-		tat := math.Float64frombits(old) - b.currentInterval()
+		iv := b.currentInterval()
+		base := max(math.Float64frombits(old), now-b.burst*iv)
+		// base ≥ now-burst·iv, so at most burst tokens are due. The
+		// quotient can round up: step back until the last one is due.
+		n := max(1, min(k, int((now-base)/iv)))
+		for n > 1 && base+float64(n)*iv > now {
+			n--
+		}
+		tat := base + float64(n)*iv
+		if b.tat.CompareAndSwap(old, math.Float64bits(tat)) {
+			return n, tat
+		}
+	}
+}
+
+// untake returns n canceled or unused reservations. The burst cap is
+// applied by the next take, so the refund itself needs no clock.
+func (b *bucket) untake(n int) {
+	for {
+		old := b.tat.Load()
+		tat := math.Float64frombits(old) - float64(n)*b.currentInterval()
 		if b.tat.CompareAndSwap(old, math.Float64bits(tat)) {
 			return
 		}
@@ -189,11 +212,14 @@ func (b *bucket) retune(now, rate float64) {
 // The probe path takes no lock: Wait reads the clock once, resolves its
 // buckets through atomic per-prefix caches, and takes each token with a
 // CAS; only a Wait that must sleep reads the clock again, to sleep until
-// its slot. mu guards only what is rare — lazy bucket creation and rate
-// changes. Per-AS buckets are created lazily on first probe into the AS
-// (a 2^32 scan over ~70 k ASes allocates only what it touches), and
-// per-prefix buckets likewise. SetASRate and the Observe backoff path
-// retune a single AS's rate while a cycle runs.
+// its slot. A scanner worker paces through a pacer instead, which shares
+// one clock reading and one global claim among a batch of probes; Wait
+// is the same path with a batch of one. mu guards only what is rare —
+// lazy bucket creation and rate changes. Per-AS buckets are created
+// lazily on first probe into the AS (a 2^32 scan over ~70 k ASes
+// allocates only what it touches), and per-prefix buckets likewise.
+// SetASRate and the Observe backoff path retune a single AS's rate
+// while a cycle runs.
 type PolicyLimiter struct {
 	mu    sync.Mutex // guards bucket creation (as, caches) and rate changes
 	epoch time.Time  // zero of the monotonic limiter clock
@@ -353,13 +379,68 @@ func (p *PolicyLimiter) pfxBucketFor(pfxIdx int) *bucket {
 // context is canceled (the reservations are returned). One sleep covers
 // the deepest debt across all configured levels.
 func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
-	now := p.clock()
+	pc := pacer{p: p, k: 1}
+	return pc.wait(ctx, pfxIdx)
+}
+
+// paceBatch is the most limiter passes one clock reading serves, and the
+// most global tokens one claim takes.
+const paceBatch = 16
+
+// paceSpan caps what one pacer's credit may stand for at the global
+// rate. Credit one worker holds is time the others cannot use, and a
+// batch only pays where a clock read is a real share of the interval:
+// below 2000 probes/s, every probe reads the clock and takes one token,
+// as Wait does.
+const paceSpan = time.Millisecond
+
+// pacer is one goroutine's handle on a PolicyLimiter. It batches what
+// every probe would otherwise pay for: one clock reading serves k
+// consecutive passes, and one CAS on the shared global bucket claims up
+// to k tokens that are already due at that reading, kept as local credit.
+// The per-AS and per-prefix levels still take one token per probe, at the
+// batch's reading.
+//
+// A reading is never later than the true time, so a stale one can only
+// make the pacer stricter: a token it finds due was due. Credit never
+// outlives its batch, since a claim takes at most the batch's remaining
+// passes, and goes back before any sleep and in release. So a worker
+// never holds a future slot, and in any window [a, b] a level at a fixed
+// rate sends at most burst + (b−a)/interval + W·k probes across W pacers.
+type pacer struct {
+	p      *PolicyLimiter
+	k      int     // passes per batch, 1 ≤ k ≤ paceBatch
+	now    float64 // the batch's clock reading
+	left   int     // passes the reading still serves
+	credit int     // global tokens claimed and not yet used
+}
+
+// wait is Wait for the pacer's next probe.
+func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
+	p := c.p
+	if c.left == 0 {
+		c.now, c.left = p.clock(), c.k
+	}
+	c.left--
+	now := c.now
 	var taken [3]*bucket
 	n := 0
+	deadline := now // the deepest level's debt-clear instant
 	if p.global != nil {
 		taken[n] = p.global
 		n++
+		switch {
+		case c.credit > 0:
+			c.credit--
+		case c.left == 0: // a claim of one is a take
+			deadline = max(deadline, p.global.take(now))
+		default:
+			got, tat := p.global.claim(now, c.left+1)
+			c.credit = got - 1
+			deadline = max(deadline, tat)
+		}
 	}
+	lower := n // the per-AS and per-prefix levels take one token each
 	if p.asRate > 0 {
 		taken[n] = p.asBucketFor(pfxIdx)
 		n++
@@ -368,18 +449,21 @@ func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
 		taken[n] = p.pfxBucketFor(pfxIdx)
 		n++
 	}
-	deadline := now // the deepest level's debt-clear instant
-	for _, b := range taken[:n] {
+	for _, b := range taken[lower:n] {
 		deadline = max(deadline, b.take(now))
 	}
 	if deadline <= now {
 		return nil
 	}
-	// now was read before the CASes. A waiter delayed in between sees the
-	// reservations of waiters that read the clock later as debt against
-	// its older reading, so sleep until the slot by a fresh reading: the
-	// slot may already have passed.
-	wait := deadline - p.clock()
+	c.release()
+	// now was read before the CASes, maybe several probes ago. A waiter
+	// delayed in between sees the reservations of waiters that read the
+	// clock later as debt against its older reading, so sleep until the
+	// slot by a fresh reading, which starts a new batch: the slot may
+	// already have passed.
+	fresh := p.clock()
+	c.now, c.left = fresh, c.k-1
+	wait := deadline - fresh
 	if wait <= 0 {
 		return nil
 	}
@@ -389,11 +473,20 @@ func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
 	}
 	if err := p.sleep(ctx, d); err != nil {
 		for _, b := range taken[:n] {
-			b.untake()
+			b.untake(1)
 		}
 		return err
 	}
 	return nil
+}
+
+// release returns the pacer's unused global credit in one CAS. A worker
+// calls it when it leaves its loop; wait calls it before any sleep.
+func (c *pacer) release() {
+	if c.credit > 0 {
+		c.p.global.untake(c.credit)
+		c.credit = 0
+	}
 }
 
 // Observe feeds one probe outcome into the backoff detector and reports

@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -198,19 +199,34 @@ func mutexNeedNs(p *mutexPolicy, pfx int, nowNs int64) float64 {
 // and both wake at i+1. The hierarchy case therefore checks every level
 // separately: each handed out exactly k·m slots (its balance is exactly
 // -k·m), and every sleep is one of them.
+//
+// The batched cases give each goroutine its own pacer claiming up to
+// batch global tokens at once, with a global burst of k·batch. Every
+// goroutine releases its credit only once all are done, so no refund can
+// hand a sleeper's slot out again, and the global-only sleeps must still
+// be exactly the slots past the burst plus whatever credit was left over.
+// Under the hierarchy the credit goes back before every sleep. Either
+// way each level's balance after the releases counts every probe once.
 func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 	const k, m = 8, 64
 	const interval = 10 * time.Millisecond // rate 100
+	const batch = 4
 	for _, tc := range []struct {
 		name  string
 		cfg   PolicyConfig
+		batch int  // 0: every goroutine calls Wait
 		exact bool // one level: the sleeps are exactly the slots
 	}{
-		{"global", PolicyConfig{Rate: 100, Burst: 1}, true},
+		{"global", PolicyConfig{Rate: 100, Burst: 1}, 0, true},
 		{"hierarchy", PolicyConfig{
 			Rate: 100, Burst: 1, ASRate: 100, ASBurst: 1, PrefixRate: 100, PrefixBurst: 1,
 			Origins: []uint32{7}, Prefixes: 1,
-		}, false},
+		}, 0, false},
+		{"global-batched", PolicyConfig{Rate: 100, Burst: k * batch}, batch, true},
+		{"hierarchy-batched", PolicyConfig{
+			Rate: 100, Burst: k * batch, ASRate: 100, ASBurst: 1, PrefixRate: 100, PrefixBurst: 1,
+			Origins: []uint32{7}, Prefixes: 1,
+		}, batch, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, _, _ := virtualPolicy(t, tc.cfg)
@@ -223,24 +239,50 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 				return nil // the clock stays frozen
 			}
 			if err := p.Wait(context.Background(), 0); err != nil {
-				t.Fatal(err) // the burst token
+				t.Fatal(err) // the first burst token
 			}
-			var wg sync.WaitGroup
+			var wg, done sync.WaitGroup
+			done.Add(k)
 			for g := 0; g < k; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					pc := pacer{p: p, k: max(tc.batch, 1)}
 					for i := 0; i < m; i++ {
-						if err := p.Wait(context.Background(), 0); err != nil {
+						var err error
+						if tc.batch == 0 {
+							err = p.Wait(context.Background(), 0)
+						} else {
+							err = pc.wait(context.Background(), 0)
+						}
+						if err != nil {
 							t.Error(err)
-							return
+							break
 						}
 					}
+					done.Done()
+					done.Wait()
+					pc.release()
 				}()
 			}
 			wg.Wait()
-			if len(slept) != k*m {
-				t.Fatalf("%d sleeps for %d waits", len(slept), k*m)
+			levels := []*bucket{p.global}
+			if p.asRate > 0 {
+				levels = append(levels, p.asByPfx[0].Load(), p.pfx[0].Load())
+			}
+			// Each level starts with its burst; the first Wait and the k·m
+			// probes took one token each.
+			now := p.clock()
+			for _, b := range levels {
+				if want := b.burst - 1 - k*m; b.balance(now) != want {
+					t.Fatalf("bucket balance %v after %d probes, want %v", b.balance(now), k*m+1, want)
+				}
+			}
+			// Past its burst every probe sleeps; a global token held as
+			// credit and released at the end makes one more probe sleep.
+			past := k*m + 1 - int(p.global.burst)
+			if len(slept) < past || tc.batch == 0 && len(slept) != past {
+				t.Fatalf("%d sleeps for %d probes past the burst", len(slept), past)
 			}
 			sort.Slice(slept, func(i, j int) bool { return slept[i] < slept[j] })
 			for i, d := range slept {
@@ -252,19 +294,149 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 					t.Fatalf("sleep %v is not one of the %d slots", d, k*m)
 				}
 			}
-			if last := slept[len(slept)-1]; last != k*m*interval {
+			if last := slept[len(slept)-1]; tc.batch == 0 && last != k*m*interval {
 				t.Fatalf("last wake at %v, want %v", last, k*m*interval)
 			}
-			levels := []*bucket{p.global}
-			if p.asRate > 0 {
-				levels = append(levels, p.asByPfx[0].Load(), p.pfx[0].Load())
+		})
+	}
+}
+
+// TestPolicyLimiterBatchedWindowBound runs W goroutines, each with its own
+// pacer claiming up to k global tokens, against a virtual clock that the
+// probes themselves advance, with the odd idle gap that lets the buckets
+// refill to their cap. Per level (the global bucket, each AS, each
+// prefix), over the send times:
+//   - no level ever sends before its slot: by time t a level has sent at
+//     most burst + t/interval probes;
+//   - every window [a, b] holds at most burst + (b−a)/interval + W·k
+//     sends, the W·k being the probes that read the clock before a;
+//   - after every worker has released, no pacer holds credit, and the
+//     sends plus the balance left never exceed what the rate minted.
+func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
+	const workers, k, m = 4, 4, 400
+	const probeNs = 300_000 // a probe takes up to 0.3 ms: demand far above every rate
+	for _, tc := range []struct {
+		name              string
+		rate, asRate, pfx float64
+	}{
+		{"global-binds", 1000, 1000, 500},
+		{"lower-levels-bind", 5000, 400, 250},
+	} {
+		cfg := PolicyConfig{
+			Rate: tc.rate, Burst: workers * k,
+			ASRate: tc.asRate, ASBurst: 4,
+			PrefixRate: tc.pfx, PrefixBurst: 2,
+			Origins:  []uint32{10, 10, 20, 20, 30, 30},
+			Prefixes: 6,
+		}
+		ivOf := func(rate float64) time.Duration { return time.Duration(1e9 / rate) }
+		for seed := int64(1); seed <= 8; seed++ {
+			p, clock, _ := virtualPolicy(t, cfg)
+			start := clock.now()
+			p.clock() // the limiter clock's zero is start
+			type send struct {
+				at  time.Duration
+				pfx int
 			}
-			now := p.clock()
-			for _, b := range levels {
-				if b.balance(now) != -k*m {
-					t.Fatalf("bucket balance %v after %d reserved slots, want %d", b.balance(now), k*m, -k*m)
+			sends := make([][]send, workers)
+			pacers := make([]pacer, workers)
+			// A pass (wait, send, probe time) runs whole, so a send's time
+			// is exactly when its wait returned; the workers' passes still
+			// interleave in any order.
+			var pass sync.Mutex
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed*100 + int64(w)))
+					pacers[w] = pacer{p: p, k: k}
+					pc := &pacers[w]
+					defer pc.release()
+					for i := 0; i < m; i++ {
+						pfx := rng.Intn(cfg.Prefixes)
+						pass.Lock()
+						err := pc.wait(context.Background(), pfx)
+						sends[w] = append(sends[w], send{clock.now().Sub(start), pfx})
+						// Now and then the worker idles.
+						d := time.Duration(rng.Int63n(probeNs))
+						if rng.Intn(200) == 0 {
+							d = time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
+						}
+						clock.advance(d)
+						pass.Unlock()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			end := clock.now().Sub(start)
+
+			type level struct {
+				name  string
+				b     *bucket
+				burst int
+				iv    time.Duration
+				at    []time.Duration
+			}
+			global := &level{name: "global", b: p.global, burst: cfg.Burst, iv: ivOf(cfg.Rate)}
+			levels := []*level{global}
+			byAS := map[uint32]*level{}
+			byPfx := map[int]*level{}
+			for _, sl := range sends {
+				for _, s := range sl {
+					global.at = append(global.at, s.at)
+					as := cfg.Origins[s.pfx]
+					if byAS[as] == nil {
+						byAS[as] = &level{name: fmt.Sprintf("AS%d", as), b: p.asByPfx[s.pfx].Load(), burst: cfg.ASBurst, iv: ivOf(cfg.ASRate)}
+						levels = append(levels, byAS[as])
+					}
+					byAS[as].at = append(byAS[as].at, s.at)
+					if byPfx[s.pfx] == nil {
+						byPfx[s.pfx] = &level{name: fmt.Sprintf("prefix %d", s.pfx), b: p.pfx[s.pfx].Load(), burst: cfg.PrefixBurst, iv: ivOf(cfg.PrefixRate)}
+						levels = append(levels, byPfx[s.pfx])
+					}
+					byPfx[s.pfx].at = append(byPfx[s.pfx].at, s.at)
 				}
 			}
-		})
+			if len(global.at) != workers*m {
+				t.Fatalf("%s seed %d: %d sends, want %d", tc.name, seed, len(global.at), workers*m)
+			}
+			for w := range pacers {
+				if c := pacers[w].credit; c != 0 {
+					t.Fatalf("%s seed %d: worker %d kept %d tokens of credit", tc.name, seed, w, c)
+				}
+			}
+			for _, l := range levels {
+				at := l.at
+				sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
+				// The i-th send (from 1) is due no earlier than (i−burst)·iv.
+				for i, t0 := range at {
+					if slot := time.Duration(i+1-l.burst) * l.iv; t0 < slot {
+						t.Fatalf("%s seed %d %s: send %d at %v, before its slot %v", tc.name, seed, l.name, i+1, t0, slot)
+					}
+				}
+				// Window [at[i], at[j]] holds j−i+1 sends. Its slack against the
+				// bound, in intervals, is maximal for the i maximizing
+				// at[i]/iv − i, which a running maximum tracks.
+				best := math.Inf(-1)
+				for j, tj := range at {
+					best = max(best, float64(at[j])/float64(l.iv)-float64(j))
+					if excess := float64(j+1) - float64(tj)/float64(l.iv) + best - float64(l.burst+workers*k); excess > 1e-9 {
+						t.Fatalf("%s seed %d %s: a window ending at %v holds %.3g sends over its bound", tc.name, seed, l.name, tj, excess)
+					}
+				}
+				// Sends plus the tokens still available never exceed the burst
+				// plus what the rate minted since the start: no credit was
+				// created.
+				now := p.clock()
+				if got, minted := float64(len(at))+l.b.balance(now), float64(l.burst)+float64(end)/float64(l.iv); got > minted+1e-9 {
+					t.Fatalf("%s seed %d %s: %d sends and a balance of %.3f exceed the %.3f tokens minted", tc.name, seed, l.name, len(at), l.b.balance(now), minted)
+				}
+			}
+		}
 	}
 }

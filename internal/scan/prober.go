@@ -62,8 +62,17 @@ func NewSimProber(responsive []netaddr.Addr, lossRate float64, seed int64) (*Sim
 // Probe implements Prober.
 func (s *SimProber) Probe(_ context.Context, addr netaddr.Addr) (Result, error) {
 	res := Result{Addr: addr}
-	i := sort.Search(len(s.addrs), func(i int) bool { return s.addrs[i] >= addr })
-	live := i < len(s.addrs) && s.addrs[i] == addr
+	// A hand-rolled lower bound, like addrAt's: this runs once per probe.
+	lo, hi := 0, len(s.addrs) // first i with addrs[i] >= addr
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.addrs[mid] < addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	live := lo < len(s.addrs) && s.addrs[lo] == addr
 	// Deterministic per-address randomness: hash the address with the
 	// seed (splitmix64 finalizer).
 	h := uint64(addr) + uint64(s.seed)*0x9E3779B97F4A7C15

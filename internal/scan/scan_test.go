@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -193,6 +195,28 @@ func TestSimProber(t *testing.T) {
 	if _, err := NewSimProber(nil, 1.5, 1); err == nil {
 		t.Error("bad loss rate accepted")
 	}
+	// Every address of a /24 and its neighbours, against a map: the
+	// lower-bound search at both ends and between live hosts.
+	rng := rand.New(rand.NewSource(3))
+	block := pfx("10.0.1.0/24")
+	want := map[netaddr.Addr]bool{}
+	for i := 0; i < 40; i++ {
+		want[block.First()+netaddr.Addr(rng.Intn(256))] = true
+	}
+	want[block.First()], want[block.Last()] = true, true
+	var hosts []netaddr.Addr
+	for a := range want {
+		hosts = append(hosts, a)
+	}
+	p, err = NewSimProber(hosts, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := block.First() - 2; a <= block.Last()+2; a++ {
+		if res, err := p.Probe(context.Background(), a); err != nil || res.Open != want[a] {
+			t.Fatalf("probe %v: %+v, %v; want open %v", a, res, err, want[a])
+		}
+	}
 }
 
 func TestSimProberLossDeterministic(t *testing.T) {
@@ -305,6 +329,143 @@ func TestScannerMaxProbesAndCancel(t *testing.T) {
 	if _, err := s2.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled run: %v", err)
 	}
+}
+
+// TestScannerMaxProbesSleepsForNoSlot: the MaxProbes slot is reserved
+// before the limiter, so once the budget is spent no worker sleeps for a
+// token it would drop, and a wait that fails gives its slot back.
+func TestScannerMaxProbesSleepsForNoSlot(t *testing.T) {
+	part, _ := rib.NewPartition([]netaddr.Prefix{pfx("10.0.0.0/24")})
+	prober, _ := NewSimProber(nil, 0, 1)
+	for _, workers := range []int{1, 4} {
+		s := mustScanner(t, Config{Targets: part, Prober: prober, Seed: 1, Workers: workers,
+			MaxProbes: 1, Rate: 10, Burst: 1})
+		var sleeps atomic.Int64
+		s.policy.sleep = func(ctx context.Context, d time.Duration) error {
+			sleeps.Add(1)
+			return nil
+		}
+		report, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Probed != 1 || sleeps.Load() != 0 {
+			t.Errorf("%d workers: probed %d with %d sleeps, want 1 probe (the burst token) and no sleep", workers, report.Probed, sleeps.Load())
+		}
+	}
+
+	// The second probe's wait is canceled: its slot goes back, so the
+	// report counts the one probe sent.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := mustScanner(t, Config{Targets: part, Prober: prober, Seed: 1, Workers: 1,
+		MaxProbes: 5, Rate: 10, Burst: 1})
+	s.policy.sleep = func(ctx context.Context, d time.Duration) error {
+		cancel()
+		return ctx.Err()
+	}
+	report, err := s.Run(ctx)
+	if !errors.Is(err, context.Canceled) || report.Probed != 1 {
+		t.Errorf("canceled wait: probed %d, %v; want 1, context.Canceled", report.Probed, err)
+	}
+}
+
+// TestScannerReleasesPacerCredit: at a rate where workers batch, each
+// claims up to 16 global tokens at once but probes only the half of its
+// shard that is not excluded. The credit left over goes back when the
+// workers exit, so on a frozen clock the bucket ends holding exactly the
+// burst minus the probes sent, and no worker slept.
+func TestScannerReleasesPacerCredit(t *testing.T) {
+	part, _ := rib.NewPartition([]netaddr.Prefix{pfx("10.0.0.0/26")})
+	prober, _ := NewSimProber(nil, 0, 1)
+	s := mustScanner(t, Config{Targets: part, Prober: prober, Seed: 2, Workers: 4,
+		Rate: 1e6, Burst: 64, Exclude: []netaddr.Prefix{pfx("10.0.0.32/27")}})
+	clock := newFakeClock()
+	var sleeps atomic.Int64
+	s.policy.now = clock.now
+	s.policy.sleep = func(ctx context.Context, d time.Duration) error {
+		sleeps.Add(1)
+		return nil
+	}
+	report, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Probed != 32 || sleeps.Load() != 0 {
+		t.Fatalf("probed %d with %d sleeps, want 32 and none", report.Probed, sleeps.Load())
+	}
+	if b := s.policy.global.balance(s.policy.clock()); b != 64-32 {
+		t.Errorf("global bucket holds %v tokens after 32 probes from a burst of 64, want 32", b)
+	}
+}
+
+// TestScannerAddrAtMatchesSearch compares the two-level addrAt with a
+// sort.Search over the cumulative sizes, at every target boundary ±1 and
+// at random indices, over one prefix, all /32s, mixed lengths and a /0.
+func TestScannerAddrAtMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var slash32s, mixed []netaddr.Prefix
+	for i := 0; i < 1000; i++ {
+		slash32s = append(slash32s, netaddr.MustPrefixFrom(pfx("10.0.0.0/8").First()+netaddr.Addr(rng.Intn(1<<24)), 32))
+	}
+	// Random lengths from /8 to /32, each at a random aligned spot of
+	// its own /8, so they cannot overlap.
+	for i := 0; i < 200; i++ {
+		bits := 8 + rng.Intn(25)
+		off := netaddr.Addr(rng.Intn(1<<24)) &^ (1<<(32-bits) - 1)
+		mixed = append(mixed, netaddr.MustPrefixFrom(netaddr.Addr(i+1)<<24+off, bits))
+	}
+	for _, tc := range []struct {
+		name string
+		ps   []netaddr.Prefix
+	}{
+		{"one-prefix", []netaddr.Prefix{pfx("192.0.2.0/24")}},
+		{"all-/32", dedupPrefixes(slash32s)},
+		{"mixed", mixed},
+		{"slash-0", []netaddr.Prefix{pfx("0.0.0.0/0")}},
+	} {
+		part, err := rib.NewPartition(tc.ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prober, _ := NewSimProber(nil, 0, 1)
+		s := mustScanner(t, Config{Targets: part, Prober: prober})
+		if len(s.top) > part.Len()+1 {
+			t.Errorf("%s: top table has %d entries for %d targets", tc.name, len(s.top), part.Len())
+		}
+		n := part.AddressCount()
+		check := func(idx uint64) {
+			i := sort.Search(len(s.cum), func(i int) bool { return s.cum[i] > idx })
+			want := part.Prefix(i).First() + netaddr.Addr(idx-(s.cum[i]-part.Prefix(i).NumAddresses()))
+			if got, gi := s.addrAt(idx); got != want || gi != i {
+				t.Fatalf("%s: addrAt(%d) = %v, %d; want %v, %d", tc.name, idx, got, gi, want, i)
+			}
+		}
+		for _, c := range s.cum {
+			for _, idx := range []uint64{c - 1, c, c + 1} {
+				if idx < n {
+					check(idx)
+				}
+			}
+		}
+		check(0)
+		for i := 0; i < 10000; i++ {
+			check(uint64(rng.Int63n(int64(n))))
+		}
+	}
+}
+
+// dedupPrefixes drops repeated prefixes.
+func dedupPrefixes(ps []netaddr.Prefix) []netaddr.Prefix {
+	seen := map[netaddr.Prefix]bool{}
+	var out []netaddr.Prefix
+	for _, p := range ps {
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func TestScannerErrorAccounting(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -102,7 +103,11 @@ func (r *Report) Hitrate() float64 {
 // the PolicyLimiter paces with CAS token buckets.
 type Scanner struct {
 	cfg Config
-	cum []uint64 // cumulative target sizes for index→address mapping
+	// cum holds the cumulative target sizes for index→address mapping;
+	// top[j] is the target holding index j<<shift (see addrAt).
+	cum   []uint64
+	top   []int32
+	shift uint
 	// exclude is swapped atomically by SetExclusions, so a reloaded
 	// list takes effect mid-cycle without pausing the workers.
 	exclude   atomic.Pointer[exclusionList]
@@ -153,6 +158,7 @@ func New(cfg Config) (*Scanner, error) {
 		cum += cfg.Targets.Prefix(i).NumAddresses()
 		s.cum[i] = cum
 	}
+	s.buildTop()
 	s.SetExclusions(cfg.Exclude)
 	if cfg.Rate > 0 || pol.ASRate > 0 || pol.PrefixRate > 0 || pol.Backoff.Threshold > 0 {
 		// One pacer for every level: a global-only Rate is a
@@ -260,14 +266,36 @@ func (s *Scanner) Policy() *PolicyLimiter {
 	return s.policy
 }
 
+// buildTop indexes cum by the top bits of a permutation index: a window
+// of 2^shift indices per entry, with shift chosen so the table has about
+// one entry per target. Entry j is the target holding index j<<shift; the
+// last entry, past the end of the space, is the last target.
+func (s *Scanner) buildTop() {
+	n := s.cum[len(s.cum)-1]
+	s.shift = uint(bits.Len64((n - 1) / uint64(len(s.cum))))
+	s.top = make([]int32, (n-1)>>s.shift+2)
+	i := 0
+	for j := range s.top {
+		for i < len(s.cum)-1 && s.cum[i] <= uint64(j)<<s.shift {
+			i++
+		}
+		s.top[j] = int32(i)
+	}
+}
+
 // addrAt maps a permutation index to the target address space, returning
 // the address and the index of the target prefix containing it (the key
 // into the politeness layer's origin mapping). It runs once per probe on
-// every worker, so the binary search is hand-rolled: sort.Search's
-// closure call costs more than the whole loop here.
+// every worker: the top table narrows the search to the few targets that
+// share the index's window, and the binary search over them is
+// hand-rolled, since sort.Search's closure call costs more than the whole
+// loop here.
 func (s *Scanner) addrAt(idx uint64) (netaddr.Addr, int) {
 	cum := s.cum
-	lo, hi := 0, len(cum) // first i with cum[i] > idx
+	j := idx >> s.shift
+	// The target holding idx lies in [top[j], top[j+1]]: cum[top[j+1]]
+	// exceeds (j+1)<<shift, so it exceeds idx.
+	lo, hi := int(s.top[j]), int(s.top[j+1]) // first i with cum[i] > idx
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if cum[mid] > idx {
@@ -345,6 +373,13 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 		stop.Store(true)
 	}
 
+	// A worker's pacer claims up to paceK global tokens at once, so the
+	// credit held across all workers never exceeds one burst, and one
+	// worker's credit never stands for more than paceSpan of the rate.
+	paceK := min(paceBatch, max(1, s.cfg.Burst/workers))
+	if s.cfg.Rate > 0 {
+		paceK = min(paceK, max(1, int(s.cfg.Rate*paceSpan.Seconds())))
+	}
 	responsive := make([][]netaddr.Addr, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -359,6 +394,11 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			// exit: the per-probe path touches no shared cache line. Only
 			// the MaxProbes budget needs a live shared counter.
 			var nProbed, nExcluded, nErrors, nDenied uint64
+			var pc pacer
+			if s.policy != nil {
+				pc = pacer{p: s.policy, k: paceK}
+				defer pc.release() // unused global credit goes back on every exit
+			}
 			for !stop.Load() {
 				idx, ok := sh.Next()
 				if !ok {
@@ -391,8 +431,20 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 						continue
 					}
 				}
+				// The MaxProbes slot comes before the limiter, so no worker
+				// sleeps for a token once the budget is spent.
+				if s.cfg.MaxProbes > 0 && !reserveProbe(&probed, s.cfg.MaxProbes) {
+					if fpc != nil {
+						s.fp.unreserve(fpc)
+					}
+					sh.rewind()
+					break
+				}
 				if s.policy != nil {
-					if err := s.policy.Wait(ctx, pi); err != nil {
+					if err := pc.wait(ctx, pi); err != nil {
+						if s.cfg.MaxProbes > 0 {
+							probed.Add(^uint64(0))
+						}
 						if fpc != nil {
 							s.fp.unreserve(fpc)
 						}
@@ -400,13 +452,6 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 						fail(err)
 						break
 					}
-				}
-				if s.cfg.MaxProbes > 0 && !reserveProbe(&probed, s.cfg.MaxProbes) {
-					if fpc != nil {
-						s.fp.unreserve(fpc)
-					}
-					sh.rewind()
-					break
 				}
 				res, err := s.cfg.Prober.Probe(ctx, addr)
 				if s.cfg.MaxProbes == 0 {

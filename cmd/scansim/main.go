@@ -197,6 +197,9 @@ func runCampaign(u *tass.Universe, series map[string]*tass.Series, camp campaign
 			fmt.Fprintf(os.Stderr, "           budget %d/AS: %d ASes touched, %d capped, %d probes denied\n",
 				camp.budget, len(cy.Report.PerAS), capped, cy.Report.BudgetDenied)
 		}
+		if cy.Note != "" {
+			fmt.Fprintf(os.Stderr, "  %s\n", cy.Note)
+		}
 	}
 	return err
 }

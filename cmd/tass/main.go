@@ -678,6 +678,9 @@ func runScan(args []string) (err error) {
 			fmt.Fprintf(os.Stderr, "# cycle %d: %d prefixes, %d probed, %d responsive, hitrate %.4f, cost share %.3f\n",
 				cy.Index, cy.Plan.Len(), cy.Report.Probed, cy.Snapshot.Hosts(),
 				cy.Report.Hitrate(), cy.CostShare(targets))
+			if cy.Note != "" {
+				fmt.Fprintf(os.Stderr, "# %s\n", cy.Note)
+			}
 			if *footprint {
 				fmt.Fprintf(os.Stderr, "# cycle %d footprint:\n", cy.Index)
 				if err := tass.WriteFootprint(os.Stderr, cy.Plan, asTable.OriginsOf(cy.Plan), cy.Report); err != nil {

@@ -120,7 +120,13 @@ func main() {
 
 	// 4. The selection the campaign derived from the live scan — what a
 	//    periodic re-scan would keep probing.
+	//    A cycle that found nothing has no selection: the campaign
+	//    finished early and its note says so.
 	sel := cycles[0].Selection
+	if sel == nil {
+		fmt.Printf("\nno selection: %s\n", cycles[0].Note)
+		return
+	}
 	fmt.Printf("\nTASS on cycle 0's scan (φ=0.75 over /30 blocks): %s\n", tass.Describe(sel))
 	for i, st := range sel.Ranked {
 		mark := " "

@@ -43,9 +43,8 @@ type Client struct {
 	// It must honor ctx. Defaults to a timer sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
 
-	rngOnce sync.Once
-	rngMu   sync.Mutex
-	rng     *rand.Rand
+	rngMu sync.Mutex
+	rng   *rand.Rand
 }
 
 // NewClient builds a client with default retry policy.
@@ -119,7 +118,7 @@ func (cl *Client) call(ctx context.Context, method, path string, in, out any) er
 		if err == nil {
 			return nil
 		}
-		if !retryable(err) || attempt >= maxRetries {
+		if _, transient := err.(*transientError); !transient || attempt >= maxRetries {
 			return err
 		}
 		lastErr = err
@@ -134,11 +133,6 @@ type transientError struct{ err error }
 
 func (t *transientError) Error() string { return t.err.Error() }
 func (t *transientError) Unwrap() error { return t.err }
-
-func retryable(err error) bool {
-	_, ok := err.(*transientError)
-	return ok
-}
 
 // attempt performs one HTTP exchange.
 func (cl *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
@@ -182,29 +176,21 @@ func (cl *Client) attempt(ctx context.Context, method, path string, body []byte,
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		// The body's error code pins the sentinel exactly; the status
-		// mapping below is the fallback for coordinators that predate
-		// it (404 alone cannot tell an unknown lease from an unknown
-		// campaign).
-		switch er.Code {
-		case codeUnknownCampaign:
-			return fmt.Errorf("%w: %s", ErrUnknownCampaign, msg)
-		case codeUnknownLease:
-			return fmt.Errorf("%w: %s", ErrUnknownLease, msg)
-		case codeLeaseLost:
-			return fmt.Errorf("%w: %s", ErrLeaseLost, msg)
-		case codeCampaignExists:
-			return fmt.Errorf("%w: %s", ErrCampaignExists, msg)
+		// The body's error code pins the sentinel exactly; the status is
+		// the fallback for coordinators that predate codes (404 alone
+		// cannot tell an unknown lease from an unknown campaign).
+		for _, we := range wireErrors {
+			if er.Code == we.code {
+				return fmt.Errorf("%w: %s", we.err, msg)
+			}
+		}
+		for _, we := range wireErrors {
+			if resp.StatusCode == we.status {
+				return fmt.Errorf("%w: %s", we.err, msg)
+			}
 		}
 		err := fmt.Errorf("coord: %s %s: %s (%s)", method, path, msg, resp.Status)
-		switch {
-		case resp.StatusCode == http.StatusGone:
-			return fmt.Errorf("%w: %s", ErrLeaseLost, msg)
-		case resp.StatusCode == http.StatusNotFound:
-			return fmt.Errorf("%w: %s", ErrUnknownCampaign, msg)
-		case resp.StatusCode == http.StatusConflict:
-			return fmt.Errorf("%w: %s", ErrCampaignExists, msg)
-		case resp.StatusCode >= 500:
+		if resp.StatusCode >= 500 {
 			return &transientError{err}
 		}
 		return err
@@ -232,28 +218,30 @@ func (cl *Client) backoff(ctx context.Context, attempt int) error {
 	if d <= 0 || d > maxDelay {
 		d = maxDelay
 	}
-	cl.rngOnce.Do(func() {
+	cl.rngMu.Lock()
+	if cl.rng == nil {
 		seed := cl.Seed
 		if seed == 0 {
 			seed = time.Now().UnixNano()
 		}
 		cl.rng = rand.New(rand.NewSource(seed))
-	})
-	cl.rngMu.Lock()
+	}
 	jittered := time.Duration(cl.rng.Int63n(int64(d))) + 1
 	cl.rngMu.Unlock()
-	sleep := cl.Sleep
-	if sleep == nil {
-		sleep = func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		}
+	if cl.Sleep != nil {
+		return cl.Sleep(ctx, jittered)
 	}
-	return sleep(ctx, jittered)
+	return sleepCtx(ctx, jittered)
+}
+
+// sleepCtx waits d on a timer, or until ctx is done.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }

@@ -127,31 +127,30 @@ func (s CampaignSpec) withDefaults() CampaignSpec {
 	return s
 }
 
+// maxShards bounds a campaign's shard count: the coordinator allocates
+// every shard's state up front, so a spec must not be able to ask for
+// billions of them.
+const maxShards = 1 << 16
+
 // validate checks the spec and returns the parsed universe and targets
-// partitions.
+// partitions. The cycle count and an empty universe are the campaign
+// machine's to refuse.
 func (s CampaignSpec) validate() (universe, targets rib.Partition, err error) {
-	if s.ID == "" {
+	switch {
+	case s.ID == "":
 		return universe, targets, fmt.Errorf("coord: campaign needs an ID")
-	}
-	if s.Cycles <= 0 {
-		return universe, targets, fmt.Errorf("coord: campaign needs at least one cycle")
-	}
-	if s.Shards <= 0 {
-		return universe, targets, fmt.Errorf("coord: campaign needs at least one shard")
-	}
-	if s.Phi <= 0 || s.Phi > 1 {
+	case s.Shards <= 0 || s.Shards > maxShards:
+		return universe, targets, fmt.Errorf("coord: campaign needs 1 to %d shards, got %d", maxShards, s.Shards)
+	case s.Phi <= 0 || s.Phi > 1:
 		return universe, targets, fmt.Errorf("coord: φ must be in (0,1], got %v", s.Phi)
+	case math.IsNaN(s.PrefixRate) || math.IsInf(s.PrefixRate, 0) || s.PrefixRate < 0:
+		return universe, targets, fmt.Errorf("coord: prefix rate must be finite and non-negative, got %v", s.PrefixRate)
 	}
 	if universe, err = parsePartition(s.Universe); err != nil {
 		return universe, targets, fmt.Errorf("coord: universe: %w", err)
 	}
-	if universe.Len() == 0 {
-		return universe, targets, fmt.Errorf("coord: campaign needs a universe")
-	}
-	if len(s.Targets) > 0 {
-		if targets, err = parsePartition(s.Targets); err != nil {
-			return universe, targets, fmt.Errorf("coord: targets: %w", err)
-		}
+	if targets, err = parsePartition(s.Targets); err != nil {
+		return universe, targets, fmt.Errorf("coord: targets: %w", err)
 	}
 	// Exclusions may overlap each other and the universe freely (they
 	// form a trie, not a partition), but every entry must parse: a typo
@@ -160,9 +159,6 @@ func (s CampaignSpec) validate() (universe, targets rib.Partition, err error) {
 		if _, err := netaddr.ParsePrefix(x); err != nil {
 			return universe, targets, fmt.Errorf("coord: exclusion %q: %w", x, err)
 		}
-	}
-	if math.IsNaN(s.PrefixRate) || math.IsInf(s.PrefixRate, 0) || s.PrefixRate < 0 {
-		return universe, targets, fmt.Errorf("coord: prefix rate must be finite and non-negative, got %v", s.PrefixRate)
 	}
 	return universe, targets, nil
 }

@@ -3,11 +3,11 @@ package coord
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
-	"github.com/tass-scan/tass/internal/census"
 	"github.com/tass-scan/tass/internal/core"
 	"github.com/tass-scan/tass/internal/netaddr"
 	"github.com/tass-scan/tass/internal/rib"
@@ -16,7 +16,8 @@ import (
 
 // Shard lifecycle states. pending → leased → (expired → pending)* →
 // done. A cycle completes when every shard is done; the campaign
-// completes when the last cycle does (or a reseed selects nothing).
+// completes when its cycle machine finishes (after the last cycle, or
+// early when a cycle finds or selects nothing).
 const (
 	shardPending = "pending"
 	shardLeased  = "leased"
@@ -71,9 +72,10 @@ type persistentState struct {
 	Campaigns map[string]*campaignState `json:"campaigns"`
 }
 
-// Coordinator owns the campaign state machines. Every public method is
-// one atomic transition: validate, mutate, persist, reply. The clock is
-// injectable so lease expiry is deterministic under test.
+// Coordinator owns the campaigns' durable state. Every public method is
+// one atomic transition: lock, apply the transition to the campaign
+// state at the current time, save if it changed anything, reply. The
+// clock is injectable so lease expiry is deterministic under test.
 type Coordinator struct {
 	mu        sync.Mutex
 	store     Store
@@ -114,10 +116,8 @@ func NewCoordinator(store Store, now func() time.Time) (*Coordinator, error) {
 		if cs.universe, err = parsePartition(cs.Spec.Universe); err != nil {
 			return nil, fmt.Errorf("coord: campaign %s universe: %w", id, err)
 		}
-		if len(cs.Plan) > 0 {
-			if cs.plan, err = parsePartition(cs.Plan); err != nil {
-				return nil, fmt.Errorf("coord: campaign %s plan: %w", id, err)
-			}
+		if cs.plan, err = parsePartition(cs.Plan); err != nil {
+			return nil, fmt.Errorf("coord: campaign %s plan: %w", id, err)
 		}
 		c.campaigns[id] = cs
 	}
@@ -128,12 +128,7 @@ func NewCoordinator(store Store, now func() time.Time) (*Coordinator, error) {
 func (c *Coordinator) Campaigns() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.campaigns))
-	for id := range c.campaigns {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return slices.Sorted(maps.Keys(c.campaigns))
 }
 
 // CreateCampaign validates and registers a campaign, persisting it
@@ -144,21 +139,18 @@ func (c *Coordinator) CreateCampaign(spec CampaignSpec) error {
 	if err != nil {
 		return err
 	}
-	plan := targets
-	if plan.Len() == 0 {
-		plan = universe
+	cs := &campaignState{Spec: spec, Shards: freshShards(spec.Shards), universe: universe}
+	camp := cs.campaign()
+	camp.Targets = targets
+	m, err := camp.Machine(spec.Cycles) // checks the cycle count and a non-empty universe
+	if err != nil {
+		return fmt.Errorf("coord: %w", err)
 	}
+	cs.plan, cs.Plan = m.Plan(), formatPartition(m.Plan())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.campaigns[spec.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrCampaignExists, spec.ID)
-	}
-	cs := &campaignState{
-		Spec:     spec,
-		Plan:     formatPartition(plan),
-		Shards:   freshShards(spec.Shards),
-		universe: universe,
-		plan:     plan,
 	}
 	c.campaigns[spec.ID] = cs
 	return c.saveLocked()
@@ -177,131 +169,248 @@ func freshShards(n int) []*shardState {
 // currently leased or done — come back later — and a lease otherwise.
 // Expired leases are reclaimed first, so a crashed worker's shard is
 // handed out here, checkpoint attached.
-func (c *Coordinator) Acquire(campaign, worker string) (*Lease, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs, ok := c.campaigns[campaign]
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %s", ErrUnknownCampaign, campaign)
-	}
-	dirty := c.expireLocked(cs)
-	if cs.Done {
-		if dirty {
-			if err := c.saveLocked(); err != nil {
-				return nil, false, err
-			}
+func (c *Coordinator) Acquire(campaign, worker string) (lease *Lease, done bool, err error) {
+	err = c.transition(campaign, func(cs *campaignState, now time.Time) (bool, error) {
+		expired := cs.expire(now)
+		if done = cs.Done; !done {
+			lease = cs.grant(worker, now, &c.nextLease)
 		}
-		return nil, true, nil
-	}
-	idx := -1
-	for i, sh := range cs.Shards {
-		if sh.State == shardPending {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		if dirty {
-			if err := c.saveLocked(); err != nil {
-				return nil, false, err
-			}
-		}
-		return nil, false, nil
-	}
-	sh := cs.Shards[idx]
-	c.nextLease++
-	sh.State = shardLeased
-	sh.LeaseID = fmt.Sprintf("L%08d", c.nextLease)
-	sh.Worker = worker
-	sh.Deadline = c.now().Add(cs.Spec.LeaseTTL)
-	cs.Releases++
-	lease := &Lease{
-		LeaseID:     sh.LeaseID,
-		Campaign:    campaign,
-		Cycle:       cs.Cycle,
-		Shard:       idx,
-		Shards:      cs.Spec.Shards,
-		Workers:     cs.Spec.Workers,
-		Seed:        cs.Spec.Seed + int64(cs.Cycle),
-		Rate:        cs.Spec.Rate,
-		Exclude:     append([]string(nil), cs.Spec.Exclude...),
-		PrefixRate:  cs.Spec.PrefixRate,
-		PrefixBurst: cs.Spec.PrefixBurst,
-		ChunkProbes: cs.Spec.ChunkProbes,
-		TTL:         cs.Spec.LeaseTTL,
-		Plan:        cs.Plan,
-		Checkpoint:  cloneCheckpoint(sh.Checkpoint),
-	}
-	if err := c.saveLocked(); err != nil {
+		return expired || lease != nil, nil
+	})
+	if err != nil {
 		return nil, false, err
 	}
-	return lease, false, nil
+	return lease, done, nil
 }
 
 // Heartbeat renews a lease and commits the holder's latest cumulative
 // upload. It returns the new deadline; ErrLeaseLost means the worker no
 // longer owns the shard (expired and possibly re-leased) and must stop.
 func (c *Coordinator) Heartbeat(campaign, leaseID string, up Upload) (time.Time, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs, sh, err := c.leaseShardLocked(campaign, leaseID)
+	var deadline time.Time
+	err := c.transition(campaign, func(cs *campaignState, now time.Time) (bool, error) {
+		sh, expired, err := cs.fence(leaseID, now, c.nextLease)
+		if err != nil {
+			return expired, err
+		}
+		cs.renew(sh, up, now)
+		deadline = sh.Deadline
+		return true, nil
+	})
 	if err != nil {
 		return time.Time{}, err
 	}
-	sh.Deadline = c.now().Add(cs.Spec.LeaseTTL)
-	sh.Checkpoint = cloneCheckpoint(up.Checkpoint)
-	sh.Current = append([]netaddr.Addr(nil), up.Responsive...)
-	sh.CurProbed, sh.CurErrors = up.Probed, up.Errors
-	if err := c.saveLocked(); err != nil {
-		return time.Time{}, err
-	}
-	return sh.Deadline, nil
+	return deadline, nil
 }
 
 // Complete marks a leased shard finished with its final results. When it
-// was the cycle's last shard the coordinator reseeds: merge all shards'
-// responsive sets, select over the universe, and open the next cycle —
-// or finish the campaign.
+// was the cycle's last shard the campaign's cycle machine closes the
+// cycle: merge all shards' responsive sets, reseed over the universe,
+// and open the next cycle — or finish the campaign.
 func (c *Coordinator) Complete(campaign, leaseID string, up Upload) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs, sh, err := c.leaseShardLocked(campaign, leaseID)
-	if err != nil {
-		return err
-	}
-	prev := *sh
-	sh.State = shardDone
-	sh.LeaseID = ""
-	sh.Deadline = time.Time{}
-	sh.Checkpoint = nil
-	sh.Current = append([]netaddr.Addr(nil), up.Responsive...)
-	sh.CurProbed, sh.CurErrors = up.Probed, up.Errors
-	for _, other := range cs.Shards {
-		if other.State != shardDone {
-			return c.saveLocked()
+	return c.transition(campaign, func(cs *campaignState, now time.Time) (bool, error) {
+		sh, expired, err := cs.fence(leaseID, now, c.nextLease)
+		if err == nil {
+			err = cs.complete(sh, up)
 		}
-	}
-	if err := c.finishCycleLocked(cs); err != nil {
-		// Roll the shard transition back: finishCycleLocked mutates
-		// nothing on failure, so restoring the shard keeps the in-memory
-		// state identical to the durable store, the lease stays owned by
-		// this worker, and its retried Complete re-runs the whole
-		// transition instead of being fenced off a wedged campaign.
-		*sh = prev
-		return err
-	}
-	return c.saveLocked()
+		return expired || err == nil, err
+	})
 }
 
 // Status reports a campaign's externally visible state.
 func (c *Coordinator) Status(campaign string) (*Status, error) {
+	var st *Status
+	err := c.transition(campaign, func(cs *campaignState, now time.Time) (bool, error) {
+		expired := cs.expire(now)
+		st = cs.status()
+		return expired, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// transition runs step on campaign id under the lock at the current
+// time and saves if step changed anything, even when it refuses the
+// request: memory never runs ahead of the durable store.
+func (c *Coordinator) transition(id string, step func(cs *campaignState, now time.Time) (changed bool, err error)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cs, ok := c.campaigns[campaign]
+	cs, ok := c.campaigns[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownCampaign, campaign)
+		return fmt.Errorf("%w: %s", ErrUnknownCampaign, id)
 	}
-	c.expireLocked(cs)
+	changed, err := step(cs, c.now())
+	if changed {
+		if serr := c.saveLocked(); serr != nil {
+			return serr
+		}
+	}
+	return err
+}
+
+// campaign is the scan.Campaign whose cycle machine the coordinator
+// drives. Its reseed recounts (GOMAXPROCS workers, no count cache), so
+// the machine holds nothing between transitions.
+func (cs *campaignState) campaign() *scan.Campaign {
+	return &scan.Campaign{
+		Universe: cs.universe,
+		Opts:     core.Options{Phi: cs.Spec.Phi, MinDensity: cs.Spec.MinDensity},
+		Seed:     cs.Spec.Seed,
+		Protocol: cs.Spec.Protocol,
+	}
+}
+
+// machine rebuilds the campaign's cycle machine at its persisted position.
+func (cs *campaignState) machine() *scan.CycleMachine {
+	return cs.campaign().MachineAt(cs.Spec.Cycles, cs.Cycle, cs.plan)
+}
+
+// grant leases the first pending shard to worker under the next lease
+// number, or returns nil when every shard is leased or done.
+func (cs *campaignState) grant(worker string, now time.Time, issued *uint64) *Lease {
+	for i, sh := range cs.Shards {
+		if sh.State != shardPending {
+			continue
+		}
+		*issued++
+		sh.State, sh.LeaseID, sh.Worker = shardLeased, fmt.Sprintf("L%08d", *issued), worker
+		sh.Deadline = now.Add(cs.Spec.LeaseTTL)
+		cs.Releases++
+		m := cs.machine()
+		return &Lease{
+			LeaseID:     sh.LeaseID,
+			Campaign:    cs.Spec.ID,
+			Cycle:       m.Cycle(),
+			Shard:       i,
+			Shards:      cs.Spec.Shards,
+			Workers:     cs.Spec.Workers,
+			Seed:        m.Seed(),
+			Rate:        cs.Spec.Rate,
+			Exclude:     append([]string(nil), cs.Spec.Exclude...),
+			PrefixRate:  cs.Spec.PrefixRate,
+			PrefixBurst: cs.Spec.PrefixBurst,
+			ChunkProbes: cs.Spec.ChunkProbes,
+			TTL:         cs.Spec.LeaseTTL,
+			Plan:        cs.Plan,
+			Checkpoint:  cloneCheckpoint(sh.Checkpoint),
+		}
+	}
+	return nil
+}
+
+// fence reclaims expired leases (reporting whether any expired), then
+// resolves leaseID to its shard. A lease that expired, even if its shard
+// is not re-leased yet, is lost, not resurrected.
+func (cs *campaignState) fence(leaseID string, now time.Time, issued uint64) (sh *shardState, expired bool, err error) {
+	expired = cs.expire(now)
+	for _, sh := range cs.Shards {
+		if sh.State == shardLeased && sh.LeaseID == leaseID {
+			return sh, expired, nil
+		}
+	}
+	// An ID that does not parse as "L%08d", or above the last one issued,
+	// was never granted.
+	var n uint64
+	if _, err := fmt.Sscanf(leaseID, "L%d", &n); err != nil || issued < n {
+		return nil, expired, fmt.Errorf("%w: %s", ErrUnknownLease, leaseID)
+	}
+	return nil, expired, fmt.Errorf("%w: %s", ErrLeaseLost, leaseID)
+}
+
+// renew extends sh's lease and commits the holder's latest upload.
+func (cs *campaignState) renew(sh *shardState, up Upload, now time.Time) {
+	sh.Deadline = now.Add(cs.Spec.LeaseTTL)
+	sh.Checkpoint = cloneCheckpoint(up.Checkpoint)
+	sh.Current = append([]netaddr.Addr(nil), up.Responsive...)
+	sh.CurProbed, sh.CurErrors = up.Probed, up.Errors
+}
+
+// complete marks sh done with its final upload and, when it was the
+// cycle's last shard, closes the cycle. If the close fails the shard is
+// restored, so a retried Complete under the same lease re-runs it all.
+func (cs *campaignState) complete(sh *shardState, up Upload) error {
+	prev := *sh
+	sh.State, sh.LeaseID, sh.Deadline, sh.Checkpoint = shardDone, "", time.Time{}, nil
+	sh.Current = append([]netaddr.Addr(nil), up.Responsive...)
+	sh.CurProbed, sh.CurErrors = up.Probed, up.Errors
+	for _, other := range cs.Shards {
+		if other.State != shardDone {
+			return nil
+		}
+	}
+	if err := cs.closeCycle(); err != nil {
+		*sh = prev
+		return err
+	}
+	return nil
+}
+
+// expire reclaims expired leases: the shard goes back to pending with
+// the last uploaded checkpoint attached and the lease's uploaded results
+// folded into the shard's base set, so the next holder resumes exactly
+// past everything already probed and no found address is lost. Reports
+// whether state changed.
+func (cs *campaignState) expire(now time.Time) bool {
+	changed := false
+	for _, sh := range cs.Shards {
+		if sh.State != shardLeased || now.Before(sh.Deadline) {
+			continue
+		}
+		*sh = shardState{
+			State:      shardPending,
+			Checkpoint: sh.Checkpoint,
+			Base:       mergeAddrs(sh.Base, sh.Current),
+			BaseProbed: sh.BaseProbed + sh.CurProbed,
+			BaseErrors: sh.BaseErrors + sh.CurErrors,
+		}
+		changed = true
+	}
+	return changed
+}
+
+// closeCycle merges the shards' results, closes the cycle on the
+// campaign's machine (the census→rank→select step, run centrally) and
+// records the summary and the machine's new position. It mutates
+// nothing when the machine refuses.
+func (cs *campaignState) closeCycle() error {
+	var responsive []netaddr.Addr
+	var probed, errors uint64
+	for _, sh := range cs.Shards {
+		responsive = mergeAddrs(responsive, mergeAddrs(sh.Base, sh.Current))
+		probed += sh.BaseProbed + sh.CurProbed
+		errors += sh.BaseErrors + sh.CurErrors
+	}
+	m := cs.machine()
+	snap, sel, err := m.Close(responsive)
+	if err != nil {
+		return fmt.Errorf("coord: campaign %s cycle %d selection: %w", cs.Spec.ID, cs.Cycle, err)
+	}
+	summary := CycleSummary{
+		Cycle:      cs.Cycle,
+		Plan:       len(cs.Plan),
+		Probed:     probed,
+		Errors:     errors,
+		Responsive: snap.Hosts(),
+		Releases:   cs.Releases,
+	}
+	if sel != nil {
+		summary.Selected, summary.SpaceShare = sel.K, sel.SpaceShare
+	}
+	cs.Final = snap.Addrs
+	cs.History = append(cs.History, summary)
+	cs.Done, cs.Note = m.Done(), m.Note()
+	if !cs.Done {
+		cs.Cycle, cs.plan, cs.Plan = m.Cycle(), m.Plan(), formatPartition(m.Plan())
+		cs.Shards = freshShards(cs.Spec.Shards)
+		cs.Releases = 0
+	}
+	return nil
+}
+
+// status is the campaign's externally visible state.
+func (cs *campaignState) status() *Status {
 	st := &Status{
 		ID:      cs.Spec.ID,
 		Cycle:   cs.Cycle,
@@ -324,125 +433,7 @@ func (c *Coordinator) Status(campaign string) (*Status, error) {
 	if cs.Done {
 		st.Responsive = append([]netaddr.Addr(nil), cs.Final...)
 	}
-	return st, nil
-}
-
-// leaseShardLocked resolves a lease ID to its shard after reclaiming
-// expired leases, enforcing fencing: a lease that expired (even if the
-// shard has not been re-leased yet) is lost, not resurrected.
-func (c *Coordinator) leaseShardLocked(campaign, leaseID string) (*campaignState, *shardState, error) {
-	cs, ok := c.campaigns[campaign]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownCampaign, campaign)
-	}
-	c.expireLocked(cs)
-	for _, sh := range cs.Shards {
-		if sh.State == shardLeased && sh.LeaseID == leaseID {
-			return cs, sh, nil
-		}
-	}
-	if leaseID == "" || c.nextLease < leaseNumber(leaseID) {
-		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownLease, leaseID)
-	}
-	return nil, nil, fmt.Errorf("%w: %s", ErrLeaseLost, leaseID)
-}
-
-// leaseNumber extracts the counter from a lease ID ("L%08d"); malformed
-// IDs map to a number larger than any issued.
-func leaseNumber(id string) uint64 {
-	var n uint64
-	if _, err := fmt.Sscanf(id, "L%d", &n); err != nil {
-		return ^uint64(0)
-	}
-	return n
-}
-
-// expireLocked reclaims expired leases of one campaign: the shard goes
-// back to pending with the last uploaded checkpoint attached and the
-// lease's uploaded results folded into the shard's base set, so the
-// next holder resumes exactly past everything already probed and no
-// found address is lost. Reports whether state changed.
-func (c *Coordinator) expireLocked(cs *campaignState) bool {
-	now := c.now()
-	dirty := false
-	for _, sh := range cs.Shards {
-		if sh.State != shardLeased || now.Before(sh.Deadline) {
-			continue
-		}
-		sh.State = shardPending
-		sh.LeaseID = ""
-		sh.Worker = ""
-		sh.Deadline = time.Time{}
-		sh.Base = mergeAddrs(sh.Base, sh.Current)
-		sh.Current = nil
-		sh.BaseProbed += sh.CurProbed
-		sh.BaseErrors += sh.CurErrors
-		sh.CurProbed, sh.CurErrors = 0, 0
-		dirty = true
-	}
-	return dirty
-}
-
-// finishCycleLocked merges the completed cycle's shard results, records
-// the summary, and either reseeds the next cycle's plan (the paper's
-// census→rank→select step, run centrally) or finishes the campaign.
-// All-or-nothing: every fallible step runs before the first mutation,
-// so a failed reseed leaves the campaign state exactly as it was and
-// the caller can safely retry (or roll back its own transition).
-func (c *Coordinator) finishCycleLocked(cs *campaignState) error {
-	var responsive []netaddr.Addr
-	var probed, errors uint64
-	for _, sh := range cs.Shards {
-		responsive = mergeAddrs(responsive, mergeAddrs(sh.Base, sh.Current))
-		probed += sh.BaseProbed + sh.CurProbed
-		errors += sh.BaseErrors + sh.CurErrors
-	}
-	snap := census.NewSnapshot(cs.Spec.Protocol, cs.Cycle, responsive)
-	summary := CycleSummary{
-		Cycle:      cs.Cycle,
-		Plan:       len(cs.Plan),
-		Probed:     probed,
-		Errors:     errors,
-		Responsive: snap.Hosts(),
-		Releases:   cs.Releases,
-	}
-	last := cs.Cycle+1 >= cs.Spec.Cycles
-	done, note := last, ""
-	var nextPlan rib.Partition
-	switch {
-	case !last && len(responsive) == 0:
-		// Nothing answered: there is no snapshot to select from, and the
-		// next cycle would scan an empty plan forever. Finish early.
-		done = true
-		note = fmt.Sprintf("cycle %d found no responsive hosts; campaign finished early", cs.Cycle)
-	case !last:
-		sel, err := core.SelectCached(snap, cs.universe,
-			core.Options{Phi: cs.Spec.Phi, MinDensity: cs.Spec.MinDensity}, 0, nil)
-		if err != nil {
-			return fmt.Errorf("coord: campaign %s cycle %d selection: %w", cs.Spec.ID, cs.Cycle, err)
-		}
-		summary.Selected = sel.K
-		summary.SpaceShare = sel.SpaceShare
-		nextPlan = sel.Partition()
-		if nextPlan.Len() == 0 {
-			done = true
-			note = fmt.Sprintf("cycle %d selected no prefixes (no responsive hosts); campaign finished early", cs.Cycle)
-		}
-	}
-
-	cs.Final = snap.Addrs
-	cs.History = append(cs.History, summary)
-	if done {
-		cs.Done = true
-		cs.Note = note
-		return nil
-	}
-	cs.plan = nextPlan
-	cs.Plan = formatPartition(nextPlan)
-	cs.Cycle++
-	cs.Shards = freshShards(cs.Spec.Shards)
-	cs.Releases = 0
-	return nil
+	return st
 }
 
 // saveLocked serializes everything to the store; called under the lock
@@ -501,11 +492,6 @@ func cloneCheckpoint(cp *scan.Checkpoint) *scan.Checkpoint {
 	}
 	out := *cp
 	out.Consumed = append([]uint64(nil), cp.Consumed...)
-	if cp.ASProbed != nil {
-		out.ASProbed = make(map[uint32]uint64, len(cp.ASProbed))
-		for k, v := range cp.ASProbed {
-			out.ASProbed[k] = v
-		}
-	}
+	out.ASProbed = maps.Clone(cp.ASProbed)
 	return &out
 }

@@ -48,14 +48,19 @@ type errorResponse struct {
 	Code string `json:"code,omitempty"`
 }
 
-// Wire error codes, mapped from sentinels by writeError and back by the
-// client.
-const (
-	codeUnknownCampaign = "unknown_campaign"
-	codeUnknownLease    = "unknown_lease"
-	codeLeaseLost       = "lease_lost"
-	codeCampaignExists  = "campaign_exists"
-)
+// wireErrors maps the sentinels onto HTTP statuses and body codes, for
+// writeError and back for the client. Unknown campaign comes first: it
+// is what a bare 404 from a coordinator without codes decodes to.
+var wireErrors = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{ErrUnknownCampaign, http.StatusNotFound, "unknown_campaign"},
+	{ErrUnknownLease, http.StatusNotFound, "unknown_lease"},
+	{ErrLeaseLost, http.StatusGone, "lease_lost"},
+	{ErrCampaignExists, http.StatusConflict, "campaign_exists"},
+}
 
 // maxBodyBytes bounds request bodies: uploads carry address lists, not
 // bulk data, and a malicious or confused client must not OOM the
@@ -65,70 +70,49 @@ const maxBodyBytes = 64 << 20
 // NewHandler exposes the coordinator over HTTP.
 func NewHandler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
-		var spec CampaignSpec
-		if !decodeBody(w, r, &spec) {
-			return
-		}
-		if err := c.CreateCampaign(spec); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
+	handle(mux, "POST /v1/campaigns", func(_ *http.Request, spec *CampaignSpec) (any, error) {
+		return struct{}{}, c.CreateCampaign(*spec)
 	})
-	mux.HandleFunc("GET /v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := c.Status(r.PathValue("id"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+	handle(mux, "GET /v1/campaigns/{id}", func(r *http.Request, _ *struct{}) (any, error) {
+		return c.Status(r.PathValue("id"))
 	})
-	mux.HandleFunc("POST /v1/campaigns/{id}/acquire", func(w http.ResponseWriter, r *http.Request) {
-		var req acquireRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
+	handle(mux, "POST /v1/campaigns/{id}/acquire", func(r *http.Request, req *acquireRequest) (any, error) {
 		lease, done, err := c.Acquire(r.PathValue("id"), req.Worker)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, acquireResponse{Done: done, Lease: lease})
+		return acquireResponse{Done: done, Lease: lease}, err
 	})
-	mux.HandleFunc("POST /v1/campaigns/{id}/leases/{lease}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var up Upload
-		if !decodeBody(w, r, &up) {
-			return
-		}
-		deadline, err := c.Heartbeat(r.PathValue("id"), r.PathValue("lease"), up)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, heartbeatResponse{Deadline: deadline})
+	handle(mux, "POST /v1/campaigns/{id}/leases/{lease}/heartbeat", func(r *http.Request, up *Upload) (any, error) {
+		deadline, err := c.Heartbeat(r.PathValue("id"), r.PathValue("lease"), *up)
+		return heartbeatResponse{Deadline: deadline}, err
 	})
-	mux.HandleFunc("POST /v1/campaigns/{id}/leases/{lease}/complete", func(w http.ResponseWriter, r *http.Request) {
-		var up Upload
-		if !decodeBody(w, r, &up) {
-			return
-		}
-		if err := c.Complete(r.PathValue("id"), r.PathValue("lease"), up); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
+	handle(mux, "POST /v1/campaigns/{id}/leases/{lease}/complete", func(r *http.Request, up *Upload) (any, error) {
+		return struct{}{}, c.Complete(r.PathValue("id"), r.PathValue("lease"), *up)
 	})
 	return mux
 }
 
+// handle registers one route: decode the request body into In (POST
+// routes), call serve, and reply with its result or its error.
+func handle[In any](mux *http.ServeMux, pattern string, serve func(r *http.Request, in *In) (any, error)) {
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		var in In
+		if r.Method == http.MethodPost && !decodeBody(w, r, &in) {
+			return
+		}
+		out, err := serve(r, &in)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, out)
+	})
+}
+
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return false
+	if err == nil {
+		err = json.Unmarshal(body, v)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("coord: bad request body: %v", err)})
 		return false
 	}
@@ -136,18 +120,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	status, code := http.StatusInternalServerError, ""
-	switch {
-	case errors.Is(err, ErrUnknownCampaign):
-		status, code = http.StatusNotFound, codeUnknownCampaign
-	case errors.Is(err, ErrUnknownLease):
-		status, code = http.StatusNotFound, codeUnknownLease
-	case errors.Is(err, ErrLeaseLost):
-		status, code = http.StatusGone, codeLeaseLost
-	case errors.Is(err, ErrCampaignExists):
-		status, code = http.StatusConflict, codeCampaignExists
+	resp := errorResponse{Error: err.Error()}
+	status := http.StatusInternalServerError
+	for _, we := range wireErrors {
+		if errors.Is(err, we.err) {
+			status, resp.Code = we.status, we.code
+			break
+		}
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
+	writeJSON(w, status, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -102,10 +102,9 @@ func (f *FileStore) Load() ([]byte, error) {
 		return nil, fmt.Errorf("coord: state file %s: truncated header", f.path)
 	}
 	header, payload := string(raw[:nl]), raw[nl+1:]
-	var version int
-	var length int
-	var sum uint32
 	var magic string
+	var version, length int
+	var sum uint32
 	if _, err := fmt.Sscanf(header, "%s v%d len=%d crc32=%08x", &magic, &version, &length, &sum); err != nil {
 		return nil, fmt.Errorf("coord: state file %s: malformed header %q", f.path, header)
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tass-scan/tass/internal/netaddr"
@@ -64,14 +64,8 @@ type Worker struct {
 // coordinator outage during acquire is retried forever (the worker has
 // nothing to lose and nowhere to be); ctx is the only way out.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.Client == nil {
-		return fmt.Errorf("coord: worker needs a client")
-	}
-	if w.Campaign == "" {
-		return fmt.Errorf("coord: worker needs a campaign")
-	}
-	if w.Prober == nil && w.ProberAt == nil {
-		return fmt.Errorf("coord: worker needs a prober")
+	if w.Client == nil || w.Campaign == "" || (w.Prober == nil && w.ProberAt == nil) {
+		return fmt.Errorf("coord: worker needs a client, a campaign and a prober")
 	}
 	for {
 		lease, done, err := w.Client.Acquire(ctx, w.Campaign, w.ID)
@@ -84,13 +78,13 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			w.eventf("acquire failed (%v); retrying", err)
-			if err := w.sleep(ctx, w.pollEvery()); err != nil {
+			if err := w.idle(ctx); err != nil {
 				return err
 			}
 			continue
 		case lease == nil:
 			// Every shard is leased or done; poll until the cycle turns.
-			if err := w.sleep(ctx, w.pollEvery()); err != nil {
+			if err := w.idle(ctx); err != nil {
 				return err
 			}
 			continue
@@ -106,46 +100,17 @@ func (w *Worker) Run(ctx context.Context) error {
 // leaseHealth is the worker-side view of one held lease, shared between
 // the chunk loop and the background renewer.
 type leaseHealth struct {
-	mu       sync.Mutex
-	lastUp   Upload    // last consistent (chunk-boundary) upload
-	deadline time.Time // local copy of the lease deadline
-	fenced   bool      // the coordinator rejected the lease outright
+	lastUp   atomic.Pointer[Upload]    // last consistent (chunk-boundary) upload
+	deadline atomic.Pointer[time.Time] // local copy of the lease deadline
+	fenced   atomic.Bool               // the coordinator rejected the lease outright
 }
 
-func (h *leaseHealth) upload() Upload {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lastUp
-}
+func (h *leaseHealth) renewed(d time.Time) { h.deadline.Store(&d) }
 
-func (h *leaseHealth) commit(up Upload) {
-	h.mu.Lock()
-	h.lastUp = up
-	h.mu.Unlock()
-}
-
-func (h *leaseHealth) renewed(d time.Time) {
-	h.mu.Lock()
-	h.deadline = d
-	h.mu.Unlock()
-}
-
-func (h *leaseHealth) expiresAt() time.Time {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.deadline
-}
-
-func (h *leaseHealth) markFenced() {
-	h.mu.Lock()
-	h.fenced = true
-	h.mu.Unlock()
-}
-
-func (h *leaseHealth) isFenced() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.fenced
+// fenced reports whether err means the lease is no longer the worker's:
+// lost to expiry or a new holder, or its campaign is gone.
+func fenced(err error) bool {
+	return errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrUnknownCampaign) || errors.Is(err, ErrUnknownLease)
 }
 
 // runLease scans one leased shard to completion (or abandonment). The
@@ -200,10 +165,9 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 	// renewer. The initial upload carries the inherited checkpoint so a
 	// renewal that fires before the first chunk boundary re-asserts the
 	// cursor the coordinator already holds instead of clearing it.
-	health := &leaseHealth{
-		lastUp:   Upload{Checkpoint: lease.Checkpoint},
-		deadline: w.now().Add(lease.TTL),
-	}
+	health := &leaseHealth{}
+	health.lastUp.Store(&Upload{Checkpoint: lease.Checkpoint})
+	health.renewed(w.now().Add(lease.TTL))
 	scanCtx, cancelScan := context.WithCancel(ctx)
 	renewDone := make(chan struct{})
 	go w.renewLoop(scanCtx, cancelScan, lease, health, renewDone)
@@ -225,10 +189,10 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 		}
 		cp := scanner.Checkpoint()
 		up := Upload{Checkpoint: cp, Responsive: responsive, Probed: probed, Errors: nErrors}
-		health.commit(up)
+		health.lastUp.Store(&up)
 
 		if runErr != nil {
-			if health.isFenced() && ctx.Err() == nil {
+			if health.fenced.Load() && ctx.Err() == nil {
 				// The renewer hit the fence and canceled the scan: the
 				// shard has a new owner; every further probe would be
 				// repeated by it. Discard and re-acquire.
@@ -265,7 +229,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 		switch {
 		case err == nil:
 			health.renewed(w.now().Add(lease.TTL))
-		case errors.Is(err, ErrLeaseLost), errors.Is(err, ErrUnknownCampaign), errors.Is(err, ErrUnknownLease):
+		case fenced(err):
 			// Fenced off: the shard has a new owner (or the campaign is
 			// gone). Discard everything buffered — uploading it would
 			// double-count against the replacement's work.
@@ -278,7 +242,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 			// Coordinator unreachable: degrade gracefully. Keep the
 			// shard running and the results buffered; the next chunk
 			// boundary retries. Only a locally expired lease stops us.
-			if !w.now().Before(health.expiresAt()) {
+			if !w.now().Before(*health.deadline.Load()) {
 				w.eventf("lease %s: coordinator away past lease deadline; abandoning shard", lease.LeaseID)
 				return nil
 			}
@@ -295,7 +259,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 	// lost. Then push the final upload until it lands, the lease is
 	// fenced, or the worker's local deadline passes.
 	stopRenewer()
-	if health.isFenced() {
+	if health.fenced.Load() {
 		w.eventf("lease %s: lost before completion; discarding", lease.LeaseID)
 		return nil
 	}
@@ -307,19 +271,19 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 			w.eventf("lease %s: shard complete (%d probed, %d responsive)",
 				lease.LeaseID, probed, len(responsive))
 			return nil
-		case errors.Is(err, ErrLeaseLost), errors.Is(err, ErrUnknownCampaign), errors.Is(err, ErrUnknownLease):
+		case fenced(err):
 			w.eventf("lease %s: lost before completion (%v); discarding", lease.LeaseID, err)
 			return nil
 		default:
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if !w.now().Before(health.expiresAt()) {
+			if !w.now().Before(*health.deadline.Load()) {
 				w.eventf("lease %s: cannot report completion before deadline; abandoning", lease.LeaseID)
 				return nil
 			}
 			w.eventf("lease %s: complete failed (%v); buffering and retrying", lease.LeaseID, err)
-			if err := w.sleep(ctx, w.pollEvery()); err != nil {
+			if err := w.idle(ctx); err != nil {
 				return err
 			}
 		}
@@ -351,13 +315,13 @@ func (w *Worker) renewLoop(ctx context.Context, cancelScan context.CancelFunc, l
 			return
 		case <-t.C:
 		}
-		err := w.Client.Heartbeat(ctx, lease.Campaign, lease.LeaseID, health.upload())
+		err := w.Client.Heartbeat(ctx, lease.Campaign, lease.LeaseID, *health.lastUp.Load())
 		switch {
 		case err == nil:
 			health.renewed(w.now().Add(lease.TTL))
-		case errors.Is(err, ErrLeaseLost), errors.Is(err, ErrUnknownCampaign), errors.Is(err, ErrUnknownLease):
+		case fenced(err):
 			w.eventf("lease %s: renewal fenced (%v); stopping the scan", lease.LeaseID, err)
-			health.markFenced()
+			health.fenced.Store(true)
 			cancelScan()
 			return
 		}
@@ -372,25 +336,16 @@ func (w *Worker) now() time.Time {
 	return time.Now()
 }
 
-func (w *Worker) pollEvery() time.Duration {
-	if w.PollEvery > 0 {
-		return w.PollEvery
+// idle waits one poll interval (default 200ms) before the next try.
+func (w *Worker) idle(ctx context.Context) error {
+	d := w.PollEvery
+	if d <= 0 {
+		d = 200 * time.Millisecond
 	}
-	return 200 * time.Millisecond
-}
-
-func (w *Worker) sleep(ctx context.Context, d time.Duration) error {
 	if w.Sleep != nil {
 		return w.Sleep(ctx, d)
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return sleepCtx(ctx, d)
 }
 
 func (w *Worker) eventf(format string, args ...any) {

@@ -108,67 +108,29 @@ type Cycle struct {
 	// the seed of the next cycle's selection.
 	Snapshot *census.Snapshot
 	// Selection is the TASS selection computed from Snapshot over the
-	// campaign universe; the next cycle scans Selection.Partition().
+	// campaign universe; the next cycle scans Selection.Partition(). It
+	// is nil when the cycle found no host.
 	Selection *core.Selection
+	// Note says why the campaign finished early after this cycle.
+	Note string
 }
 
-// Run executes the given number of scan cycles, feeding each cycle's
-// results into the next cycle's selection. It returns the completed
-// cycles; on error (including context cancellation) the cycles finished
-// so far are returned alongside it.
+// Run executes up to the given number of scan cycles on the campaign's
+// CycleMachine. It returns the completed cycles (fewer when the machine
+// finishes early; the last then carries its Note). On error, including
+// context cancellation, the cycles finished so far are returned with it,
+// the failing cycle too when only its reseed failed.
 func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
-	if cycles <= 0 {
-		return nil, fmt.Errorf("scan: campaign needs at least one cycle")
-	}
-	if c.Universe.Len() == 0 {
-		return nil, fmt.Errorf("scan: campaign needs a universe")
-	}
 	if c.Prober == nil && c.ProberAt == nil {
 		return nil, fmt.Errorf("scan: campaign needs a prober")
 	}
-	protocol := c.Protocol
-	if protocol == "" {
-		protocol = "scan"
-	}
-	// Selection workers: SelectCached reads 0 as GOMAXPROCS, matching
-	// the scanner's own parallel default.
-	workers := c.Workers
-	if workers < 0 {
-		workers = 0
-	}
-	plan := c.Targets
-	if plan.Len() == 0 {
-		plan = c.Universe
+	m, err := c.Machine(cycles)
+	if err != nil {
+		return nil, err
 	}
 	var out []Cycle
-	// selectFrom computes the selection seeding the next plan through
-	// the one reseed policy: with Incremental, the first call counts the
-	// snapshot into a ranking and later calls repair it with the
-	// snapshot-over-snapshot delta. Selections are byte-identical across
-	// the paths and across snapshot backings (eager or lazy).
-	reseeder := core.NewReseeder(c.Universe, c.Opts, workers, c.Cache, c.Incremental)
-	selectFrom := func(snap *census.Snapshot) (*core.Selection, error) {
-		if err := reseeder.Advance(snap, nil); err != nil {
-			return nil, err
-		}
-		return reseeder.Select()
-	}
-	if c.SeedSnapshot != nil && c.Targets.Len() == 0 {
-		if c.DegradedReads {
-			c.SeedSnapshot.SetFaultPolicy(addrset.Degrade)
-		}
-		sel, err := selectFrom(c.SeedSnapshot)
-		if faults := c.SeedSnapshot.StorageFaults(); len(faults) > 0 && c.OnStorageFault != nil {
-			for _, f := range faults {
-				c.OnStorageFault(f)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scan: campaign seed selection: %w", err)
-		}
-		plan = sel.Partition()
-	}
-	for i := 0; i < cycles; i++ {
+	for !m.Done() {
+		i, plan := m.Cycle(), m.Plan()
 		prober := c.Prober
 		if c.ProberAt != nil {
 			prober = c.ProberAt(i)
@@ -187,7 +149,7 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 			Rate:       c.Rate,
 			Burst:      c.Burst,
 			Workers:    c.Workers,
-			Seed:       c.Seed + int64(i),
+			Seed:       m.Seed(),
 			Exclude:    c.Exclude,
 			Politeness: pol,
 			OnResult:   c.OnResult,
@@ -199,21 +161,152 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 		if err != nil {
 			return out, fmt.Errorf("scan: campaign cycle %d: %w", i, err)
 		}
-		snap := census.NewSnapshot(protocol, i, report.Responsive)
-		sel, err := selectFrom(snap)
-		if err != nil {
-			return out, fmt.Errorf("scan: campaign cycle %d selection: %w", i, err)
-		}
+		snap, sel, err := m.Close(report.Responsive)
 		out = append(out, Cycle{
 			Index:     i,
 			Plan:      plan,
 			Report:    report,
 			Snapshot:  snap,
 			Selection: sel,
+			Note:      m.Note(),
 		})
-		plan = sel.Partition()
+		if err != nil {
+			return out, fmt.Errorf("scan: campaign cycle %d selection: %w", i, err)
+		}
 	}
 	return out, nil
+}
+
+// CycleMachine is the campaign loop of §3.1 minus the scanning, with no
+// I/O: it decides each cycle's plan and permutation seed (Seed+cycle)
+// and, from a cycle's responsive set, the next plan or the campaign's
+// end. Campaign.Run drives it with one scanner, the coordinator with a
+// fleet of leased shards (rebuilding it from durable state with
+// MachineAt), so both loops agree. It is single-goroutine state.
+type CycleMachine struct {
+	c      *Campaign
+	cycles int
+	// reseeder is the incremental ranking kept across cycles. A
+	// recounting reseed keeps nothing: it lives for one selection.
+	reseeder *core.Reseeder
+
+	cycle int
+	plan  rib.Partition
+	done  bool
+	note  string
+}
+
+// Machine starts the campaign's cycle machine for the given number of
+// cycles. The cycle-0 plan is Targets, else the TASS selection of
+// SeedSnapshot over Universe, else Universe (a full seed scan).
+func (c *Campaign) Machine(cycles int) (*CycleMachine, error) {
+	if cycles <= 0 {
+		return nil, fmt.Errorf("scan: campaign needs at least one cycle")
+	}
+	if c.Universe.Len() == 0 {
+		return nil, fmt.Errorf("scan: campaign needs a universe")
+	}
+	plan := c.Targets
+	if plan.Len() == 0 {
+		plan = c.Universe
+	}
+	m := c.MachineAt(cycles, 0, plan)
+	if c.SeedSnapshot != nil && c.Targets.Len() == 0 {
+		if c.DegradedReads {
+			c.SeedSnapshot.SetFaultPolicy(addrset.Degrade)
+		}
+		sel, err := m.reseed(c.SeedSnapshot)
+		if faults := c.SeedSnapshot.StorageFaults(); len(faults) > 0 && c.OnStorageFault != nil {
+			for _, f := range faults {
+				c.OnStorageFault(f)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("scan: campaign seed selection: %w", err)
+		}
+		m.plan = sel.Partition()
+	}
+	return m, nil
+}
+
+// MachineAt rebuilds the machine of a campaign of the given number of
+// cycles that is about to scan plan as cycle number cycle. An
+// incremental reseeder rebuilt this way recounts its first snapshot.
+func (c *Campaign) MachineAt(cycles, cycle int, plan rib.Partition) *CycleMachine {
+	m := &CycleMachine{c: c, cycles: cycles, cycle: cycle, plan: plan}
+	if c.Incremental {
+		m.reseeder = c.newReseeder()
+	}
+	return m
+}
+
+// newReseeder is the campaign's reseed policy. Selection workers:
+// SelectCached reads 0 as GOMAXPROCS, the scanner's own default.
+func (c *Campaign) newReseeder() *core.Reseeder {
+	return core.NewReseeder(c.Universe, c.Opts, max(c.Workers, 0), c.Cache, c.Incremental)
+}
+
+// reseed draws the selection for snap; it is byte-identical across the
+// incremental and recounting paths and across snapshot backings.
+func (m *CycleMachine) reseed(snap *census.Snapshot) (*core.Selection, error) {
+	r := m.reseeder
+	if r == nil {
+		r = m.c.newReseeder()
+	}
+	if err := r.Advance(snap, nil); err != nil {
+		return nil, err
+	}
+	return r.Select()
+}
+
+// Cycle is the index of the cycle to scan (once Done, the last one).
+func (m *CycleMachine) Cycle() int { return m.cycle }
+
+// Plan is the partition the current cycle scans.
+func (m *CycleMachine) Plan() rib.Partition { return m.plan }
+
+// Seed is the current cycle's permutation seed.
+func (m *CycleMachine) Seed() int64 { return m.c.Seed + int64(m.cycle) }
+
+// Done reports whether the campaign is finished.
+func (m *CycleMachine) Done() bool { return m.done }
+
+// Note says why the campaign finished early, if it did.
+func (m *CycleMachine) Note() string { return m.note }
+
+// Close ends the current cycle with the responsive addresses it found:
+// their census snapshot (month = cycle index) and, if it holds a host,
+// its TASS selection over Universe, which the next cycle scans. After
+// the last cycle, or early with a note when a cycle found or selected
+// nothing, the campaign is Done; Close must not be called then. On a
+// reseed error the machine stays put and the snapshot is still returned.
+func (m *CycleMachine) Close(responsive []netaddr.Addr) (*census.Snapshot, *core.Selection, error) {
+	protocol := m.c.Protocol
+	if protocol == "" {
+		protocol = "scan"
+	}
+	snap := census.NewSnapshot(protocol, m.cycle, responsive)
+	var sel *core.Selection
+	if snap.Hosts() > 0 {
+		var err error
+		if sel, err = m.reseed(snap); err != nil {
+			return snap, nil, err
+		}
+	}
+	switch {
+	case m.cycle+1 >= m.cycles:
+		m.done = true
+	case sel == nil:
+		m.done = true
+		m.note = fmt.Sprintf("cycle %d found no responsive hosts; campaign finished early", m.cycle)
+	case sel.K == 0:
+		m.done = true
+		m.note = fmt.Sprintf("cycle %d selected no prefixes (no responsive hosts); campaign finished early", m.cycle)
+	default:
+		m.cycle++
+		m.plan = sel.Partition()
+	}
+	return snap, sel, nil
 }
 
 // Hitrate returns the cycle's scan hitrate against a ground-truth

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/census"
@@ -244,15 +245,88 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := (&Campaign{Universe: uni, Prober: prober}).Run(context.Background(), 0); err == nil {
 		t.Error("zero cycles accepted")
 	}
+}
 
-	// A scan that finds nothing cannot seed a selection: the campaign
-	// surfaces the error with the cycles completed so far.
-	dead, _ := NewSimProber(nil, 0, 1)
-	cycles, err := (&Campaign{Universe: uni, Prober: dead, Opts: core.Options{Phi: 0.9}}).Run(context.Background(), 2)
-	if err == nil {
-		t.Error("empty scan seeded a selection")
+// TestCampaignFindsNothingFinishesEarly: a cycle that finds no host
+// cannot seed a selection, so the campaign finishes early — returning
+// the cycle it scanned, a nil error and the same note the coordinator
+// gives — in both reseed modes, instead of failing and dropping the
+// cycle's report.
+func TestCampaignFindsNothingFinishesEarly(t *testing.T) {
+	uni, _ := campaignFixture(t)
+	for _, incremental := range []bool{false, true} {
+		dead, err := NewSimProber(nil, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &Campaign{Universe: uni, Prober: dead, Opts: core.Options{Phi: 0.9}, Seed: 3, Incremental: incremental}
+		cycles, err := c.Run(context.Background(), 3)
+		if err != nil {
+			t.Fatalf("incremental=%v: campaign that found nothing failed: %v", incremental, err)
+		}
+		if len(cycles) != 1 {
+			t.Fatalf("incremental=%v: %d cycles, want the one seed scan", incremental, len(cycles))
+		}
+		cy := cycles[0]
+		if cy.Report == nil || cy.Report.Probed != uni.AddressCount() || cy.Snapshot.Hosts() != 0 {
+			t.Errorf("incremental=%v: seed scan report lost: %+v", incremental, cy.Report)
+		}
+		if cy.Selection != nil {
+			t.Errorf("incremental=%v: empty cycle carries a selection", incremental)
+		}
+		if want := "cycle 0 found no responsive hosts; campaign finished early"; cy.Note != want {
+			t.Errorf("incremental=%v: note %q, want %q", incremental, cy.Note, want)
+		}
 	}
-	if len(cycles) != 0 {
-		t.Errorf("%d cycles returned from a failed seed scan", len(cycles))
+}
+
+// TestCampaignReseedErrorKeepsCycle: when only the reseed after a scan
+// fails, Run returns that cycle's report alongside the error.
+func TestCampaignReseedErrorKeepsCycle(t *testing.T) {
+	uni, live := campaignFixture(t)
+	prober, err := NewSimProber(live, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Campaign{Universe: uni, Prober: prober, Opts: core.Options{Phi: 1.5}}
+	cycles, err := c.Run(context.Background(), 2)
+	if err == nil || !strings.Contains(err.Error(), "selection") {
+		t.Fatalf("invalid φ: err = %v, want a selection error", err)
+	}
+	if len(cycles) != 1 || cycles[0].Report == nil || cycles[0].Snapshot.Hosts() != len(live) {
+		t.Fatalf("failed reseed dropped the scanned cycle: %d cycles", len(cycles))
+	}
+}
+
+// TestCycleMachineCloseAllOrNothing drives the machine without a
+// scanner: a close the reseed refuses leaves it on the same cycle and
+// plan, and a retried close with a seedable set advances it.
+func TestCycleMachineCloseAllOrNothing(t *testing.T) {
+	uni, live := campaignFixture(t)
+	m, err := (&Campaign{Universe: uni, Opts: core.Options{Phi: 0.9}, Seed: 40}).Machine(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cycle() != 0 || m.Plan().Len() != uni.Len() || m.Seed() != 40 || m.Done() {
+		t.Fatalf("fresh machine at cycle %d, %d-prefix plan, seed %d, done %v", m.Cycle(), m.Plan().Len(), m.Seed(), m.Done())
+	}
+	outside := []netaddr.Addr{netaddr.MustParseAddr("192.0.2.1")}
+	if _, _, err := m.Close(outside); err == nil {
+		t.Fatal("close on hosts outside the universe succeeded")
+	}
+	if m.Cycle() != 0 || m.Plan().Len() != uni.Len() || m.Done() {
+		t.Fatalf("refused close moved the machine to cycle %d", m.Cycle())
+	}
+	snap, sel, err := m.Close(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Hosts() != len(live) || sel == nil || m.Cycle() != 1 || m.Seed() != 41 || m.Plan().Len() != 2 {
+		t.Fatalf("retried close: cycle %d, seed %d, %d-prefix plan", m.Cycle(), m.Seed(), m.Plan().Len())
+	}
+	// The last cycle still selects (the single-node result a caller
+	// keeps), then the campaign is done without a note.
+	if _, sel, err := m.Close(live[:10]); err != nil || sel == nil || !m.Done() || m.Note() != "" {
+		t.Fatalf("last close: sel %v, err %v, done %v, note %q", sel, err, m.Done(), m.Note())
 	}
 }

@@ -606,8 +606,9 @@ func TestScannerFlakyProberAcrossResume(t *testing.T) {
 }
 
 // TestCampaignAllErrorCycleNoPanic: a cycle whose probes all fail yields
-// an empty snapshot; re-selection must fail gracefully (no hosts to
-// cover), not panic — in both the full and incremental paths.
+// an empty snapshot; with no host to select from the campaign finishes
+// early with that cycle and a note, not a panic or an error — in both
+// the full and incremental paths.
 func TestCampaignAllErrorCycleNoPanic(t *testing.T) {
 	uni, _ := campaignFixture(t)
 	dead := proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) {
@@ -623,14 +624,14 @@ func TestCampaignAllErrorCycleNoPanic(t *testing.T) {
 			Incremental: incremental,
 		}
 		done, err := c.Run(context.Background(), 2)
-		if err == nil {
-			t.Fatalf("incremental=%v: all-error campaign succeeded", incremental)
+		if err != nil {
+			t.Fatalf("incremental=%v: all-error campaign failed: %v", incremental, err)
 		}
-		if !strings.Contains(err.Error(), "selection") {
-			t.Errorf("incremental=%v: error %q does not point at the selection step", incremental, err)
+		if len(done) != 1 || done[0].Report.Errors != uni.AddressCount() {
+			t.Fatalf("incremental=%v: %d cycles, want the one all-error cycle", incremental, len(done))
 		}
-		if len(done) != 0 {
-			t.Errorf("incremental=%v: %d cycles completed on an all-error campaign", incremental, len(done))
+		if !strings.Contains(done[0].Note, "found no responsive hosts") {
+			t.Errorf("incremental=%v: note %q does not say why the campaign stopped", incremental, done[0].Note)
 		}
 	}
 }

@@ -4,21 +4,16 @@
 // Usage:
 //
 //	experiments [-seed N] [-scale F] [-months N] [-workers N]
-//	            [-countcache] [-countcachecap N] [-blocksize N]
-//	            [-prebuildsets] [-incremental]
 //	            [-cpuprofile F] [-memprofile F] [-run id,id,...] [-list]
 //
 // -scale 1.0 (default) is the paper-scale universe (≈3.7 B allocated
 // addresses, ≈7 M hosts; a run takes tens of seconds). Use -scale 0.01
 // for a quick pass. -workers bounds the goroutines used for world
 // building (striped churn included) and the experiment pool (default:
-// GOMAXPROCS); any worker count produces identical output. -countcache
-// (default true) shares one per-(snapshot, partition) count memo
-// across all experiments, -blocksize tunes the block-indexed
-// address-set layout, and -prebuildsets builds snapshot set indexes
-// eagerly during world building; none of them changes a digit of any
-// result. -cpuprofile/-memprofile record runtime/pprof profiles for
-// hot-path work. -list prints the experiment IDs and exits.
+// GOMAXPROCS); any worker count produces identical output. One
+// per-(snapshot, partition) count memo is shared across all
+// experiments. -cpuprofile/-memprofile record runtime/pprof profiles
+// for hot-path work. -list prints the experiment IDs and exits.
 package main
 
 import (
@@ -31,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tass-scan/tass/internal/addrset"
 	"github.com/tass-scan/tass/internal/experiment"
 	"github.com/tass-scan/tass/internal/prof"
 )
@@ -44,18 +38,10 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines (output is identical at any count)")
 		run        = flag.String("run", "", "comma-separated experiment ids (default: all)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		countcache = flag.Bool("countcache", true, "memoize per-(snapshot,partition) host counts across experiments (output is identical either way)")
-		cachecap   = flag.Int("countcachecap", 0, "LRU entry cap of the count cache: 0 = default bound, negative = unbounded")
-		increment  = flag.Bool("incremental", false, "build the monthly series through the churn-native delta pipeline and reseed campaigns incrementally (output is identical either way)")
-		blocksize  = flag.Int("blocksize", addrset.DefaultBlockSize, "addresses per block in the block-indexed set layout")
-		prebuild   = flag.Bool("prebuildsets", false, "build snapshot set indexes eagerly during world building (output is identical either way)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
-	if *blocksize > 0 {
-		addrset.DefaultBlockSize = *blocksize
-	}
 	stopCPU, err := prof.StartCPU(*cpuprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -87,11 +73,7 @@ func main() {
 		stop()
 	}()
 
-	cfg := experiment.Config{
-		Seed: *seed, Months: *months, Scale: *scale, Workers: *workers,
-		NoCountCache: !*countcache, CountCacheCap: *cachecap,
-		PrebuildSets: *prebuild, Incremental: *increment,
-	}
+	cfg := experiment.Config{Seed: *seed, Months: *months, Scale: *scale, Workers: *workers}
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "building universe (seed=%d scale=%g months=%d workers=%d)...\n",
 		*seed, *scale, *months, *workers)

@@ -6,8 +6,8 @@
 // Usage:
 //
 //	scansim -out DIR [-seed N] [-scale F] [-months N] [-workers N]
-//	        [-incremental] [-scancycles N] [-scanproto P] [-scanphi F]
-//	        [-scanloss F]
+//	        [-scancycles N] [-scanproto P] [-scanphi F] [-scanloss F]
+//	        [-scanbudget N] [-cpuprofile F] [-memprofile F]
 //
 // DIR receives one <protocol>.census file (back-to-back binary
 // snapshots, see the census package) and announced.pfx2as. With
@@ -39,7 +39,6 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines (output is identical at any count)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		increment  = flag.Bool("incremental", false, "derive monthly snapshots (and campaign reseeds) through the delta pipeline; output is identical either way")
 		scanCycles = flag.Int("scancycles", 0, "simulate a live feedback scan campaign with this many cycles (0 = off)")
 		scanProto  = flag.String("scanproto", "ftp", "protocol the campaign probes")
 		scanPhi    = flag.Float64("scanphi", 0.95, "host coverage target φ for campaign re-selection")
@@ -56,7 +55,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scansim:", err)
 		os.Exit(1)
 	}
-	if err := run(*out, *seed, *scale, *months, *workers, *increment, campaignConfig{
+	if err := run(*out, *seed, *scale, *months, *workers, campaignConfig{
 		cycles: *scanCycles,
 		proto:  *scanProto,
 		phi:    *scanPhi,
@@ -83,7 +82,7 @@ type campaignConfig struct {
 	budget uint64
 }
 
-func run(dir string, seed int64, scale float64, months, workers int, incremental bool, camp campaignConfig) error {
+func run(dir string, seed int64, scale float64, months, workers int, camp campaignConfig) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -110,7 +109,7 @@ func run(dir string, seed int64, scale float64, months, workers int, incremental
 		return err
 	}
 
-	series := tass.SimulateSeries(u, seed+1, months, tass.SimConfig{Workers: workers, Incremental: incremental})
+	series := tass.SimulateSeries(u, seed+1, months, tass.SimConfig{Workers: workers})
 	for _, name := range u.Protocols() {
 		path := filepath.Join(dir, name+".census")
 		f, err := os.Create(path)
@@ -128,7 +127,7 @@ func run(dir string, seed int64, scale float64, months, workers int, incremental
 			name, series[name].Months(), series[name].At(0).Hosts(), path)
 	}
 	if camp.cycles > 0 {
-		if err := runCampaign(u, series, camp, seed, workers, incremental); err != nil {
+		if err := runCampaign(u, series, camp, seed, workers); err != nil {
 			return err
 		}
 	}
@@ -140,7 +139,7 @@ func run(dir string, seed int64, scale float64, months, workers int, incremental
 // truth: cycle i probes the month-i snapshot (the last month repeats
 // once the series runs out) through a lossy simulated prober, and every
 // cycle's results seed the next cycle's selection.
-func runCampaign(u *tass.Universe, series map[string]*tass.Series, camp campaignConfig, seed int64, workers int, incremental bool) error {
+func runCampaign(u *tass.Universe, series map[string]*tass.Series, camp campaignConfig, seed int64, workers int) error {
 	truth, ok := series[camp.proto]
 	if !ok {
 		return fmt.Errorf("campaign: unknown protocol %q", camp.proto)
@@ -160,12 +159,11 @@ func runCampaign(u *tass.Universe, series map[string]*tass.Series, camp campaign
 			}
 			return p
 		},
-		Opts:        tass.Options{Phi: camp.phi},
-		Workers:     workers,
-		Seed:        seed + 901,
-		Cache:       tass.NewCountCache(),
-		Protocol:    camp.proto,
-		Incremental: incremental,
+		Opts:     tass.Options{Phi: camp.phi},
+		Workers:  workers,
+		Seed:     seed + 901,
+		Cache:    tass.NewCountCache(),
+		Protocol: camp.proto,
 	}
 	if camp.budget > 0 {
 		// The synthetic table carries synthetic origins: the budget and

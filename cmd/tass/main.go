@@ -110,7 +110,7 @@ func usage() {
   tass fsck   [-repair] FILE...
   tass scan   -targets PREFIXES (-sim ADDRS | -port N) [-cycles N] [-phi F]
               [-census-file FILE [-lazy=false]]
-              [-incremental] [-rate F] [-burst N] [-workers N]
+              [-rate F] [-burst N] [-workers N]
               [-shard I -shards N] [-checkpoint FILE] [-exclude FILE]
               [-seed N] [-max N] [-loss F]
               [-cpuprofile FILE] [-memprofile FILE]
@@ -522,7 +522,6 @@ func runScan(args []string) (err error) {
 	port := fs.Int("port", 0, "TCP connect port for real probes (careful: scan only networks you own)")
 	cycles := fs.Int("cycles", 1, "feedback cycles: >1 re-selects from each cycle's results")
 	phi := fs.Float64("phi", 0.95, "host coverage target φ for re-selection (with -cycles > 1)")
-	incremental := fs.Bool("incremental", false, "re-select by applying each cycle's scan-result delta to a maintained ranking (with -cycles > 1; plans are identical either way)")
 	censusPath := fs.String("census-file", "", "seed cycle 0 from this census snapshot file instead of scanning the full universe first (with -cycles > 1)")
 	lazyCensus := fs.Bool("lazy", true, "with -census-file: leave the census on disk and decode blocks on demand")
 	degraded := fs.Bool("degraded", false, "with -census-file: skip corrupt census blocks in the seed selection instead of failing (faults reported on stderr)")
@@ -562,9 +561,6 @@ func runScan(args []string) (err error) {
 	}
 	if *cycles > 1 && *max > 0 {
 		return fmt.Errorf("scan: -max applies to single cycles only (campaign cycles scan their full plan)")
-	}
-	if *incremental && *cycles <= 1 {
-		return fmt.Errorf("scan: -incremental applies to campaigns (-cycles > 1); a single cycle has no prior ranking to repair")
 	}
 	if *censusPath != "" && *cycles <= 1 {
 		return fmt.Errorf("scan: -census-file seeds a campaign's first selection (-cycles > 1); a single cycle scans -targets directly")
@@ -659,16 +655,15 @@ func runScan(args []string) (err error) {
 			OnStorageFault: func(f tass.BlockError) {
 				fmt.Fprintf(os.Stderr, "# census storage fault (skipped): %v\n", &f)
 			},
-			Prober:      prober,
-			Opts:        tass.Options{Phi: *phi},
-			Rate:        *rate,
-			Burst:       *burst,
-			Workers:     *workers,
-			Seed:        *seed,
-			Exclude:     exclude,
-			Politeness:  pol,
-			Cache:       tass.NewCountCache(),
-			Incremental: *incremental,
+			Prober:     prober,
+			Opts:       tass.Options{Phi: *phi},
+			Rate:       *rate,
+			Burst:      *burst,
+			Workers:    *workers,
+			Seed:       *seed,
+			Exclude:    exclude,
+			Politeness: pol,
+			Cache:      tass.NewCountCache(),
 		}
 		if asTable != nil {
 			c.OriginsOf = asTable.OriginsOf

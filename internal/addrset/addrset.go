@@ -34,10 +34,7 @@ import (
 // block cheapens every count; 64 keeps the boundary work near one
 // cache line of varint bytes while the skip index stays under half a
 // byte per address.
-//
-// It may be tuned (e.g. by a CLI flag) before any sets are built; it
-// must not be changed concurrently with set construction.
-var DefaultBlockSize = 64
+const DefaultBlockSize = 64
 
 // SetOf is an immutable block-indexed sorted set of addresses of
 // family A. The zero value is an empty set.

@@ -67,12 +67,6 @@ type countEntry[A netaddr.Key[A]] struct {
 // DefaultCountCacheEntries entries.
 func NewCountCache() *CountCache { return NewCountCacheCap(DefaultCountCacheEntries) }
 
-// NewCountCacheOf returns an empty cache for any address family,
-// bounded at DefaultCountCacheEntries entries.
-func NewCountCacheOf[A netaddr.Key[A]]() *CountCacheOf[A] {
-	return NewCountCacheCapOf[A](DefaultCountCacheEntries)
-}
-
 // NewCountCacheCap returns an empty IPv4 cache evicting
 // least-recently-used entries beyond maxEntries; maxEntries <= 0 means
 // unbounded.

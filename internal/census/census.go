@@ -122,20 +122,12 @@ func NewSnapshotOf[A netaddr.Key[A]](protocol string, month int, addrs []A) *Sna
 }
 
 // NewSnapshotSorted wraps an already sorted, duplicate-free address
-// slice without copying; the snapshot takes ownership of addrs. When
-// prebuildSet is true the block-indexed Set() view is built eagerly
-// (one sequential encode pass) instead of lazily on first use, so
-// snapshots handed straight to concurrent counting never contend on
-// the lazy-build lock. It is the zero-copy fast path behind the churn
-// extraction arena; callers must uphold the ordering invariant
-// (violations surface as a panic from the set builder or as wrong
-// counts downstream).
-func NewSnapshotSorted[A netaddr.Key[A]](protocol string, month int, addrs []A, prebuildSet bool) *SnapshotOf[A] {
-	s := &SnapshotOf[A]{Protocol: protocol, Month: month, Addrs: addrs}
-	if prebuildSet {
-		s.set = addrset.FromSorted(addrs, 0)
-	}
-	return s
+// slice without copying; the snapshot takes ownership of addrs. It is
+// the zero-copy fast path behind the churn extraction arena; callers
+// must uphold the ordering invariant (violations surface as a panic
+// from the set builder or as wrong counts downstream).
+func NewSnapshotSorted[A netaddr.Key[A]](protocol string, month int, addrs []A) *SnapshotOf[A] {
+	return &SnapshotOf[A]{Protocol: protocol, Month: month, Addrs: addrs}
 }
 
 // Hosts returns the number of responsive addresses.
@@ -474,11 +466,6 @@ func (s *SnapshotOf[A]) WriteTo(w io.Writer) (int64, error) {
 // stream are not disturbed by read-ahead.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return ReadSnapshotOf[netaddr.Addr](r)
-}
-
-// ReadSnapshot6 parses one IPv6 snapshot from r.
-func ReadSnapshot6(r io.Reader) (*SnapshotOf[netaddr.Addr6], error) {
-	return ReadSnapshotOf[netaddr.Addr6](r)
 }
 
 // ReadSnapshotOf parses one snapshot of family A from r; a snapshot of

@@ -50,19 +50,6 @@ type RunConfig struct {
 	// Workers bounds the goroutines used across protocols and stripes
 	// (0 means GOMAXPROCS). Any value produces byte-identical series.
 	Workers int
-	// PrebuildSets builds each snapshot's block-indexed Set() view
-	// eagerly during extraction instead of lazily on first use. The
-	// series is byte-identical either way; prebuilding front-loads the
-	// encode pass, which pays off when most snapshots are counted
-	// through the set index afterwards (paper-scale experiment runs).
-	PrebuildSets bool
-	// Incremental derives every post-seed snapshot from its
-	// predecessor through a native census.Delta emitted by the churn
-	// step itself (see delta.go), instead of re-extracting and
-	// re-sorting the full population each month. The series is
-	// byte-identical either way; the incremental path wins when the
-	// monthly churn is a small share of the population.
-	Incremental bool
 }
 
 // Simulator advances the populations of one universe in place. Every
@@ -111,7 +98,7 @@ func (s *Simulator) Step() {
 // scratch, so concurrent Snapshot calls are safe (Step is not).
 func (s *Simulator) Snapshot(protocol string) *census.Snapshot {
 	var ex extractor
-	return ex.snapshot(s.u.Pops[protocol], protocol, s.month, false)
+	return ex.snapshot(s.u.Pops[protocol], protocol, s.month)
 }
 
 // freezeDonors records the start-of-month l-prefix index of every host
@@ -247,7 +234,7 @@ type extractor struct {
 // was tried and measured slower — the branchless LSD radix re-sort
 // beats sorting the ~25 % changed minority plus a branchy (and
 // mispredict-heavy) merge walk over all N.
-func (e *extractor) snapshot(pop *topo.Population, protocol string, month int, prebuildSet bool) *census.Snapshot {
+func (e *extractor) snapshot(pop *topo.Population, protocol string, month int) *census.Snapshot {
 	hosts := pop.Hosts
 	n := len(hosts)
 	if cap(e.gather) < n {
@@ -259,13 +246,13 @@ func (e *extractor) snapshot(pop *topo.Population, protocol string, month int, p
 		buf[i] = hosts[i].Addr
 	}
 	census.SortAddrsScratch(buf, e.scratch[:n])
-	return dedupAlloc(buf, protocol, month, prebuildSet)
+	return dedupAlloc(buf, protocol, month)
 }
 
 // dedupAlloc copies the sorted multiset buf into an exactly-sized,
 // duplicate-free fresh slice (buf is left untouched) and wraps it as a
 // snapshot.
-func dedupAlloc(buf []netaddr.Addr, protocol string, month int, prebuildSet bool) *census.Snapshot {
+func dedupAlloc(buf []netaddr.Addr, protocol string, month int) *census.Snapshot {
 	w := 0
 	for i, a := range buf {
 		if i > 0 && buf[i-1] == a {
@@ -280,7 +267,7 @@ func dedupAlloc(buf []netaddr.Addr, protocol string, month int, prebuildSet bool
 		}
 		out = append(out, a)
 	}
-	return census.NewSnapshotSorted(protocol, month, out, prebuildSet)
+	return census.NewSnapshotSorted(protocol, month, out)
 }
 
 // Run generates a monthly series of months+1 snapshots per protocol
@@ -290,33 +277,31 @@ func Run(u *topo.Universe, seed int64, months int) map[string]*census.Series {
 	return RunSim(u, seed, months, RunConfig{Workers: 1})
 }
 
-// RunWorkers is Run with the evolution fanned out over up to workers
-// goroutines (0 means GOMAXPROCS).
-func RunWorkers(u *topo.Universe, seed int64, months, workers int) map[string]*census.Series {
-	return RunSim(u, seed, months, RunConfig{Workers: workers})
-}
-
 // RunSim generates a monthly series of months+1 snapshots per protocol
 // (months 0..months), evolving the universe in place. The worker
 // budget is split between a per-protocol fan-out and the per-stripe
 // fan-out inside each protocol, so single-protocol universes still
-// scale; the output is byte-identical at any RunConfig.Workers and
-// with or without RunConfig.Incremental.
+// scale; the output is byte-identical at any RunConfig.Workers, and
+// to RunSimDeltas's series.
 func RunSim(u *topo.Universe, seed int64, months int, cfg RunConfig) map[string]*census.Series {
-	series, _ := runSim(u, seed, months, cfg)
+	series, _ := runSim(u, seed, months, cfg, false)
 	return series
 }
 
-// RunSimDeltas is RunSim on the incremental path, additionally
-// returning the native per-month deltas: deltas[name][m-1] carries the
+// RunSimDeltas is RunSim on the incremental path: every post-seed
+// snapshot is derived from its predecessor through a native
+// census.Delta emitted by the churn step itself (see delta.go) instead
+// of re-extracting and re-sorting the full population each month.
+// It additionally returns those deltas: deltas[name][m-1] carries the
 // churn from month m-1 to month m, and applying it to series month m-1
 // reproduces month m exactly.
 func RunSimDeltas(u *topo.Universe, seed int64, months int, cfg RunConfig) (map[string]*census.Series, map[string][]*census.Delta) {
-	cfg.Incremental = true
-	return runSim(u, seed, months, cfg)
+	return runSim(u, seed, months, cfg, true)
 }
 
-func runSim(u *topo.Universe, seed int64, months int, cfg RunConfig) (map[string]*census.Series, map[string][]*census.Delta) {
+// runSim is RunSim, tracking and returning the per-month deltas when
+// withDeltas is set.
+func runSim(u *topo.Universe, seed int64, months int, cfg RunConfig, withDeltas bool) (map[string]*census.Series, map[string][]*census.Delta) {
 	names := u.Protocols()
 	if len(names) == 0 {
 		return map[string]*census.Series{}, map[string][]*census.Delta{}
@@ -341,9 +326,9 @@ func runSim(u *topo.Universe, seed int64, months int, cfg RunConfig) (map[string
 		protoSeed := topo.ProtoSeed(seed, name)
 		var frozen []int32
 		s := &census.Series{Protocol: name}
-		if cfg.Incremental {
+		if withDeltas {
 			var ex extractor
-			snap := ex.snapshot(pop, name, 0, cfg.PrebuildSets)
+			snap := ex.snapshot(pop, name, 0)
 			s.Snapshots = append(s.Snapshots, snap)
 			trk := newTracker(pop, snap)
 			recs := make([][]addrChange, DefaultStripes)
@@ -354,9 +339,6 @@ func runSim(u *topo.Universe, seed int64, months int, cfg RunConfig) (map[string
 				}
 				stepPop(u, pop, protoSeed, m, inner, frozen, recs)
 				d, next := trk.delta(name, m-1, recs)
-				if cfg.PrebuildSets {
-					next.Set()
-				}
 				s.Snapshots = append(s.Snapshots, next)
 				deltas[ni] = append(deltas[ni], d)
 			}
@@ -367,7 +349,7 @@ func runSim(u *topo.Universe, seed int64, months int, cfg RunConfig) (map[string
 					frozen = freezeDonors(pop, frozen)
 					stepPop(u, pop, protoSeed, m, inner, frozen, nil)
 				}
-				s.Snapshots = append(s.Snapshots, ex.snapshot(pop, name, m, cfg.PrebuildSets))
+				s.Snapshots = append(s.Snapshots, ex.snapshot(pop, name, m))
 			}
 		}
 		series[ni] = s
@@ -376,7 +358,7 @@ func runSim(u *topo.Universe, seed int64, months int, cfg RunConfig) (map[string
 	dout := make(map[string][]*census.Delta, len(names))
 	for ni, name := range names {
 		out[name] = series[ni]
-		if cfg.Incremental {
+		if withDeltas {
 			dout[name] = deltas[ni]
 		}
 	}

@@ -148,9 +148,9 @@ func BenchmarkStep(b *testing.B) {
 
 // TestStripedGoldenEquality is the stripe determinism contract: the
 // full monthly series is byte-identical across worker counts 1/2/8
-// (and the GOMAXPROCS default), for several seeds, with and without
-// eager set prebuilding. Stripes are derived per (protocol, stripe,
-// month), so scheduling cannot change a single draw.
+// (and the GOMAXPROCS default), for several seeds. Stripes are derived
+// per (protocol, stripe, month), so scheduling cannot change a single
+// draw.
 func TestStripedGoldenEquality(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		ref := RunSim(testUniverse(t, seed), seed+10, 3, RunConfig{Workers: 1})
@@ -158,7 +158,6 @@ func TestStripedGoldenEquality(t *testing.T) {
 			{Workers: 2},
 			{Workers: 8},
 			{Workers: 0},
-			{Workers: 8, PrebuildSets: true},
 		} {
 			got := RunSim(testUniverse(t, seed), seed+10, 3, cfg)
 			if len(got) != len(ref) {
@@ -206,25 +205,6 @@ func TestSimulatorMatchesRunSim(t *testing.T) {
 				if got.Addrs[i] != want.Addrs[i] {
 					t.Fatalf("%s month %d: addr %d differs", name, m, i)
 				}
-			}
-		}
-	}
-}
-
-// TestPrebuiltSetMatchesLazy checks that a prebuilt snapshot set view
-// answers exactly like the lazily built one.
-func TestPrebuiltSetMatchesLazy(t *testing.T) {
-	u := testUniverse(t, 32)
-	series := RunSim(u, 5, 1, RunConfig{Workers: 2, PrebuildSets: true})
-	for name, s := range series {
-		for m := 0; m < s.Months(); m++ {
-			snap := s.At(m)
-			rebuilt := census.NewSnapshot(snap.Protocol, snap.Month, snap.Addrs)
-			if got, want := snap.CountIn(u.Less), rebuilt.CountIn(u.Less); got != want {
-				t.Fatalf("%s month %d: prebuilt CountIn %d, lazy %d", name, m, got, want)
-			}
-			if got, want := snap.Set().Len(), rebuilt.Set().Len(); got != want {
-				t.Fatalf("%s month %d: set len %d vs %d", name, m, got, want)
 			}
 		}
 	}

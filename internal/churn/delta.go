@@ -150,7 +150,7 @@ func (t *tracker) delta(protocol string, from int, recs [][]addrChange) (*census
 	}
 	out = append(out, base[i:]...)
 	d := &census.Delta{Protocol: protocol, FromMonth: from, ToMonth: from + 1, Born: born, Died: died}
-	next := census.NewSnapshotSorted(protocol, from+1, out, false)
+	next := census.NewSnapshotSorted(protocol, from+1, out)
 	t.snap = next
 	return d, next
 }
@@ -209,5 +209,5 @@ func (s *Simulator) ExtractSnapshot(protocol string) *census.Snapshot {
 		e = &extractor{}
 		s.ex[protocol] = e
 	}
-	return e.snapshot(s.u.Pops[protocol], protocol, s.month, false)
+	return e.snapshot(s.u.Pops[protocol], protocol, s.month)
 }

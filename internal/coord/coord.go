@@ -53,7 +53,17 @@ var (
 	ErrLeaseLost = errors.New("coord: lease lost")
 	// ErrCampaignExists rejects a duplicate campaign ID.
 	ErrCampaignExists = errors.New("coord: campaign already exists")
+	// ErrInvalidSpec rejects a CampaignSpec that fails validation:
+	// resending the same spec cannot succeed, so clients do not retry.
+	ErrInvalidSpec = errors.New("coord: invalid campaign spec")
 )
+
+// invalidSpecError marks a validation failure as ErrInvalidSpec while
+// keeping its own message, which names the failing check.
+type invalidSpecError struct{ err error }
+
+func (e invalidSpecError) Error() string   { return e.err.Error() }
+func (e invalidSpecError) Unwrap() []error { return []error{ErrInvalidSpec, e.err} }
 
 // CampaignSpec is the immutable configuration of a distributed campaign.
 // Prefixes travel as CIDR strings so the spec is one self-describing
@@ -133,9 +143,14 @@ func (s CampaignSpec) withDefaults() CampaignSpec {
 const maxShards = 1 << 16
 
 // validate checks the spec and returns the parsed universe and targets
-// partitions. The cycle count and an empty universe are the campaign
-// machine's to refuse.
+// partitions; every failure is an ErrInvalidSpec. The cycle count and
+// an empty universe are the campaign machine's to refuse.
 func (s CampaignSpec) validate() (universe, targets rib.Partition, err error) {
+	defer func() {
+		if err != nil {
+			err = invalidSpecError{err}
+		}
+	}()
 	switch {
 	case s.ID == "":
 		return universe, targets, fmt.Errorf("coord: campaign needs an ID")

@@ -144,7 +144,7 @@ func (c *Coordinator) CreateCampaign(spec CampaignSpec) error {
 	camp.Targets = targets
 	m, err := camp.Machine(spec.Cycles) // checks the cycle count and a non-empty universe
 	if err != nil {
-		return fmt.Errorf("coord: %w", err)
+		return invalidSpecError{fmt.Errorf("coord: %w", err)}
 	}
 	cs.plan, cs.Plan = m.Plan(), formatPartition(m.Plan())
 	c.mu.Lock()

@@ -76,8 +76,8 @@ func TestCreateCampaignValidation(t *testing.T) {
 	for _, tc := range cases {
 		spec := testSpec("v")
 		tc.mut(&spec)
-		if err := c.CreateCampaign(spec); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if err := c.CreateCampaign(spec); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: err = %v, want ErrInvalidSpec", tc.name, err)
 		}
 	}
 	if err := c.CreateCampaign(testSpec("v")); err != nil {

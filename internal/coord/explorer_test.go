@@ -374,7 +374,7 @@ func (x *explorer) sameErr(live, ref error) {
 	if (live == nil) != (ref == nil) || (live != nil && live.Error() != ref.Error()) {
 		x.fail("errors diverged: live %v, reference %v", live, ref)
 	}
-	for _, s := range []error{ErrUnknownCampaign, ErrUnknownLease, ErrLeaseLost, ErrCampaignExists} {
+	for _, s := range []error{ErrUnknownCampaign, ErrUnknownLease, ErrLeaseLost, ErrCampaignExists, ErrInvalidSpec} {
 		if errors.Is(live, s) != errors.Is(ref, s) {
 			x.fail("error kinds diverged: live %v, reference %v", live, ref)
 		}

@@ -1,7 +1,9 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -783,5 +785,50 @@ func TestWireErrorCodes(t *testing.T) {
 	}
 	if err := cl.CreateCampaign(ctx, faultSpec(1, 1)); !errors.Is(err, ErrCampaignExists) {
 		t.Errorf("duplicate create err = %v, want ErrCampaignExists", err)
+	}
+}
+
+// failingStore accepts loads but fails every save, as a full disk does.
+type failingStore struct{ MemStore }
+
+func (*failingStore) Save([]byte) error { return errors.New("coord test: disk full") }
+
+// TestInvalidSpecNotRetried: a spec the coordinator rejects answers 422
+// with its own code, so the client gives up after one attempt and
+// reports ErrInvalidSpec; a failing save stays a 500 and is retried.
+func TestInvalidSpecNotRetried(t *testing.T) {
+	ctx := context.Background()
+	bad := faultSpec(1, 1)
+	bad.Phi = 2
+	zeroCycles := faultSpec(1, 0)
+	for _, spec := range []CampaignSpec{bad, zeroCycles} {
+		tr := &memTransport{handler: NewHandler(mustCoordinator(t, NewMemStore(), nil))}
+		err := newTestClient(tr).CreateCampaign(ctx, spec)
+		if !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("φ=%v cycles=%d: err = %v, want ErrInvalidSpec", spec.Phi, spec.Cycles, err)
+		}
+		if tr.reqs != 1 {
+			t.Errorf("φ=%v cycles=%d: %d attempts, want 1", spec.Phi, spec.Cycles, tr.reqs)
+		}
+	}
+
+	post := func(c *Coordinator, spec CampaignSpec) int {
+		body, _ := json.Marshal(spec)
+		rec := httptest.NewRecorder()
+		NewHandler(c).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(body)))
+		return rec.Code
+	}
+	if code := post(mustCoordinator(t, NewMemStore(), nil), bad); code != http.StatusUnprocessableEntity {
+		t.Errorf("invalid spec answered %d, want 422", code)
+	}
+	if code := post(mustCoordinator(t, &failingStore{}, nil), faultSpec(1, 1)); code != http.StatusInternalServerError {
+		t.Errorf("failing save answered %d, want 500", code)
+	}
+	tr := &memTransport{handler: NewHandler(mustCoordinator(t, &failingStore{}, nil))}
+	if err := newTestClient(tr).CreateCampaign(ctx, faultSpec(1, 1)); errors.Is(err, ErrInvalidSpec) {
+		t.Errorf("failing save: err = %v, want no ErrInvalidSpec", err)
+	}
+	if tr.reqs < 2 {
+		t.Errorf("failing save: %d attempts, want a retry", tr.reqs)
 	}
 }

@@ -60,6 +60,7 @@ var wireErrors = []struct {
 	{ErrUnknownLease, http.StatusNotFound, "unknown_lease"},
 	{ErrLeaseLost, http.StatusGone, "lease_lost"},
 	{ErrCampaignExists, http.StatusConflict, "campaign_exists"},
+	{ErrInvalidSpec, http.StatusUnprocessableEntity, "invalid_spec"},
 }
 
 // maxBodyBytes bounds request bodies: uploads carry address lists, not

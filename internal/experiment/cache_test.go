@@ -50,21 +50,3 @@ func TestCountCacheGoldenEquality(t *testing.T) {
 		}
 	}
 }
-
-// TestNoCountCacheConfig checks the config switch actually disables the
-// cache.
-func TestNoCountCacheConfig(t *testing.T) {
-	cfg := SmallConfig(1)
-	cfg.NoCountCache = true
-	w, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Cache != nil {
-		t.Fatal("NoCountCache world still has a cache")
-	}
-	// And the nil cache must run fine end to end.
-	if _, err := RunAll(context.Background(), w, "table1", "section34"); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -70,10 +70,6 @@ func Reseed(w *World) (Result, error) {
 			Universe:    w.U.More,
 			Opts:        core.Options{Phi: 0.95},
 			ReseedEvery: dt,
-			// On an incrementally built world the native deltas make
-			// the campaign reseed off the delta-repaired ranking; the
-			// rows are byte-identical either way (golden tested).
-			Deltas: w.Deltas["ftp"],
 		}, series, w.U.Less.AddressCount())
 		if err != nil {
 			return Result{}, err

@@ -4,15 +4,19 @@ import (
 	"context"
 	"testing"
 
+	"github.com/tass-scan/tass/internal/census"
+	"github.com/tass-scan/tass/internal/churn"
 	"github.com/tass-scan/tass/internal/core"
 )
 
 // TestIncrementalWorldGoldenEquality is the end-to-end acceptance
-// property of the delta pipeline: a world built incrementally (native
-// churn deltas, snapshots derived by ApplyDelta, reseed campaigns
-// driven by a repaired ranking) regenerates every experiment
-// byte-identically to the full-recompute world, for seeds 1–3 across
-// worker counts 1/2/8.
+// property of the delta pipeline: a world whose series is churned on
+// the incremental path (native churn deltas, snapshots derived by
+// ApplyDelta) regenerates every experiment byte-identically to the
+// full-recompute world, and a ranking repaired by those deltas selects
+// as a full recompute does, for seeds 1–3 across worker counts 1/2/8.
+// BuildWorld evolves its universe in place, so the incremental world
+// churns a freshly generated one.
 func TestIncrementalWorldGoldenEquality(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		golden := buildWorldWorkers(t, seed, 1)
@@ -23,26 +27,27 @@ func TestIncrementalWorldGoldenEquality(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			cfg := SmallConfig(seed)
 			cfg.Workers = workers
-			cfg.Incremental = true
-			w, err := BuildWorld(cfg)
+			u, err := generateUniverse(cfg)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
+			series, deltas := churn.RunSimDeltas(u, cfg.Seed+1, cfg.Months, churn.RunConfig{Workers: workers})
+			w := &World{Cfg: cfg, U: u, Series: series, Cache: census.NewCountCache()}
 			assertSameSeries(t, golden, w)
-			if w.Deltas == nil {
-				t.Fatalf("seed %d workers %d: incremental world has no deltas", seed, workers)
-			}
 
 			// Spot-check the delta-driven selection path against the
 			// full recompute on the evolved months.
 			for _, proto := range w.Protocols() {
 				s := w.Series[proto]
+				if len(deltas[proto]) != s.Months()-1 {
+					t.Fatalf("seed %d workers %d %s: %d deltas for %d months", seed, workers, proto, len(deltas[proto]), s.Months())
+				}
 				r, err := core.NewRanker(s.At(0), w.U.More, w.Cfg.workers(), w.Cache)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for m := 1; m < s.Months(); m++ {
-					if err := r.Apply(w.Deltas[proto][m-1]); err != nil {
+					if err := r.Apply(deltas[proto][m-1]); err != nil {
 						t.Fatalf("seed %d %s month %d: %v", seed, proto, m, err)
 					}
 				}

@@ -37,27 +37,6 @@ type Config struct {
 	// produces byte-identical results: every parallel path is backed by
 	// per-protocol RNG streams or pure read-only fan-out.
 	Workers int
-	// NoCountCache disables the shared per-(snapshot, partition) count
-	// cache. The cache never changes a digit of any result (golden
-	// tested); the switch exists for benchmarking the uncached path and
-	// for the -countcache=false CLI flag.
-	NoCountCache bool
-	// PrebuildSets builds every snapshot's block-indexed Set() view
-	// eagerly during churn extraction instead of lazily on first count.
-	// Results are byte-identical either way; prebuilding front-loads
-	// the encode pass into the parallel world build, which pays off at
-	// paper scale where most snapshots are counted through the index.
-	PrebuildSets bool
-	// Incremental builds the monthly series through the churn-native
-	// delta pipeline (every post-seed snapshot derived from its
-	// predecessor by ApplyDelta) and keeps the per-month deltas on the
-	// World, so campaign experiments can reseed incrementally. Every
-	// result is byte-identical either way (golden tested).
-	Incremental bool
-	// CountCacheCap overrides the count cache's LRU entry cap: 0 keeps
-	// the default bound, negative makes it unbounded. Ignored when
-	// NoCountCache is set.
-	CountCacheCap int
 }
 
 // workers resolves the effective worker count.
@@ -86,16 +65,11 @@ type World struct {
 	U      *topo.Universe
 	Series map[string]*census.Series
 
-	// Deltas holds the native per-month churn deltas when the world was
-	// built incrementally: Deltas[proto][m] carries month m -> m+1.
-	// Nil on the full-rebuild path.
-	Deltas map[string][]*census.Delta
-
 	// Cache memoizes per-(snapshot, partition) host counts across every
 	// experiment sharing the world: the phi grid and the figures all
 	// rank the same seeds over the same two universes, so each pair is
-	// counted exactly once per run. Nil when Cfg.NoCountCache is set —
-	// a nil cache computes every request, so call sites need no checks.
+	// counted exactly once per run. A nil cache computes every request,
+	// so call sites need no checks.
 	Cache *census.CountCache
 }
 
@@ -134,6 +108,21 @@ func BuildWorld(cfg Config) (*World, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1.0
 	}
+	u, err := generateUniverse(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &World{
+		Cfg:    cfg,
+		U:      u,
+		Series: churn.RunSim(u, cfg.Seed+1, cfg.Months, churn.RunConfig{Workers: cfg.workers()}),
+		Cache:  census.NewCountCache(),
+	}, nil
+}
+
+// generateUniverse generates the unevolved universe of cfg, whose
+// Scale BuildWorld has defaulted.
+func generateUniverse(cfg Config) (*topo.Universe, error) {
 	var tcfg topo.Config
 	if cfg.Scale >= 1.0 {
 		tcfg = topo.DefaultConfig(cfg.Seed)
@@ -164,28 +153,7 @@ func BuildWorld(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generating universe: %w", err)
 	}
-	rcfg := churn.RunConfig{
-		Workers:      cfg.workers(),
-		PrebuildSets: cfg.PrebuildSets,
-		Incremental:  cfg.Incremental,
-	}
-	w := &World{Cfg: cfg, U: u}
-	if cfg.Incremental {
-		w.Series, w.Deltas = churn.RunSimDeltas(u, cfg.Seed+1, cfg.Months, rcfg)
-	} else {
-		w.Series = churn.RunSim(u, cfg.Seed+1, cfg.Months, rcfg)
-	}
-	if !cfg.NoCountCache {
-		switch {
-		case cfg.CountCacheCap > 0:
-			w.Cache = census.NewCountCacheCap(cfg.CountCacheCap)
-		case cfg.CountCacheCap < 0:
-			w.Cache = census.NewCountCacheCap(0)
-		default:
-			w.Cache = census.NewCountCache()
-		}
-	}
-	return w, nil
+	return u, nil
 }
 
 // Protocols returns the protocol names in canonical order.

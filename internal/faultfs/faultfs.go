@@ -230,11 +230,6 @@ func FlipBit(path string, bit int64) error {
 	return nil
 }
 
-// Truncate shortens the file at path to n bytes.
-func Truncate(path string, n int64) error {
-	return os.Truncate(path, n)
-}
-
 // SweepBits returns the deterministic bit offsets a corruption sweep
 // over an nbytes-long file should flip: every bit when the file holds
 // at most max of them, otherwise max offsets drawn without repetition

@@ -173,13 +173,3 @@ func ParsePrefix6(s string) (Prefix6, error) {
 	}
 	return Prefix6{addr: a, bits: uint8(bits)}, nil
 }
-
-// MustParsePrefix6 is ParsePrefix6 for tests and constants; it panics
-// on error.
-func MustParsePrefix6(s string) Prefix6 {
-	p, err := ParsePrefix6(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

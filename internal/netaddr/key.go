@@ -166,9 +166,6 @@ func KeyMax[A Key[A]]() A {
 	return z.FromHalves(widthMask(z.Width()))
 }
 
-// KeyLess reports a < b.
-func KeyLess[A Key[A]](a, b A) bool { return a.Compare(b) < 0 }
-
 // SortKeys sorts addresses ascending with a comparator sort. The IPv4
 // census path keeps its radix SortAddrs; this is the generic fallback
 // for families without a specialized sort.

@@ -144,13 +144,3 @@ func DefaultProfiles(scale float64) []ProtocolProfile {
 		},
 	}
 }
-
-// ProfileByName returns the profile with the given name from ps.
-func ProfileByName(ps []ProtocolProfile, name string) (ProtocolProfile, bool) {
-	for _, p := range ps {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return ProtocolProfile{}, false
-}

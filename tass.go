@@ -111,16 +111,6 @@ func NewAddrSet(addrs []Addr, blockSize int) *AddrSet {
 	return addrset.FromSorted(addrs, blockSize)
 }
 
-// SetAddrSetBlockSize tunes the default per-block address population of
-// every subsequently built AddrSet (e.g. from a CLI flag, before any
-// snapshots are loaded). It is not safe to call concurrently with set
-// construction.
-func SetAddrSetBlockSize(n int) {
-	if n > 0 {
-		addrset.DefaultBlockSize = n
-	}
-}
-
 // DiffSnapshots compares two scans of one protocol: how many addresses
 // persisted, disappeared and appeared (the §3.3 host-stability view).
 func DiffSnapshots(earlier, later *Snapshot) DiffResult {
@@ -579,18 +569,10 @@ func SimulateMonths(u *Universe, seed int64, months int) map[string]*Series {
 	return churn.Run(u, seed, months)
 }
 
-// SimulateMonthsWorkers is SimulateMonths with the churn evolution
-// fanned out over up to workers goroutines (0 means GOMAXPROCS).
-// Every (protocol, stripe, month) triple evolves on its own derived
-// RNG substream, so the series are byte-identical at any worker count.
-func SimulateMonthsWorkers(u *Universe, seed int64, months, workers int) map[string]*Series {
-	return churn.RunWorkers(u, seed, months, workers)
-}
-
 // SimConfig parameterizes SimulateSeries beyond the universe and seed:
-// worker budget, eager set prebuilding, and the incremental
-// (delta-derived) snapshot pipeline. Every configuration produces
-// byte-identical series.
+// the worker budget. Every (protocol, stripe, month) triple evolves on
+// its own derived RNG substream, so the series are byte-identical at
+// any worker count.
 type SimConfig = churn.RunConfig
 
 // SimulateSeries is SimulateMonths under an explicit SimConfig.

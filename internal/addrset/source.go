@@ -94,9 +94,9 @@ const (
 
 // DefaultBlockCacheCap is the decoded-block residency bound of a lazy
 // set when FromIndex is given a zero cache cap: at the default block
-// size the cache tops out near cap×64 addresses. It may be tuned before
-// sets are built.
-var DefaultBlockCacheCap = 4096
+// size the cache tops out near cap×64 addresses. A caller that needs
+// another bound passes it to FromIndex.
+const DefaultBlockCacheCap = 4096
 
 // blockCache is the decoded-block LRU of one lazy set: block faults
 // decode through it exactly once per residency (concurrent faults on a

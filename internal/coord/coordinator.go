@@ -132,7 +132,7 @@ func (c *Coordinator) Campaigns() []string {
 }
 
 // CreateCampaign validates and registers a campaign, persisting it
-// before the call returns.
+// before the call returns. A failed save registers nothing.
 func (c *Coordinator) CreateCampaign(spec CampaignSpec) error {
 	spec = spec.withDefaults()
 	universe, targets, err := spec.validate()
@@ -153,7 +153,13 @@ func (c *Coordinator) CreateCampaign(spec CampaignSpec) error {
 		return fmt.Errorf("%w: %s", ErrCampaignExists, spec.ID)
 	}
 	c.campaigns[spec.ID] = cs
-	return c.saveLocked()
+	if err := c.saveLocked(); err != nil {
+		// The store never saw the campaign, so neither may memory: a
+		// retry of the failed call must create it, not find it.
+		delete(c.campaigns, spec.ID)
+		return err
+	}
+	return nil
 }
 
 func freshShards(n int) []*shardState {

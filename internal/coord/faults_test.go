@@ -793,6 +793,56 @@ type failingStore struct{ MemStore }
 
 func (*failingStore) Save([]byte) error { return errors.New("coord test: disk full") }
 
+// flakySaveStore fails its first save only, as a transient write error
+// does.
+type flakySaveStore struct {
+	MemStore
+	failed bool
+}
+
+func (s *flakySaveStore) Save(data []byte) error {
+	if !s.failed {
+		s.failed = true
+		return errors.New("coord test: transient write error")
+	}
+	return s.MemStore.Save(data)
+}
+
+// TestCreateCampaignFailedSaveRegistersNothing: a create whose save
+// fails leaves memory as the store has it, without the campaign, so the
+// client's retry of the 500 creates it instead of answering 409
+// campaign_exists for a campaign the store never saw.
+func TestCreateCampaignFailedSaveRegistersNothing(t *testing.T) {
+	spec := faultSpec(1, 1)
+	store := &flakySaveStore{}
+	c := mustCoordinator(t, store, nil)
+	if err := c.CreateCampaign(spec); err == nil {
+		t.Fatal("create over a failing save reported success")
+	}
+	if ids := c.Campaigns(); len(ids) != 0 {
+		t.Fatalf("campaigns after the failed save = %v, want none", ids)
+	}
+	assertMemoryMatchesStore(t, c, store)
+	if err := c.CreateCampaign(spec); err != nil {
+		t.Fatalf("create after the failed save: %v", err)
+	}
+	assertMemoryMatchesStore(t, c, store)
+
+	store = &flakySaveStore{}
+	c = mustCoordinator(t, store, nil)
+	tr := &memTransport{handler: NewHandler(c)}
+	if err := newTestClient(tr).CreateCampaign(context.Background(), spec); err != nil {
+		t.Fatalf("client create over one failed save: %v", err)
+	}
+	if tr.reqs != 2 {
+		t.Errorf("%d attempts, want the failed one and its retry", tr.reqs)
+	}
+	if ids := c.Campaigns(); len(ids) != 1 || ids[0] != spec.ID {
+		t.Errorf("campaigns = %v, want [%s]", ids, spec.ID)
+	}
+	assertMemoryMatchesStore(t, c, store)
+}
+
 // TestInvalidSpecNotRetried: a spec the coordinator rejects answers 422
 // with its own code, so the client gives up after one attempt and
 // reports ErrInvalidSpec; a failing save stays a 500 and is retried.

@@ -56,7 +56,8 @@ func (c *Checkpoint) validate(cfg Config, n uint64) error {
 }
 
 // Checkpoint captures the per-shard cursors of the most recent Run. Call
-// it after Run returns (typically with a context error) to persist where
+// it after Run returns (typically with a context error; the per-AS
+// counts it carries are merged as Run's workers exit) to persist where
 // the cycle stopped; hand the result to Resume on a fresh or existing
 // scanner with the same configuration to continue. Before any Run it
 // returns nil.

@@ -116,3 +116,75 @@ func TestExclusionCountIsPrefixesGiven(t *testing.T) {
 		t.Fatalf("ExclusionCount after clearing = %d", got)
 	}
 }
+
+// randomTargets draws a small target partition around the same anchors
+// as randomExclusions, so the lists nest in, straddle and miss its
+// prefixes; some partitions reach 0.0.0.0 or 255.255.255.255.
+func randomTargets(rng *rand.Rand) rib.Partition {
+	anchors := []netaddr.Addr{0, 0x0a000000, 0x7fffff00, 0xc0a80000, math.MaxUint32 - 0xffff}
+	var ps []netaddr.Prefix
+	switch rng.Intn(4) {
+	case 0:
+		ps = append(ps, netaddr.MustParsePrefix("255.255.255.255/32"))
+	case 1:
+		ps = append(ps, netaddr.MustParsePrefix("255.255.255.0/24"), netaddr.MustParsePrefix("0.0.0.0/30"))
+	}
+	for n := 1 + rng.Intn(24); len(ps) < n; {
+		a := anchors[rng.Intn(len(anchors))] + netaddr.Addr(rng.Intn(1<<16))
+		q := netaddr.MustPrefixFrom(a, 22+rng.Intn(11))
+		overlaps := false
+		for _, p := range ps {
+			overlaps = overlaps || p.Overlaps(q)
+		}
+		if !overlaps {
+			ps = append(ps, q)
+		}
+	}
+	part, err := rib.NewPartition(ps)
+	if err != nil {
+		panic(err)
+	}
+	return part
+}
+
+// TestExclusionPrefilterMatchesContains: the per-target-prefix bit
+// SetExclusions computes is exact. For every address of every target
+// prefix, hits && contains equals contains, and a prefix's bit is set
+// only when one of its addresses is excluded, so the prefilter skips
+// every search it can.
+func TestExclusionPrefilterMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	prober, _ := NewSimProber(nil, 0, 1)
+	bits := map[bool]int{}
+	for iter := 0; iter < 300; iter++ {
+		part := randomTargets(rng)
+		s := mustScanner(t, Config{Targets: part, Prober: prober})
+		ps := randomExclusions(rng)
+		s.SetExclusions(ps)
+		l := s.exclude.Load()
+		if l == nil {
+			continue // an empty list installs none
+		}
+		if len(l.hits) != part.Len() {
+			t.Fatalf("iter %d: %d prefilter bits for %d targets", iter, len(l.hits), part.Len())
+		}
+		for pi := 0; pi < part.Len(); pi++ {
+			p := part.Prefix(pi)
+			excluded := false
+			for a := uint64(p.First()); a <= uint64(p.Last()); a++ {
+				in := l.contains(netaddr.Addr(a))
+				if got := l.hits[pi] && in; got != in {
+					t.Fatalf("iter %d: %v in target %v: prefilter drops an excluded address (list %v)", iter, netaddr.Addr(a), p, ps)
+				}
+				excluded = excluded || in
+			}
+			if l.hits[pi] != excluded {
+				t.Fatalf("iter %d: target %v bit %v, but an address excluded is %v (list %v)", iter, p, l.hits[pi], excluded, ps)
+			}
+			bits[l.hits[pi]]++
+		}
+	}
+	if bits[false] < 100 || bits[true] < 100 {
+		t.Fatalf("prefilter bits set %d, clear %d: the draws no longer cover both", bits[true], bits[false])
+	}
+}

@@ -593,79 +593,128 @@ type ASStat struct {
 	Backoffs uint64 `json:"backoffs,omitempty"`
 }
 
-// asCounter is the live (atomic) accounting behind one AS's ASStat.
-// Probed doubles as the budget reservation counter.
-type asCounter struct {
-	probed, excluded, errors, responsive, denied, backoffs atomic.Uint64
+// asTally is one AS's counts: a worker's private tally of one run, or
+// the merged sums. seen marks an entry in use.
+type asTally struct {
+	probed, excluded, errors, responsive, denied, backoffs uint64
+	seen                                                   bool
 }
 
-// footprint tracks per-origin-AS accounting for one scan cycle. Counter
-// resolution is lock-free after an AS's first touch: each target prefix
-// caches a pointer to its AS's counter.
-type footprint struct {
-	origins []uint32
-	budget  uint64 // max probes per AS per cycle (0 = unlimited)
-
-	mu    sync.Mutex
-	m     map[uint32]*asCounter
-	byPfx []atomic.Pointer[asCounter]
+// tally is one worker's per-AS counts, indexed by dense AS id, plus the
+// ids it touched: merging and clearing walk only those.
+type tally struct {
+	c       []asTally
+	touched []int32
 }
 
-func newFootprint(origins []uint32, budget uint64) *footprint {
-	return &footprint{
-		origins: origins,
-		budget:  budget,
-		m:       make(map[uint32]*asCounter),
-		byPfx:   make([]atomic.Pointer[asCounter], len(origins)),
+// at returns the worker's entry for AS id, marking it touched.
+func (t *tally) at(id int32) *asTally {
+	c := &t.c[id]
+	if !c.seen {
+		c.seen = true
+		t.touched = append(t.touched, id)
 	}
-}
-
-// at returns the counter of the AS owning target prefix pfxIdx.
-func (f *footprint) at(pfxIdx int) *asCounter {
-	if c := f.byPfx[pfxIdx].Load(); c != nil {
-		return c
-	}
-	f.mu.Lock()
-	as := f.origins[pfxIdx]
-	c := f.m[as]
-	if c == nil {
-		c = &asCounter{}
-		f.m[as] = c
-	}
-	f.mu.Unlock()
-	f.byPfx[pfxIdx].Store(c)
 	return c
 }
 
-// reserve claims one probe slot under the AS budget; it reports false
-// once the AS's budget is spent, without overshooting. With no budget
-// it just counts.
-func (f *footprint) reserve(c *asCounter) bool {
-	if f.budget == 0 {
-		c.probed.Add(1)
+// footprint is a Scanner's per-origin-AS accounting. newFootprint
+// resolves every target prefix to a dense AS id, so the probe path
+// indexes arrays. Each worker counts into its own tally and merges it
+// into sum once, when it leaves the run, so without a budget nothing on
+// the probe path writes shared state. A budget keeps one live shared
+// count per AS, which every probe reserves against, so the cap holds
+// exactly across workers.
+type footprint struct {
+	ases    []uint32         // dense id → origin AS
+	ids     []int32          // target prefix → dense id
+	byAS    map[uint32]int32 // origin AS → dense id
+	budget  uint64           // max probes per AS per cycle (0 = unlimited)
+	live    []atomic.Uint64  // probes reserved per id; budget > 0 only
+	tallies []tally          // one per worker, reused by every Run
+
+	mu  sync.Mutex
+	sum []asTally // merged counts; seen marks the ASes a report lists
+}
+
+func newFootprint(origins []uint32, budget uint64, workers int) *footprint {
+	f := &footprint{ids: make([]int32, len(origins)), byAS: make(map[uint32]int32), budget: budget}
+	for i, as := range origins {
+		id, ok := f.byAS[as]
+		if !ok {
+			id = f.add(as)
+		}
+		f.ids[i] = id
+	}
+	n := len(f.ases)
+	f.sum = make([]asTally, n)
+	if budget > 0 {
+		f.live = make([]atomic.Uint64, n)
+	}
+	f.tallies = make([]tally, workers)
+	for w := range f.tallies {
+		f.tallies[w].c = make([]asTally, n)
+	}
+	return f
+}
+
+// add gives AS as the next dense id.
+func (f *footprint) add(as uint32) int32 {
+	id := int32(len(f.ases))
+	f.byAS[as] = id
+	f.ases = append(f.ases, as)
+	return id
+}
+
+// reserve claims one probe of AS id for the worker owning c. Under a
+// budget it claims on the live count and reports false once the budget
+// is spent, without overshooting; otherwise it just counts in c.
+func (f *footprint) reserve(c *asTally, id int32) bool {
+	if f.live == nil {
+		c.probed++
 		return true
 	}
-	return reserveProbe(&c.probed, f.budget)
+	return reserveProbe(&f.live[id], f.budget)
 }
 
 // unreserve returns a claimed slot (rewind paths: the address was drawn
 // and reserved but never probed).
-func (f *footprint) unreserve(c *asCounter) {
-	c.probed.Add(^uint64(0))
+func (f *footprint) unreserve(c *asTally, id int32) {
+	if f.live == nil {
+		c.probed--
+		return
+	}
+	f.live[id].Add(^uint64(0))
 }
 
-// reset zeroes every counter for a fresh cycle. The AS map and the
-// per-prefix caches survive: cached pointers stay valid.
+// merge adds a worker's tally to the sums and clears it for the next
+// Run. Each worker calls it once, when it leaves the run.
+func (f *footprint) merge(t *tally) {
+	f.mu.Lock()
+	for _, id := range t.touched {
+		c, s := &t.c[id], &f.sum[id]
+		s.probed += c.probed
+		s.excluded += c.excluded
+		s.errors += c.errors
+		s.responsive += c.responsive
+		s.denied += c.denied
+		s.backoffs += c.backoffs
+		s.seen = true
+		*c = asTally{}
+	}
+	f.mu.Unlock()
+	t.touched = t.touched[:0]
+}
+
+// reset zeroes every count for a fresh cycle. The set of ASes a report
+// lists survives, as entries with zero counts.
 func (f *footprint) reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, c := range f.m {
-		c.probed.Store(0)
-		c.excluded.Store(0)
-		c.errors.Store(0)
-		c.responsive.Store(0)
-		c.denied.Store(0)
-		c.backoffs.Store(0)
+	for id := range f.sum {
+		f.sum[id] = asTally{seen: f.sum[id].seen}
+	}
+	for id := range f.live {
+		f.live[id].Store(0)
 	}
 }
 
@@ -675,42 +724,65 @@ func (f *footprint) seed(probed map[uint32]uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for as, n := range probed {
-		c := f.m[as]
-		if c == nil {
-			c = &asCounter{}
-			f.m[as] = c
+		id, ok := f.byAS[as]
+		if !ok {
+			// The origins changed since the checkpoint. The AS gets an
+			// id no target prefix maps to: it is reported and carried on,
+			// never probed.
+			id = f.add(as)
+			f.sum = append(f.sum, asTally{})
+			if f.live != nil {
+				f.live = append(f.live, atomic.Uint64{})
+			}
 		}
-		c.probed.Store(n)
+		f.sum[id].seen = true
+		if f.live != nil {
+			f.live[id].Store(n)
+		} else {
+			f.sum[id].probed = n
+		}
 	}
 }
 
-// probedByAS snapshots the per-AS probed counters (the checkpoint
+// probedOf returns AS id's probe count. Callers hold f.mu.
+func (f *footprint) probedOf(id int) uint64 {
+	if f.live != nil {
+		return f.live[id].Load()
+	}
+	return f.sum[id].probed
+}
+
+// probedByAS snapshots the per-AS probed counts (the checkpoint
 // payload).
 func (f *footprint) probedByAS() map[uint32]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[uint32]uint64, len(f.m))
-	for as, c := range f.m {
-		if n := c.probed.Load(); n > 0 {
+	out := make(map[uint32]uint64)
+	for id, as := range f.ases {
+		if n := f.probedOf(id); n > 0 {
 			out[as] = n
 		}
 	}
 	return out
 }
 
-// report converts the counters into the Report.PerAS map.
+// report converts the sums into the Report.PerAS map.
 func (f *footprint) report() map[uint32]ASStat {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[uint32]ASStat, len(f.m))
-	for as, c := range f.m {
+	out := make(map[uint32]ASStat)
+	for id, as := range f.ases {
+		s := &f.sum[id]
+		if !s.seen {
+			continue
+		}
 		out[as] = ASStat{
-			Probed:       c.probed.Load(),
-			Excluded:     c.excluded.Load(),
-			Errors:       c.errors.Load(),
-			Responsive:   c.responsive.Load(),
-			BudgetDenied: c.denied.Load(),
-			Backoffs:     c.backoffs.Load(),
+			Probed:       f.probedOf(id),
+			Excluded:     s.excluded,
+			Errors:       s.errors,
+			Responsive:   s.responsive,
+			BudgetDenied: s.denied,
+			Backoffs:     s.backoffs,
 		}
 	}
 	return out

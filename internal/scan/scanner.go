@@ -97,10 +97,13 @@ func (r *Report) Hitrate() float64 {
 // (Permutation.Shard), so there is no feeder goroutine and no channel
 // handoff: each worker iterates, probes and buffers results locally, and
 // the per-worker buffers are merged once at the end. Nothing on the
-// per-probe path takes a shared lock: counters are per-worker or atomic,
-// the exclusion check is a binary search over an atomically swapped
-// range list, cancellation is polled on the context's Done channel, and
-// the PolicyLimiter paces with CAS token buckets.
+// per-probe path takes a shared lock: counters, per-AS ones included,
+// are per-worker tallies merged when the worker exits (only a MaxProbes
+// or ASBudget cap keeps a live atomic count), the exclusion check is a
+// binary search over an atomically swapped range list, run only for
+// target prefixes the list intersects, cancellation is polled on the
+// context's Done channel, and the PolicyLimiter paces with CAS token
+// buckets.
 type Scanner struct {
 	cfg Config
 	// cum holds the cumulative target sizes for index→address mapping;
@@ -182,7 +185,7 @@ func New(cfg Config) (*Scanner, error) {
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
 	if pol.perAS() {
-		s.fp = newFootprint(pol.Origins, pol.ASBudget)
+		s.fp = newFootprint(pol.Origins, pol.ASBudget, cfg.Workers)
 	}
 	return s, nil
 }
@@ -193,6 +196,11 @@ func New(cfg Config) (*Scanner, error) {
 type exclusionList struct {
 	ranges   []netaddr.AddrRange
 	prefixes int
+	// hits[i] reports whether some range intersects target prefix i. It
+	// is computed with the list, so a list swapped in mid-run carries
+	// its own, and workers search the ranges only for draws from those
+	// prefixes.
+	hits []bool
 }
 
 // newExclusionList merges ps into sorted, disjoint, non-adjacent ranges:
@@ -221,8 +229,27 @@ func newExclusionList(ps []netaddr.Prefix) *exclusionList {
 	return &exclusionList{ranges: out, prefixes: len(ps)}
 }
 
-// contains reports whether a falls in an excluded range. It runs once per
-// draw on every worker, so the binary search is hand-rolled like addrAt's.
+// intersect sets l.hits for the target partition in one merge walk:
+// targets and ranges are both sorted and disjoint.
+func (l *exclusionList) intersect(targets rib.Partition) {
+	l.hits = make([]bool, targets.Len())
+	rs := l.ranges
+	j := 0
+	for i := range l.hits {
+		r := targets.Prefix(i).Range()
+		for j < len(rs) && rs[j].Last < r.First {
+			j++
+		}
+		if j == len(rs) {
+			break
+		}
+		l.hits[i] = rs[j].First <= r.Last
+	}
+}
+
+// contains reports whether a falls in an excluded range. Workers run it
+// on every draw from a target prefix the list intersects, so the binary
+// search is hand-rolled like addrAt's.
 func (l *exclusionList) contains(a netaddr.Addr) bool {
 	rs := l.ranges
 	lo, hi := 0, len(rs) // first i with rs[i].First > a
@@ -246,7 +273,9 @@ func (s *Scanner) SetExclusions(ps []netaddr.Prefix) {
 		s.exclude.Store(nil)
 		return
 	}
-	s.exclude.Store(newExclusionList(ps))
+	l := newExclusionList(ps)
+	l.intersect(s.cfg.Targets)
+	s.exclude.Store(l)
 }
 
 // ExclusionCount returns the number of exclusion prefixes currently
@@ -316,7 +345,8 @@ func (s *Scanner) addrAt(idx uint64) (netaddr.Addr, int) {
 // configured shard is probed exactly once, in permuted order, honoring
 // rate limit, exclusions and context cancellation. A canceled run stops
 // probing immediately — addresses not yet probed are left for a resumed
-// cycle (see Checkpoint) and never probed with a dead context.
+// cycle (see Checkpoint) and never probed with a dead context. Runs of
+// one Scanner must not overlap: they share its per-worker tallies.
 func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 	perm, err := NewPermutation(s.cfg.Targets.AddressCount(), s.cfg.Seed)
 	if err != nil {
@@ -392,8 +422,13 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			var local []netaddr.Addr
 			// Per-worker tallies, flushed into the shared atomics once at
 			// exit: the per-probe path touches no shared cache line. Only
-			// the MaxProbes budget needs a live shared counter.
+			// the MaxProbes budget needs a live shared counter, and only
+			// an AS budget a live per-AS one.
 			var nProbed, nExcluded, nErrors, nDenied uint64
+			var tl *tally
+			if s.fp != nil {
+				tl = &s.fp.tallies[w]
+			}
 			var pc pacer
 			if s.policy != nil {
 				pc = pacer{p: s.policy, k: paceK}
@@ -405,12 +440,12 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					break
 				}
 				addr, pi := s.addrAt(idx)
-				if ex := s.exclude.Load(); ex != nil && ex.contains(addr) {
+				if ex := s.exclude.Load(); ex != nil && ex.hits[pi] && ex.contains(addr) {
 					// Exclusion hits consume neither a rate token nor a
 					// probe: only transmitted probes are accounted.
 					nExcluded++
-					if s.fp != nil {
-						s.fp.at(pi).excluded.Add(1)
+					if tl != nil {
+						tl.at(s.fp.ids[pi]).excluded++
 					}
 					continue
 				}
@@ -419,15 +454,17 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					fail(ctx.Err())
 					break
 				}
-				var fpc *asCounter
-				if s.fp != nil {
-					fpc = s.fp.at(pi)
-					if !s.fp.reserve(fpc) {
+				var fpc *asTally
+				var id int32
+				if tl != nil {
+					id = s.fp.ids[pi]
+					fpc = tl.at(id)
+					if !s.fp.reserve(fpc, id) {
 						// AS budget spent: the draw is consumed — the cap
 						// is a deliberate skip for this cycle, not a
 						// deferral — and no token or probe is used.
 						nDenied++
-						fpc.denied.Add(1)
+						fpc.denied++
 						continue
 					}
 				}
@@ -435,7 +472,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 				// sleeps for a token once the budget is spent.
 				if s.cfg.MaxProbes > 0 && !reserveProbe(&probed, s.cfg.MaxProbes) {
 					if fpc != nil {
-						s.fp.unreserve(fpc)
+						s.fp.unreserve(fpc, id)
 					}
 					sh.rewind()
 					break
@@ -446,7 +483,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 							probed.Add(^uint64(0))
 						}
 						if fpc != nil {
-							s.fp.unreserve(fpc)
+							s.fp.unreserve(fpc, id)
 						}
 						sh.rewind()
 						fail(err)
@@ -460,10 +497,10 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 				if err != nil {
 					nErrors++
 					if fpc != nil {
-						fpc.errors.Add(1)
+						fpc.errors++
 					}
 					if s.backoffOn && s.policy.Observe(pi, false) {
-						fpc.backoffs.Add(1)
+						fpc.backoffs++
 					}
 					continue
 				}
@@ -476,7 +513,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 				if res.Open {
 					local = append(local, res.Addr)
 					if fpc != nil {
-						fpc.responsive.Add(1)
+						fpc.responsive++
 					}
 				}
 			}
@@ -484,6 +521,9 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			excluded.Add(nExcluded)
 			errors.Add(nErrors)
 			denied.Add(nDenied)
+			if tl != nil {
+				s.fp.merge(tl)
+			}
 			responsive[w] = local
 		}(w)
 	}

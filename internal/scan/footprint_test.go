@@ -229,6 +229,25 @@ func TestFootprintMatchesAtomicReference(t *testing.T) {
 			outs = append(outs, runOut(context.Background(), r))
 			return append(outs, runOut(context.Background(), r))
 		}},
+		{"budget/fresh-cycle-canceled", []int{1}, true, true, func(mk func(Config) fpRunner, cfg Config) []fpOut {
+			// A full budgeted cycle, then a fresh one canceled early: the
+			// second run lists, at zero, every AS the first one drew,
+			// those whose only count was the live reservation included.
+			cfg = budget(cfg, 700)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			probes, stopAt := 0, -1
+			cfg.Prober = proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) {
+				if probes++; probes == stopAt {
+					cancel()
+				}
+				return fpProbe(a)
+			})
+			r := mk(cfg)
+			outs := []fpOut{runOut(context.Background(), r)}
+			stopAt = probes + 100
+			return append(outs, runOut(ctx, r))
+		}},
 		{"exclusions-grow-mid-run", []int{1}, true, false, func(mk func(Config) fpRunner, cfg Config) []fpOut {
 			cfg = budget(cfg, 700)
 			cfg.Exclude = excl
@@ -353,5 +372,34 @@ func sameOut(t *testing.T, i int, got, want fpOut, exact bool) {
 	}
 	if !reflect.DeepEqual(got.cp, want.cp) {
 		t.Fatalf("run %d: checkpoint %+v, reference %+v", i, got.cp, want.cp)
+	}
+}
+
+// TestScannerOverlappingRunsRaceFree runs two Runs of one per-AS
+// accounting Scanner at once, with and without a budget. Their reports
+// mix, but the race detector must find nothing: each worker's tally is
+// its own, and the footprint's arrays never change length after New.
+func TestScannerOverlappingRunsRaceFree(t *testing.T) {
+	part, origins := footprintFixture(t)
+	for _, b := range []uint64{0, 700} {
+		s := mustScanner(t, Config{
+			Targets:    part,
+			Workers:    2,
+			Seed:       3,
+			Prober:     proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) { return fpProbe(a) }),
+			Politeness: Politeness{Origins: origins, Footprint: true, ASBudget: b},
+		})
+		errs := make(chan error, 2)
+		for range 2 {
+			go func() {
+				_, err := s.Run(context.Background())
+				errs <- err
+			}()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatalf("budget %d: %v", b, err)
+			}
+		}
 	}
 }

@@ -593,82 +593,61 @@ type ASStat struct {
 	Backoffs uint64 `json:"backoffs,omitempty"`
 }
 
-// asTally is one AS's counts: a worker's private tally of one run, or
-// the merged sums. seen marks an entry in use.
-type asTally struct {
+// asCounts is one AS's counts: a worker's private tally of one run, or
+// the merged sums.
+type asCounts struct {
 	probed, excluded, errors, responsive, denied, backoffs uint64
-	seen                                                   bool
-}
-
-// tally is one worker's per-AS counts, indexed by dense AS id, plus the
-// ids it touched: merging and clearing walk only those.
-type tally struct {
-	c       []asTally
-	touched []int32
-}
-
-// at returns the worker's entry for AS id, marking it touched.
-func (t *tally) at(id int32) *asTally {
-	c := &t.c[id]
-	if !c.seen {
-		c.seen = true
-		t.touched = append(t.touched, id)
-	}
-	return c
 }
 
 // footprint is a Scanner's per-origin-AS accounting. newFootprint
 // resolves every target prefix to a dense AS id, so the probe path
-// indexes arrays. Each worker counts into its own tally and merges it
-// into sum once, when it leaves the run, so without a budget nothing on
-// the probe path writes shared state. A budget keeps one live shared
-// count per AS, which every probe reserves against, so the cap holds
-// exactly across workers.
+// indexes arrays. Each worker of a Run counts into a tally of its own,
+// one asCounts per AS, and merges it into sum once, when it leaves the
+// run, so without a budget nothing on the probe path writes shared
+// state. A budget keeps one live shared count per AS, which every probe
+// reserves against, so the cap holds exactly across workers. The arrays
+// keep their length after newFootprint, so Runs that overlap share
+// nothing but atomics and the mutex.
 type footprint struct {
-	ases    []uint32         // dense id → origin AS
-	ids     []int32          // target prefix → dense id
-	byAS    map[uint32]int32 // origin AS → dense id
-	budget  uint64           // max probes per AS per cycle (0 = unlimited)
-	live    []atomic.Uint64  // probes reserved per id; budget > 0 only
-	tallies []tally          // one per worker, reused by every Run
+	ases   []uint32         // dense id → origin AS
+	ids    []int32          // target prefix → dense id
+	byAS   map[uint32]int32 // origin AS → dense id
+	budget uint64           // max probes per AS per cycle (0 = unlimited)
+	live   []atomic.Uint64  // probes reserved per id; budget > 0 only
 
-	mu  sync.Mutex
-	sum []asTally // merged counts; seen marks the ASes a report lists
+	mu     sync.Mutex
+	sum    []asCounts // merged counts
+	listed []bool     // ASes a report lists: drawn at least once
+	// orphans carries the checkpointed probe counts of ASes that no
+	// target prefix maps to (the origins changed since the checkpoint):
+	// they are reported and carried on, never probed.
+	orphans map[uint32]uint64
 }
 
-func newFootprint(origins []uint32, budget uint64, workers int) *footprint {
+func newFootprint(origins []uint32, budget uint64) *footprint {
 	f := &footprint{ids: make([]int32, len(origins)), byAS: make(map[uint32]int32), budget: budget}
 	for i, as := range origins {
 		id, ok := f.byAS[as]
 		if !ok {
-			id = f.add(as)
+			id = int32(len(f.ases))
+			f.byAS[as] = id
+			f.ases = append(f.ases, as)
 		}
 		f.ids[i] = id
 	}
 	n := len(f.ases)
-	f.sum = make([]asTally, n)
+	f.sum = make([]asCounts, n)
+	f.listed = make([]bool, n)
 	if budget > 0 {
 		f.live = make([]atomic.Uint64, n)
 	}
-	f.tallies = make([]tally, workers)
-	for w := range f.tallies {
-		f.tallies[w].c = make([]asTally, n)
-	}
 	return f
-}
-
-// add gives AS as the next dense id.
-func (f *footprint) add(as uint32) int32 {
-	id := int32(len(f.ases))
-	f.byAS[as] = id
-	f.ases = append(f.ases, as)
-	return id
 }
 
 // reserve claims one probe of AS id for the worker owning c. Under a
 // budget it claims on the live count and reports false once the budget
 // is spent, without overshooting; otherwise it just counts in c.
-func (f *footprint) reserve(c *asTally, id int32) bool {
+func (f *footprint) reserve(c *asCounts, id int32) bool {
 	if f.live == nil {
 		c.probed++
 		return true
@@ -677,8 +656,13 @@ func (f *footprint) reserve(c *asTally, id int32) bool {
 }
 
 // unreserve returns a claimed slot (rewind paths: the address was drawn
-// and reserved but never probed).
-func (f *footprint) unreserve(c *asTally, id int32) {
+// and reserved but never probed). The AS stays listed, with whatever
+// counts remain. A worker unreserves at most once, just before it
+// leaves the run, so taking the lock here costs nothing per probe.
+func (f *footprint) unreserve(c *asCounts, id int32) {
+	f.mu.Lock()
+	f.listed[id] = true
+	f.mu.Unlock()
 	if f.live == nil {
 		c.probed--
 		return
@@ -686,23 +670,31 @@ func (f *footprint) unreserve(c *asTally, id int32) {
 	f.live[id].Add(^uint64(0))
 }
 
-// merge adds a worker's tally to the sums and clears it for the next
-// Run. Each worker calls it once, when it leaves the run.
-func (f *footprint) merge(t *tally) {
+// merge adds a worker's tally to the sums and lists every AS the run
+// drew so far. Each worker calls it once, when it leaves the run. A
+// drawn AS has a nonzero count in some tally or, under a budget, a
+// live reservation; the one exception, an AS whose draw was
+// unreserved, unreserve lists.
+func (f *footprint) merge(t []asCounts) {
 	f.mu.Lock()
-	for _, id := range t.touched {
-		c, s := &t.c[id], &f.sum[id]
+	defer f.mu.Unlock()
+	for id := range t {
+		c := &t[id]
+		if *c == (asCounts{}) {
+			if f.live != nil && f.live[id].Load() > 0 {
+				f.listed[id] = true
+			}
+			continue
+		}
+		s := &f.sum[id]
 		s.probed += c.probed
 		s.excluded += c.excluded
 		s.errors += c.errors
 		s.responsive += c.responsive
 		s.denied += c.denied
 		s.backoffs += c.backoffs
-		s.seen = true
-		*c = asTally{}
+		f.listed[id] = true
 	}
-	f.mu.Unlock()
-	t.touched = t.touched[:0]
 }
 
 // reset zeroes every count for a fresh cycle. The set of ASes a report
@@ -710,11 +702,12 @@ func (f *footprint) merge(t *tally) {
 func (f *footprint) reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for id := range f.sum {
-		f.sum[id] = asTally{seen: f.sum[id].seen}
-	}
+	clear(f.sum)
 	for id := range f.live {
 		f.live[id].Store(0)
+	}
+	for as := range f.orphans {
+		f.orphans[as] = 0
 	}
 }
 
@@ -725,22 +718,19 @@ func (f *footprint) seed(probed map[uint32]uint64) {
 	defer f.mu.Unlock()
 	for as, n := range probed {
 		id, ok := f.byAS[as]
-		if !ok {
-			// The origins changed since the checkpoint. The AS gets an
-			// id no target prefix maps to: it is reported and carried on,
-			// never probed.
-			id = f.add(as)
-			f.sum = append(f.sum, asTally{})
-			if f.live != nil {
-				f.live = append(f.live, atomic.Uint64{})
+		switch {
+		case !ok:
+			if f.orphans == nil {
+				f.orphans = make(map[uint32]uint64)
 			}
-		}
-		f.sum[id].seen = true
-		if f.live != nil {
+			f.orphans[as] = n
+			continue
+		case f.live != nil:
 			f.live[id].Store(n)
-		} else {
+		default:
 			f.sum[id].probed = n
 		}
+		f.listed[id] = true
 	}
 }
 
@@ -763,6 +753,11 @@ func (f *footprint) probedByAS() map[uint32]uint64 {
 			out[as] = n
 		}
 	}
+	for as, n := range f.orphans {
+		if n > 0 {
+			out[as] = n
+		}
+	}
 	return out
 }
 
@@ -772,10 +767,10 @@ func (f *footprint) report() map[uint32]ASStat {
 	defer f.mu.Unlock()
 	out := make(map[uint32]ASStat)
 	for id, as := range f.ases {
-		s := &f.sum[id]
-		if !s.seen {
+		if !f.listed[id] {
 			continue
 		}
+		s := &f.sum[id]
 		out[as] = ASStat{
 			Probed:       f.probedOf(id),
 			Excluded:     s.excluded,
@@ -784,6 +779,9 @@ func (f *footprint) report() map[uint32]ASStat {
 			BudgetDenied: s.denied,
 			Backoffs:     s.backoffs,
 		}
+	}
+	for as, n := range f.orphans {
+		out[as] = ASStat{Probed: n}
 	}
 	return out
 }

@@ -185,7 +185,7 @@ func New(cfg Config) (*Scanner, error) {
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
 	if pol.perAS() {
-		s.fp = newFootprint(pol.Origins, pol.ASBudget, cfg.Workers)
+		s.fp = newFootprint(pol.Origins, pol.ASBudget)
 	}
 	return s, nil
 }
@@ -345,8 +345,7 @@ func (s *Scanner) addrAt(idx uint64) (netaddr.Addr, int) {
 // configured shard is probed exactly once, in permuted order, honoring
 // rate limit, exclusions and context cancellation. A canceled run stops
 // probing immediately — addresses not yet probed are left for a resumed
-// cycle (see Checkpoint) and never probed with a dead context. Runs of
-// one Scanner must not overlap: they share its per-worker tallies.
+// cycle (see Checkpoint) and never probed with a dead context.
 func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 	perm, err := NewPermutation(s.cfg.Targets.AddressCount(), s.cfg.Seed)
 	if err != nil {
@@ -425,9 +424,9 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			// the MaxProbes budget needs a live shared counter, and only
 			// an AS budget a live per-AS one.
 			var nProbed, nExcluded, nErrors, nDenied uint64
-			var tl *tally
+			var tl []asCounts
 			if s.fp != nil {
-				tl = &s.fp.tallies[w]
+				tl = make([]asCounts, len(s.fp.ases))
 			}
 			var pc pacer
 			if s.policy != nil {
@@ -445,7 +444,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					// probe: only transmitted probes are accounted.
 					nExcluded++
 					if tl != nil {
-						tl.at(s.fp.ids[pi]).excluded++
+						tl[s.fp.ids[pi]].excluded++
 					}
 					continue
 				}
@@ -454,11 +453,11 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					fail(ctx.Err())
 					break
 				}
-				var fpc *asTally
+				var fpc *asCounts
 				var id int32
 				if tl != nil {
 					id = s.fp.ids[pi]
-					fpc = tl.at(id)
+					fpc = &tl[id]
 					if !s.fp.reserve(fpc, id) {
 						// AS budget spent: the draw is consumed — the cap
 						// is a deliberate skip for this cycle, not a

@@ -158,6 +158,8 @@ func (s CampaignSpec) validate() (universe, targets rib.Partition, err error) {
 		return universe, targets, fmt.Errorf("coord: campaign needs 1 to %d shards, got %d", maxShards, s.Shards)
 	case s.Phi <= 0 || s.Phi > 1:
 		return universe, targets, fmt.Errorf("coord: φ must be in (0,1], got %v", s.Phi)
+	case math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) || s.Rate < 0:
+		return universe, targets, fmt.Errorf("coord: rate must be finite and non-negative, got %v", s.Rate)
 	case math.IsNaN(s.PrefixRate) || math.IsInf(s.PrefixRate, 0) || s.PrefixRate < 0:
 		return universe, targets, fmt.Errorf("coord: prefix rate must be finite and non-negative, got %v", s.PrefixRate)
 	}

@@ -72,6 +72,7 @@ func TestCreateCampaignValidation(t *testing.T) {
 		{"zero cycles", func(s *CampaignSpec) { s.Cycles = 0 }},
 		{"zero shards", func(s *CampaignSpec) { s.Shards = 0 }},
 		{"phi out of range", func(s *CampaignSpec) { s.Phi = 1.5 }},
+		{"negative rate", func(s *CampaignSpec) { s.Rate = -1 }},
 	}
 	for _, tc := range cases {
 		spec := testSpec("v")

@@ -24,7 +24,7 @@ type Politeness struct {
 	// Origin 0 groups prefixes with no known origin.
 	Origins []uint32
 	// ASRate, when positive, caps probes per second into any single
-	// origin AS (a token bucket per AS, lazily created on first probe).
+	// origin AS (a token bucket per AS, built with the Scanner).
 	ASRate float64
 	// ASBurst is the per-AS bucket burst (default 16).
 	ASBurst int
@@ -107,12 +107,17 @@ type bucket struct {
 	burst    float64
 }
 
-func newBucket(rate float64, burst int) *bucket {
-	b := &bucket{base: rate, burst: float64(burst)}
-	b.tat.Store(math.Float64bits(math.Inf(-1)))
-	b.interval.Store(math.Float64bits(intervalOf(rate)))
-	b.rate.Store(math.Float64bits(rate))
-	return b
+// newBuckets returns n full buckets at rate with the given burst.
+func newBuckets(n int, rate float64, burst int) []bucket {
+	bs := make([]bucket, n)
+	for i := range bs {
+		b := &bs[i]
+		b.base, b.burst = rate, float64(burst)
+		b.tat.Store(math.Float64bits(math.Inf(-1)))
+		b.interval.Store(math.Float64bits(intervalOf(rate)))
+		b.rate.Store(math.Float64bits(rate))
+	}
+	return bs
 }
 
 // intervalGrid is the reciprocal of the interval rounding step (ns).
@@ -209,35 +214,31 @@ func (b *bucket) retune(now, rate float64) {
 // workers waking together to fight over one refilled token. A canceled
 // wait returns its reservations.
 //
-// The probe path takes no lock: Wait reads the clock once, resolves its
-// buckets through atomic per-prefix caches, and takes each token with a
-// CAS; only a Wait that must sleep reads the clock again, to sleep until
-// its slot. A scanner worker paces through a pacer instead, which shares
-// one clock reading and one global claim among a batch of probes; Wait
-// is the same path with a batch of one. mu guards only what is rare —
-// lazy bucket creation and rate changes. Per-AS buckets are created
-// lazily on first probe into the AS (a 2^32 scan over ~70 k ASes
-// allocates only what it touches), and per-prefix buckets likewise.
-// SetASRate and the Observe backoff path retune a single AS's rate
-// while a cycle runs.
+// The probe path takes no lock: Wait reads the clock once, indexes its
+// buckets by the AS table's dense ids and the target prefix, and takes
+// each token with a CAS; only a Wait that must sleep reads the clock
+// again, to sleep until its slot. A scanner worker paces through a
+// pacer instead, which shares one clock reading and one global claim
+// among a batch of probes; Wait is the same path with a batch of one.
+// Every bucket exists from construction, one per AS of the table and
+// one per target prefix: a finished cycle probes every target prefix,
+// so creating them on first touch would save nothing. mu serializes
+// rate changes only: SetASRate and the Observe backoff path retune a
+// single AS's rate while a cycle runs.
 type PolicyLimiter struct {
-	mu    sync.Mutex // guards bucket creation (as, caches) and rate changes
+	mu    sync.Mutex // serializes rate changes
 	epoch time.Time  // zero of the monotonic limiter clock
 	// now, when set, replaces the monotonic clock (tests inject a virtual
 	// one); its readings count from its first, in nowBase.
-	now      func() time.Time
-	nowBase  atomic.Int64
-	sleep    func(ctx context.Context, d time.Duration) error
-	global   *bucket // nil when no global rate
-	asRate   float64
-	asBurst  int
-	pfxRate  float64
-	pfxBurst int
-	origins  []uint32
-	backoff  BackoffConfig
-	as       map[uint32]*bucket
-	asByPfx  []atomic.Pointer[bucket] // per-prefix cache of the owning AS bucket
-	pfx      []atomic.Pointer[bucket]
+	now     func() time.Time
+	nowBase atomic.Int64
+	sleep   func(ctx context.Context, d time.Duration) error
+	global  *bucket // nil when no global rate
+	asRate  float64
+	tab     *asTable // the ASes behind as
+	as      []bucket // per dense AS id; nil without per-AS pacing
+	pfx     []bucket // per target prefix; nil without per-prefix pacing
+	backoff BackoffConfig
 }
 
 // PolicyConfig parameterizes NewPolicyLimiter. Rate/Burst are the global
@@ -256,25 +257,41 @@ type PolicyConfig struct {
 	Backoff     BackoffConfig
 }
 
-// NewPolicyLimiter validates cfg and builds the hierarchy.
-func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
+// validate checks every rate and the inputs each level needs. It is the
+// only rate check; New runs it whether or not any rate is set.
+func (cfg *PolicyConfig) validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64
 	}{{"rate", cfg.Rate}, {"as-rate", cfg.ASRate}, {"prefix-rate", cfg.PrefixRate}} {
 		if math.IsNaN(r.v) || math.IsInf(r.v, 0) || r.v < 0 {
-			return nil, fmt.Errorf("scan: policy %s must be finite and non-negative, got %v", r.name, r.v)
+			return fmt.Errorf("scan: policy %s must be finite and non-negative, got %v", r.name, r.v)
 		}
 	}
 	if cfg.Backoff.Threshold > 0 && cfg.ASRate <= 0 {
-		return nil, fmt.Errorf("scan: backoff needs a per-AS rate to halve")
+		return fmt.Errorf("scan: backoff needs a per-AS rate to halve")
 	}
 	if cfg.ASRate > 0 && len(cfg.Origins) == 0 {
-		return nil, fmt.Errorf("scan: per-AS rate needs an origin mapping")
+		return fmt.Errorf("scan: per-AS rate needs an origin mapping")
 	}
 	if cfg.PrefixRate > 0 && cfg.Prefixes <= 0 {
-		return nil, fmt.Errorf("scan: per-prefix rate needs the target prefix count")
+		return fmt.Errorf("scan: per-prefix rate needs the target prefix count")
 	}
+	return nil
+}
+
+// NewPolicyLimiter validates cfg and builds the hierarchy over an AS
+// table of its own, numbered from cfg.Origins.
+func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return newPolicyLimiter(cfg, newASTable(cfg.Origins)), nil
+}
+
+// newPolicyLimiter builds the hierarchy of a validated cfg over tab, the
+// AS table of cfg.Origins (unused without per-AS pacing).
+func newPolicyLimiter(cfg PolicyConfig, tab *asTable) *PolicyLimiter {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
 	}
@@ -285,27 +302,23 @@ func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
 		cfg.PrefixBurst = 8
 	}
 	p := &PolicyLimiter{
-		epoch:    time.Now(),
-		sleep:    timerSleep,
-		asRate:   cfg.ASRate,
-		asBurst:  cfg.ASBurst,
-		pfxRate:  cfg.PrefixRate,
-		pfxBurst: cfg.PrefixBurst,
-		origins:  cfg.Origins,
-		backoff:  cfg.Backoff.withDefaults(),
+		epoch:   time.Now(),
+		sleep:   timerSleep,
+		asRate:  cfg.ASRate,
+		tab:     tab,
+		backoff: cfg.Backoff.withDefaults(),
 	}
 	if cfg.Rate > 0 {
-		p.global = newBucket(cfg.Rate, cfg.Burst)
+		p.global = &newBuckets(1, cfg.Rate, cfg.Burst)[0]
 	}
-	if cfg.ASRate > 0 || cfg.Backoff.Threshold > 0 {
-		p.as = make(map[uint32]*bucket)
-		p.asByPfx = make([]atomic.Pointer[bucket], len(cfg.Origins))
+	if cfg.ASRate > 0 {
+		p.as = newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst)
 	}
 	if cfg.PrefixRate > 0 {
-		p.pfx = make([]atomic.Pointer[bucket], cfg.Prefixes)
+		p.pfx = newBuckets(cfg.Prefixes, cfg.PrefixRate, cfg.PrefixBurst)
 	}
 	p.nowBase.Store(noBase)
-	return p, nil
+	return p
 }
 
 // timerSleep is the production sleeper: a real timer racing the context.
@@ -335,44 +348,9 @@ func (p *PolicyLimiter) clock() float64 {
 	return float64(t - p.nowBase.Load())
 }
 
-// asBucketFor resolves (lazily creating) the AS bucket owning target
-// prefix pfxIdx.
-func (p *PolicyLimiter) asBucketFor(pfxIdx int) *bucket {
-	if b := p.asByPfx[pfxIdx].Load(); b != nil {
-		return b
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := p.asBucketLocked(p.origins[pfxIdx])
-	p.asByPfx[pfxIdx].Store(b)
-	return b
-}
-
-// asBucketLocked returns (lazily creating) the bucket of one AS. Callers
-// hold p.mu.
-func (p *PolicyLimiter) asBucketLocked(as uint32) *bucket {
-	b := p.as[as]
-	if b == nil {
-		b = newBucket(p.asRate, p.asBurst)
-		p.as[as] = b
-	}
-	return b
-}
-
-// pfxBucketFor resolves (lazily creating) the bucket of target prefix
-// pfxIdx.
-func (p *PolicyLimiter) pfxBucketFor(pfxIdx int) *bucket {
-	if b := p.pfx[pfxIdx].Load(); b != nil {
-		return b
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := p.pfx[pfxIdx].Load()
-	if b == nil {
-		b = newBucket(p.pfxRate, p.pfxBurst)
-		p.pfx[pfxIdx].Store(b)
-	}
-	return b
+// asBucket returns the bucket of the AS owning target prefix pfxIdx.
+func (p *PolicyLimiter) asBucket(pfxIdx int) *bucket {
+	return &p.as[p.tab.ids[pfxIdx]]
 }
 
 // Wait blocks until a probe of target prefix pfxIdx may be sent, or the
@@ -441,12 +419,12 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 		}
 	}
 	lower := n // the per-AS and per-prefix levels take one token each
-	if p.asRate > 0 {
-		taken[n] = p.asBucketFor(pfxIdx)
+	if p.as != nil {
+		taken[n] = p.asBucket(pfxIdx)
 		n++
 	}
 	if p.pfx != nil {
-		taken[n] = p.pfxBucketFor(pfxIdx)
+		taken[n] = &p.pfx[pfxIdx]
 		n++
 	}
 	for _, b := range taken[lower:n] {
@@ -500,7 +478,7 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 	if p.backoff.Threshold <= 0 {
 		return false
 	}
-	b := p.asBucketFor(pfxIdx)
+	b := p.asBucket(pfxIdx)
 	if ok {
 		if b.streak.Load() != 0 {
 			b.streak.Store(0)
@@ -544,32 +522,35 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 
 // SetASRate retunes one AS's current bucket rate mid-cycle — the hook
 // for external abuse/complaint feeds. The configured base rate (the
-// recovery target) is unchanged. It errors when per-AS pacing is off or
-// the rate is not a finite positive number.
+// recovery target) is unchanged. It errors when per-AS pacing is off,
+// when no target prefix maps to the AS (nothing it would pace is ever
+// probed), or when the rate is not a finite positive number.
 func (p *PolicyLimiter) SetASRate(as uint32, rate float64) error {
 	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate <= 0 {
 		return fmt.Errorf("scan: per-AS rate must be finite and positive, got %v", rate)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.as == nil {
 		return fmt.Errorf("scan: per-AS pacing is not configured")
 	}
-	p.asBucketLocked(as).retune(p.clock(), rate)
+	id, ok := p.tab.byAS[as]
+	if !ok {
+		return fmt.Errorf("scan: no target prefix maps to AS%d", as)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.as[id].retune(p.clock(), rate)
 	return nil
 }
 
 // ASRateOf returns the current bucket rate of an AS (the configured
-// ASRate when the AS has not been touched yet); ok is false when per-AS
+// ASRate when no target prefix maps to the AS); ok is false when per-AS
 // pacing is off.
 func (p *PolicyLimiter) ASRateOf(as uint32) (rate float64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.as == nil {
 		return 0, false
 	}
-	if b := p.as[as]; b != nil {
-		return b.currentRate(), true
+	if id, ok := p.tab.byAS[as]; ok {
+		return p.as[id].currentRate(), true
 	}
 	return p.asRate, true
 }
@@ -599,21 +580,41 @@ type asCounts struct {
 	probed, excluded, errors, responsive, denied, backoffs uint64
 }
 
-// footprint is a Scanner's per-origin-AS accounting. newFootprint
-// resolves every target prefix to a dense AS id, so the probe path
-// indexes arrays. Each worker of a Run counts into a tally of its own,
-// one asCounts per AS, and merges it into sum once, when it leaves the
-// run, so without a budget nothing on the probe path writes shared
-// state. A budget keeps one live shared count per AS, which every probe
-// reserves against, so the cap holds exactly across workers. The arrays
-// keep their length after newFootprint, so Runs that overlap share
-// nothing but atomics and the mutex.
+// asTable numbers the origin ASes of a Scanner's target prefixes
+// densely, once: the pacer's per-AS buckets and the footprint's counts
+// are both indexed by its ids. It never changes after newASTable.
+type asTable struct {
+	ases []uint32         // dense id → origin AS
+	ids  []int32          // target prefix → dense id
+	byAS map[uint32]int32 // origin AS → dense id
+}
+
+func newASTable(origins []uint32) *asTable {
+	t := &asTable{ids: make([]int32, len(origins)), byAS: make(map[uint32]int32)}
+	for i, as := range origins {
+		id, ok := t.byAS[as]
+		if !ok {
+			id = int32(len(t.ases))
+			t.byAS[as] = id
+			t.ases = append(t.ases, as)
+		}
+		t.ids[i] = id
+	}
+	return t
+}
+
+// footprint is a Scanner's per-origin-AS accounting, indexed by the ids
+// of the Scanner's asTable. Each worker of a Run counts into a tally of
+// its own, one asCounts per AS, and merges it into sum once, when it
+// leaves the run, so without a budget nothing on the probe path writes
+// shared state. A budget keeps one live shared count per AS, which
+// every probe reserves against, so the cap holds exactly across
+// workers. The arrays keep their length after newFootprint, so Runs
+// that overlap share nothing but atomics and the mutex.
 type footprint struct {
-	ases   []uint32         // dense id → origin AS
-	ids    []int32          // target prefix → dense id
-	byAS   map[uint32]int32 // origin AS → dense id
-	budget uint64           // max probes per AS per cycle (0 = unlimited)
-	live   []atomic.Uint64  // probes reserved per id; budget > 0 only
+	tab    *asTable
+	budget uint64          // max probes per AS per cycle (0 = unlimited)
+	live   []atomic.Uint64 // probes reserved per id; budget > 0 only
 
 	mu     sync.Mutex
 	sum    []asCounts // merged counts
@@ -624,18 +625,9 @@ type footprint struct {
 	orphans map[uint32]uint64
 }
 
-func newFootprint(origins []uint32, budget uint64) *footprint {
-	f := &footprint{ids: make([]int32, len(origins)), byAS: make(map[uint32]int32), budget: budget}
-	for i, as := range origins {
-		id, ok := f.byAS[as]
-		if !ok {
-			id = int32(len(f.ases))
-			f.byAS[as] = id
-			f.ases = append(f.ases, as)
-		}
-		f.ids[i] = id
-	}
-	n := len(f.ases)
+func newFootprint(tab *asTable, budget uint64) *footprint {
+	f := &footprint{tab: tab, budget: budget}
+	n := len(tab.ases)
 	f.sum = make([]asCounts, n)
 	f.listed = make([]bool, n)
 	if budget > 0 {
@@ -717,7 +709,7 @@ func (f *footprint) seed(probed map[uint32]uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for as, n := range probed {
-		id, ok := f.byAS[as]
+		id, ok := f.tab.byAS[as]
 		switch {
 		case !ok:
 			if f.orphans == nil {
@@ -748,7 +740,7 @@ func (f *footprint) probedByAS() map[uint32]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make(map[uint32]uint64)
-	for id, as := range f.ases {
+	for id, as := range f.tab.ases {
 		if n := f.probedOf(id); n > 0 {
 			out[as] = n
 		}
@@ -766,7 +758,7 @@ func (f *footprint) report() map[uint32]ASStat {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make(map[uint32]ASStat)
-	for id, as := range f.ases {
+	for id, as := range f.tab.ases {
 		if !f.listed[id] {
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,9 +162,7 @@ func TestPolicyLimiterCancelRefundsAllLevels(t *testing.T) {
 		t.Fatalf("canceled Wait returned %v", err)
 	}
 	now := p.clock()
-	p.mu.Lock()
-	g, a, x := p.global.balance(now), p.as[1].balance(now), p.pfx[0].Load().balance(now)
-	p.mu.Unlock()
+	g, a, x := p.global.balance(now), p.asBucket(0).balance(now), p.pfx[0].balance(now)
 	// All three buckets were at 0 after the draining probe; the refund
 	// must restore the canceled take exactly (modulo refill credit,
 	// which is 0 on the fake clock since no time passed).
@@ -241,9 +240,13 @@ func TestPolicyLimiterSetASRate(t *testing.T) {
 	if r, ok := p.ASRateOf(5); !ok || r != 3 {
 		t.Fatalf("ASRateOf = %v, %v", r, ok)
 	}
-	// Untouched ASes report the configured rate.
+	// No target prefix maps to AS 999: retuning it is an error, and it
+	// reports the configured rate.
+	if err := p.SetASRate(999, 5); err == nil {
+		t.Fatal("SetASRate on an off-plan AS accepted")
+	}
 	if r, ok := p.ASRateOf(999); !ok || r != 100 {
-		t.Fatalf("untouched ASRateOf = %v, %v", r, ok)
+		t.Fatalf("off-plan ASRateOf = %v, %v", r, ok)
 	}
 	// Without per-AS pacing both calls reject/deny.
 	bare, _, _ := virtualPolicy(t, PolicyConfig{Rate: 10})
@@ -293,9 +296,73 @@ func TestScannerPolitenessValidation(t *testing.T) {
 		Politeness: Politeness{Backoff: BackoffConfig{Threshold: 3}, Origins: origins}}); err == nil {
 		t.Fatal("backoff without a per-AS rate accepted")
 	}
-	if _, err := New(Config{Targets: part, Prober: prober,
-		Politeness: Politeness{ASRate: math.NaN(), Origins: origins}}); err == nil {
-		t.Fatal("NaN per-AS rate accepted")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"NaN per-AS rate", Config{Politeness: Politeness{ASRate: math.NaN(), Origins: origins}}},
+		{"negative per-AS rate", Config{Politeness: Politeness{ASRate: -1, Origins: origins}}},
+		{"NaN global rate", Config{Rate: math.NaN()}},
+		{"negative global rate", Config{Rate: -1}},
+	} {
+		c.cfg.Targets, c.cfg.Prober = part, prober
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+}
+
+// TestScannerFirstRunCreatesNoBucket: every pacer bucket exists once New
+// returns, so a fresh Scanner's first Run allocates no more than a later
+// one, at 16 and at 1024 ASes and prefixes (one AS per prefix, per-AS
+// and per-prefix pacing on). What grows with the AS count, the
+// per-worker tallies and the report's PerAS map, every Run allocates
+// alike. Creating buckets on first touch would add two per AS here.
+func TestScannerFirstRunCreatesNoBucket(t *testing.T) {
+	runAllocs := func(s *Scanner) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{16, 1024} {
+		ps := make([]netaddr.Prefix, n)
+		origins := make([]uint32, n)
+		for i := range ps {
+			ps[i] = netaddr.MustPrefixFrom(pfx("10.0.0.0/8").First()+netaddr.Addr(16*i), 28)
+			origins[i] = 64500 + uint32(i)
+		}
+		part, err := rib.NewPartition(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each AS and prefix gets its 16 addresses within its burst, and
+		// a debt, should one arise, is not slept off.
+		newScanner := func() *Scanner {
+			s := mustScanner(t, Config{
+				Targets: part, Workers: 2, Seed: 1,
+				Prober: proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) { return Result{Addr: a}, nil }),
+				Politeness: Politeness{Origins: origins,
+					ASRate: 1e9, ASBurst: 16, PrefixRate: 1e9, PrefixBurst: 16},
+			})
+			s.policy.sleep = noSleep
+			return s
+		}
+		// The least of a few tries: an allocation elsewhere in the process
+		// can only add to a count.
+		first, later := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for range 3 {
+			s := newScanner()
+			first = min(first, runAllocs(s))
+			later = min(later, runAllocs(s))
+		}
+		if first > later {
+			t.Errorf("%d ASes: the first Run allocated %d times, a later one %d", n, first, later)
+		}
 	}
 }
 

@@ -111,6 +111,9 @@ type Scanner struct {
 	cum   []uint64
 	top   []int32
 	shift uint
+	// firsts is the targets' first addresses (rib.Partition.Bounds), so
+	// addrAt reads one slice element instead of copying the partition.
+	firsts []netaddr.Addr
 	// exclude is swapped atomically by SetExclusions, so a reloaded
 	// list takes effect mid-cycle without pausing the workers.
 	exclude   atomic.Pointer[exclusionList]
@@ -144,17 +147,27 @@ func New(cfg Config) (*Scanner, error) {
 		return nil, fmt.Errorf("scan: shard %d of %d out of range", cfg.Shard, cfg.Shards)
 	}
 	pol := &cfg.Politeness
-	// A NaN rate fails every `> 0` gate below and would silently disable
-	// the politeness layer instead of erroring; reject it up front.
-	for _, r := range []float64{pol.ASRate, pol.PrefixRate} {
-		if math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("scan: politeness rates must be finite, got %v", r)
-		}
+	pcfg := PolicyConfig{
+		Rate:        cfg.Rate,
+		Burst:       cfg.Burst,
+		ASRate:      pol.ASRate,
+		ASBurst:     pol.ASBurst,
+		PrefixRate:  pol.PrefixRate,
+		PrefixBurst: pol.PrefixBurst,
+		Origins:     pol.Origins,
+		Prefixes:    cfg.Targets.Len(),
+		Backoff:     pol.Backoff,
+	}
+	// Validated before any `> 0` gate: a NaN or negative rate fails
+	// every such gate and would silently switch its level off.
+	if err := pcfg.validate(); err != nil {
+		return nil, err
 	}
 	if pol.perAS() && len(pol.Origins) != cfg.Targets.Len() {
 		return nil, fmt.Errorf("scan: politeness origins cover %d prefixes, targets have %d (rib.Table.OriginsOf builds the mapping)", len(pol.Origins), cfg.Targets.Len())
 	}
 	s := &Scanner{cfg: cfg}
+	s.firsts, _ = cfg.Targets.Bounds()
 	s.cum = make([]uint64, cfg.Targets.Len())
 	var cum uint64
 	for i := 0; i < cfg.Targets.Len(); i++ {
@@ -163,30 +176,19 @@ func New(cfg Config) (*Scanner, error) {
 	}
 	s.buildTop()
 	s.SetExclusions(cfg.Exclude)
-	if cfg.Rate > 0 || pol.ASRate > 0 || pol.PrefixRate > 0 || pol.Backoff.Threshold > 0 {
+	// One AS table serves the pacer's per-AS level and the footprint.
+	var tab *asTable
+	if pol.perAS() {
+		tab = newASTable(pol.Origins)
+		s.fp = newFootprint(tab, pol.ASBudget)
+	}
+	if pcfg.Rate > 0 || pcfg.ASRate > 0 || pcfg.PrefixRate > 0 {
 		// One pacer for every level: a global-only Rate is a
 		// single-bucket PolicyLimiter, and per-AS or per-prefix rates add
-		// buckets under the same lock.
-		pl, err := NewPolicyLimiter(PolicyConfig{
-			Rate:        cfg.Rate,
-			Burst:       cfg.Burst,
-			ASRate:      pol.ASRate,
-			ASBurst:     pol.ASBurst,
-			PrefixRate:  pol.PrefixRate,
-			PrefixBurst: pol.PrefixBurst,
-			Origins:     pol.Origins,
-			Prefixes:    cfg.Targets.Len(),
-			Backoff:     pol.Backoff,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.policy = pl
+		// bucket levels to it.
+		s.policy = newPolicyLimiter(pcfg, tab)
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
-	if pol.perAS() {
-		s.fp = newFootprint(pol.Origins, pol.ASBudget)
-	}
 	return s, nil
 }
 
@@ -229,21 +231,21 @@ func newExclusionList(ps []netaddr.Prefix) *exclusionList {
 	return &exclusionList{ranges: out, prefixes: len(ps)}
 }
 
-// intersect sets l.hits for the target partition in one merge walk:
-// targets and ranges are both sorted and disjoint.
-func (l *exclusionList) intersect(targets rib.Partition) {
-	l.hits = make([]bool, targets.Len())
+// intersect sets l.hits for the targets with the given bounds
+// (rib.Partition.Bounds) in one merge walk: targets and ranges are both
+// sorted and disjoint.
+func (l *exclusionList) intersect(firsts, lasts []netaddr.Addr) {
+	l.hits = make([]bool, len(firsts))
 	rs := l.ranges
 	j := 0
 	for i := range l.hits {
-		r := targets.Prefix(i).Range()
-		for j < len(rs) && rs[j].Last < r.First {
+		for j < len(rs) && rs[j].Last < firsts[i] {
 			j++
 		}
 		if j == len(rs) {
 			break
 		}
-		l.hits[i] = rs[j].First <= r.Last
+		l.hits[i] = rs[j].First <= lasts[i]
 	}
 }
 
@@ -274,7 +276,7 @@ func (s *Scanner) SetExclusions(ps []netaddr.Prefix) {
 		return
 	}
 	l := newExclusionList(ps)
-	l.intersect(s.cfg.Targets)
+	l.intersect(s.cfg.Targets.Bounds())
 	s.exclude.Store(l)
 }
 
@@ -290,7 +292,9 @@ func (s *Scanner) ExclusionCount() int {
 // Policy exposes the probe pacer, non-nil whenever any rate is set
 // (Config.Rate, or a per-AS or per-prefix Politeness rate) — the hook
 // for external feeds to retune a single AS mid-cycle via SetASRate,
-// which errors unless Politeness set a per-AS rate.
+// which errors unless Politeness set a per-AS rate and some target
+// prefix maps to the AS. The pacer shares the Scanner's AS table with
+// the footprint.
 func (s *Scanner) Policy() *PolicyLimiter {
 	return s.policy
 }
@@ -333,12 +337,11 @@ func (s *Scanner) addrAt(idx uint64) (netaddr.Addr, int) {
 			lo = mid + 1
 		}
 	}
-	p := s.cfg.Targets.Prefix(lo)
 	off := idx
 	if lo > 0 {
 		off -= cum[lo-1]
 	}
-	return p.First() + netaddr.Addr(off), lo
+	return s.firsts[lo] + netaddr.Addr(off), lo
 }
 
 // Run executes one scan cycle: every target address owned by the
@@ -426,7 +429,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			var nProbed, nExcluded, nErrors, nDenied uint64
 			var tl []asCounts
 			if s.fp != nil {
-				tl = make([]asCounts, len(s.fp.ases))
+				tl = make([]asCounts, len(s.fp.tab.ases))
 			}
 			var pc pacer
 			if s.policy != nil {
@@ -444,7 +447,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					// probe: only transmitted probes are accounted.
 					nExcluded++
 					if tl != nil {
-						tl[s.fp.ids[pi]].excluded++
+						tl[s.fp.tab.ids[pi]].excluded++
 					}
 					continue
 				}
@@ -456,7 +459,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 				var fpc *asCounts
 				var id int32
 				if tl != nil {
-					id = s.fp.ids[pi]
+					id = s.fp.tab.ids[pi]
 					fpc = &tl[id]
 					if !s.fp.reserve(fpc, id) {
 						// AS budget spent: the draw is consumed — the cap

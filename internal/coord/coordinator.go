@@ -119,6 +119,9 @@ func NewCoordinator(store Store, now func() time.Time) (*Coordinator, error) {
 		if cs.plan, err = parsePartition(cs.Plan); err != nil {
 			return nil, fmt.Errorf("coord: campaign %s plan: %w", id, err)
 		}
+		// A spec saved before creation checked rates may hold a negative
+		// Rate, which meant no global pacing and which scanners now refuse.
+		cs.Spec.Rate = max(cs.Spec.Rate, 0)
 		c.campaigns[id] = cs
 	}
 	return c, nil

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,52 @@ func TestCreateCampaignValidation(t *testing.T) {
 	}
 	if err := c.CreateCampaign(testSpec("v")); !errors.Is(err, ErrCampaignExists) {
 		t.Fatalf("duplicate create err = %v", err)
+	}
+}
+
+// TestRestoreClampsNegativeRate: a spec saved before rates were checked
+// at creation may carry a negative Rate, which scanners now refuse. The
+// restored campaign leases Rate 0 (no global pacing, as before), and a
+// worker's scanner accepts the lease.
+func TestRestoreClampsNegativeRate(t *testing.T) {
+	store := NewMemStore()
+	if err := mustCoordinator(t, store, nil).CreateCampaign(testSpec("old")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st persistentState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Campaigns["old"].Spec.Rate = -1
+	if data, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(data); err != nil {
+		t.Fatal(err)
+	}
+
+	c := mustCoordinator(t, store, nil)
+	l, _, err := c.Acquire("old", "worker-a")
+	if err != nil || l == nil {
+		t.Fatalf("acquire = %+v, %v", l, err)
+	}
+	if l.Rate != 0 {
+		t.Fatalf("restored lease rate = %v, want 0", l.Rate)
+	}
+	plan, err := parsePartition(l.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prober, err := scan.NewSimProber(nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scan.New(scan.Config{Targets: plan, Prober: prober, Rate: l.Rate, Shard: l.Shard, Shards: l.Shards}); err != nil {
+		t.Fatalf("scanner refused the restored lease: %v", err)
 	}
 }
 

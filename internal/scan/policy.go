@@ -29,7 +29,7 @@ type Politeness struct {
 	// ASBurst is the per-AS bucket burst (default 16).
 	ASBurst int
 	// PrefixRate, when positive, caps probes per second into any single
-	// target prefix.
+	// target prefix (a 48-byte bucket per prefix, built with the Scanner).
 	PrefixRate float64
 	// PrefixBurst is the per-prefix bucket burst (default 8).
 	PrefixBurst int
@@ -221,10 +221,10 @@ func (b *bucket) retune(now, rate float64) {
 // pacer instead, which shares one clock reading and one global claim
 // among a batch of probes; Wait is the same path with a batch of one.
 // Every bucket exists from construction, one per AS of the table and
-// one per target prefix: a finished cycle probes every target prefix,
-// so creating them on first touch would save nothing. mu serializes
-// rate changes only: SetASRate and the Observe backoff path retune a
-// single AS's rate while a cycle runs.
+// one per target prefix (48 B each), so the probe path never creates
+// one, even for the prefixes a one-shard Scanner never probes (DESIGN.md
+// §12). mu serializes rate changes only: SetASRate and the Observe
+// backoff path retune a single AS's rate while a cycle runs.
 type PolicyLimiter struct {
 	mu    sync.Mutex // serializes rate changes
 	epoch time.Time  // zero of the monotonic limiter clock
@@ -233,9 +233,8 @@ type PolicyLimiter struct {
 	now     func() time.Time
 	nowBase atomic.Int64
 	sleep   func(ctx context.Context, d time.Duration) error
-	global  *bucket // nil when no global rate
-	asRate  float64
-	tab     *asTable // the ASes behind as
+	global  *bucket  // nil when no global rate
+	tab     *asTable // the ASes behind as; nil without per-AS pacing
 	as      []bucket // per dense AS id; nil without per-AS pacing
 	pfx     []bucket // per target prefix; nil without per-prefix pacing
 	backoff BackoffConfig
@@ -280,17 +279,17 @@ func (cfg *PolicyConfig) validate() error {
 	return nil
 }
 
-// NewPolicyLimiter validates cfg and builds the hierarchy over an AS
-// table of its own, numbered from cfg.Origins.
+// NewPolicyLimiter validates cfg and builds the hierarchy; with per-AS
+// pacing, over an AS table of its own, numbered from cfg.Origins.
 func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return newPolicyLimiter(cfg, newASTable(cfg.Origins)), nil
+	return newPolicyLimiter(cfg, nil), nil
 }
 
-// newPolicyLimiter builds the hierarchy of a validated cfg over tab, the
-// AS table of cfg.Origins (unused without per-AS pacing).
+// newPolicyLimiter builds the hierarchy of a validated cfg. Per-AS pacing
+// indexes tab, the AS table of cfg.Origins, built here when nil.
 func newPolicyLimiter(cfg PolicyConfig, tab *asTable) *PolicyLimiter {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
@@ -304,15 +303,16 @@ func newPolicyLimiter(cfg PolicyConfig, tab *asTable) *PolicyLimiter {
 	p := &PolicyLimiter{
 		epoch:   time.Now(),
 		sleep:   timerSleep,
-		asRate:  cfg.ASRate,
-		tab:     tab,
 		backoff: cfg.Backoff.withDefaults(),
 	}
 	if cfg.Rate > 0 {
 		p.global = &newBuckets(1, cfg.Rate, cfg.Burst)[0]
 	}
 	if cfg.ASRate > 0 {
-		p.as = newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst)
+		if tab == nil {
+			tab = newASTable(cfg.Origins)
+		}
+		p.tab, p.as = tab, newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst)
 	}
 	if cfg.PrefixRate > 0 {
 		p.pfx = newBuckets(cfg.Prefixes, cfg.PrefixRate, cfg.PrefixBurst)
@@ -552,7 +552,7 @@ func (p *PolicyLimiter) ASRateOf(as uint32) (rate float64, ok bool) {
 	if id, ok := p.tab.byAS[as]; ok {
 		return p.as[id].currentRate(), true
 	}
-	return p.asRate, true
+	return p.as[0].base, true
 }
 
 // ASStat is the per-origin-AS footprint of one scan cycle.

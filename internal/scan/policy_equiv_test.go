@@ -273,7 +273,7 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 			}
 			wg.Wait()
 			levels := []*bucket{p.global}
-			if p.asRate > 0 {
+			if p.as != nil {
 				levels = append(levels, p.asBucket(0), &p.pfx[0])
 			}
 			// Each level starts with its burst; the first Wait and the k·m

@@ -55,19 +55,10 @@ type SetOf[A netaddr.Key[A]] struct {
 	// but not necessarily strictly.
 	data []byte
 
-	// mods is the copy-on-write delta overlay: per-block delta streams
-	// that override the contiguous data payload. A set freshly built by
-	// a Builder has no overlay; ApplyDelta produces sets whose touched
-	// blocks live here while untouched blocks keep sharing the parent's
-	// data. Compact flattens the overlay back into one contiguous
-	// payload (see delta.go for the policy).
-	mods map[int][]byte
-
 	// Lazy backing (see source.go). When src is non-nil the payload is
 	// not in data: block bi's stream is src.Bytes(offs[bi], blens[bi]),
 	// fetched and decoded on first touch through cache (an LRU with
-	// single-flight faulting). mods still overrides src block-by-block,
-	// so ApplyDelta overlays compose with lazy backings unchanged.
+	// single-flight faulting).
 	src   BlockSource
 	blens []int // per-block encoded byte length; nil unless src-backed
 	cache *blockCache[A]
@@ -99,20 +90,15 @@ func lo64[A netaddr.Key[A]](a A) uint64 {
 	return lo
 }
 
-// blockStream returns block bi's delta stream: the overlay slice when
-// the block has been rewritten by ApplyDelta, the shared contiguous
-// payload otherwise. The stream holds blockLen(bi)-1 uvarint deltas
-// (possibly followed by other blocks' bytes — decoders count, they do
-// not measure). untrusted reports whether the bytes came from an
-// external BlockSource, whose contents may have rotted since the index
-// was verified — decoders of untrusted streams validate the result
-// against the skip index. A source read failure returns the error.
+// blockStream returns block bi's delta stream: the source's extent on a
+// lazy set, the contiguous payload from the block's offset otherwise.
+// The stream holds blockLen(bi)-1 uvarint deltas (possibly followed by
+// other blocks' bytes — decoders count, they do not measure). untrusted
+// reports whether the bytes came from an external BlockSource, whose
+// contents may have rotted since the index was verified — decoders of
+// untrusted streams validate the result against the skip index. A
+// source read failure returns the error.
 func (s *SetOf[A]) blockStream(bi int) (stream []byte, untrusted bool, err error) {
-	if s.mods != nil {
-		if b, ok := s.mods[bi]; ok {
-			return b, false, nil
-		}
-	}
 	if s.src != nil {
 		b, err := s.src.Bytes(s.offs[bi], s.blens[bi])
 		return b, true, err
@@ -145,20 +131,13 @@ func (s *SetOf[A]) BlockSize() int { return s.bsize }
 func (s *SetOf[A]) Blocks() int { return len(s.mins) }
 
 // Bytes returns the memory footprint of the compressed payload (the
-// delta stream plus any copy-on-write overlay, excluding the skip
-// index). For a set produced by ApplyDelta the contiguous payload is
-// shared with its parent, so summing Bytes across a delta chain counts
-// the shared bytes repeatedly. For a lazy set this is the source's
-// payload size — bytes addressable, not bytes resident.
+// delta stream, excluding the skip index). For a lazy set this is the
+// source's payload size — bytes addressable, not bytes resident.
 func (s *SetOf[A]) Bytes() int {
-	n := len(s.data)
 	if s.src != nil {
-		n += s.src.Size()
+		return s.src.Size()
 	}
-	for _, stream := range s.mods {
-		n += len(stream)
-	}
-	return n
+	return len(s.data)
 }
 
 // Min returns the smallest address; ok is false for an empty set.
@@ -248,7 +227,7 @@ func (s *SetOf[A]) decodeBlockInto(bi int, buf []A) ([]A, error) {
 }
 
 // blockError wraps a block failure in a *BlockError carrying the
-// block's byte extent (zero extent for overlay or in-core blocks).
+// block's byte extent (zero extent for in-core blocks).
 func (s *SetOf[A]) blockError(bi int, err error) *BlockError {
 	be := &BlockError{Block: bi, Err: err}
 	if s.blens != nil {

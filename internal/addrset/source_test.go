@@ -8,13 +8,10 @@ import (
 	"github.com/tass-scan/tass/internal/netaddr"
 )
 
-// lazyTwin rebuilds an eager, overlay-free set as a lazy one over the
-// same payload bytes: identical index, Bytes source, given cache cap.
+// lazyTwin rebuilds an eager set as a lazy one over the same payload
+// bytes: identical index, Bytes source, given cache cap.
 func lazyTwin(t *testing.T, s *Set, cacheCap int) *Set {
 	t.Helper()
-	if s.mods != nil {
-		t.Fatal("lazyTwin wants an overlay-free set")
-	}
 	nb := s.Blocks()
 	counts := make([]int, nb)
 	blens := make([]int, nb)
@@ -87,77 +84,6 @@ func TestLazyEqualsEager(t *testing.T) {
 			if ge, gl := eager.IntersectCount(eager), lazy.IntersectCount(eager); ge != gl {
 				t.Fatalf("IntersectCount eager=%d lazy=%d", ge, gl)
 			}
-		}
-	}
-}
-
-func TestLazyApplyDeltaEqualsEager(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 10; trial++ {
-		// Duplicate-free base so delta preconditions are easy to build.
-		base := make([]netaddr.Addr, 0, 2000)
-		v := uint32(0)
-		for len(base) < 2000 {
-			v += 1 + uint32(rng.Intn(4000))
-			base = append(base, netaddr.Addr(v))
-		}
-		eager := FromSorted(base, 0)
-		lazy := lazyTwin(t, eager, 4)
-
-		var born, died []netaddr.Addr
-		present := make(map[netaddr.Addr]bool, len(base))
-		for _, a := range base {
-			present[a] = true
-			if rng.Intn(10) == 0 {
-				died = append(died, a)
-			}
-		}
-		for i := 0; i < 150; i++ {
-			a := netaddr.Addr(rng.Intn(int(v) + 100000))
-			if !present[a] {
-				present[a] = true
-				born = append(born, a)
-			}
-		}
-		sortAddrs(born)
-
-		we, err := eager.ApplyDelta(born, died)
-		if err != nil {
-			t.Fatalf("eager ApplyDelta: %v", err)
-		}
-		wl, err := lazy.ApplyDelta(born, died)
-		if err != nil {
-			t.Fatalf("lazy ApplyDelta: %v", err)
-		}
-		ge, gl := we.AppendTo(nil), wl.AppendTo(nil)
-		if len(ge) != len(gl) {
-			t.Fatalf("ApplyDelta lengths differ: %d vs %d", len(ge), len(gl))
-		}
-		for i := range ge {
-			if ge[i] != gl[i] {
-				t.Fatalf("ApplyDelta[%d] = %v want %v", i, gl[i], ge[i])
-			}
-		}
-		// A second delta on the child exercises carried blens/mods.
-		born2 := []netaddr.Addr{netaddr.Addr(v + 200000)}
-		we2, err := we.ApplyDelta(born2, nil)
-		if err != nil {
-			t.Fatalf("eager second ApplyDelta: %v", err)
-		}
-		wl2, err := wl.ApplyDelta(born2, nil)
-		if err != nil {
-			t.Fatalf("lazy second ApplyDelta: %v", err)
-		}
-		if we2.Len() != wl2.Len() {
-			t.Fatalf("second ApplyDelta lengths differ: %d vs %d", we2.Len(), wl2.Len())
-		}
-	}
-}
-
-func sortAddrs(a []netaddr.Addr) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
 }

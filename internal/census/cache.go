@@ -8,20 +8,18 @@ import (
 	"github.com/tass-scan/tass/internal/rib"
 )
 
-// CountCacheOf memoizes per-prefix host counts by (snapshot,
-// generation, partition) identity. The phi-grid and the multi-figure
-// experiment engine rank the same seed snapshot over the same universe
-// again and again; with a shared cache each pair is counted exactly
-// once, concurrent requests for the same pair block on a single
-// computation, and every later request is a map lookup.
+// CountCacheOf memoizes per-prefix host counts by (snapshot, partition)
+// identity. The phi-grid and the multi-figure experiment engine rank
+// the same seed snapshot over the same universe again and again; with a
+// shared cache each pair is counted exactly once, concurrent requests
+// for the same pair block on a single computation, and every later
+// request is a map lookup.
 //
 // Identity is pointer identity: the *SnapshotOf and the backing array
-// of the partition's prefix slice, plus the snapshot's mutation
-// generation. Snapshots and partitions are immutable by contract except
-// through Snapshot.Apply, which bumps the generation — so cached counts
-// can never go stale. A nil *CountCacheOf is valid and simply computes
-// every request (no memoization), which keeps call sites free of
-// conditionals.
+// of the partition's prefix slice. Snapshots and partitions never
+// change after construction, so cached counts can never go stale. A
+// nil *CountCacheOf is valid and simply computes every request (no
+// memoization), which keeps call sites free of conditionals.
 //
 // The cache is bounded: once it holds more than its entry cap the
 // least-recently-used entry is evicted, so a long-running campaign that
@@ -44,13 +42,12 @@ type CountCache = CountCacheOf[netaddr.Addr]
 // cache near cap × partition-size ints.
 const DefaultCountCacheEntries = 4096
 
-// countKey identifies a (snapshot, generation, partition) triple.
+// countKey identifies a (snapshot, partition) pair.
 // Partitions are value types; their identity is the backing array of
 // the prefix slice plus its length (Subset and the trie builders always
 // allocate fresh arrays).
 type countKey[A netaddr.Key[A]] struct {
 	snap *SnapshotOf[A]
-	gen  uint64
 	part *netaddr.Pfx[A]
 	n    int
 }
@@ -144,7 +141,7 @@ func (c *CountCacheOf[A]) Counts(snap *SnapshotOf[A], p rib.PartOf[A], workers i
 	if c == nil {
 		return snap.countsSharded(p, workers)
 	}
-	key := countKey[A]{snap: snap, gen: snap.Generation(), part: partKey(p), n: p.Len()}
+	key := countKey[A]{snap: snap, part: partKey(p), n: p.Len()}
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if ok {

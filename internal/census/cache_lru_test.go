@@ -47,29 +47,3 @@ func TestCountCacheLRUEviction(t *testing.T) {
 		t.Fatal("evicted entry was served from cache")
 	}
 }
-
-// TestCountCacheGenerationInvalidates pins the generation tag: an
-// in-place Apply must stop the cache from serving the pre-mutation
-// counts for the same snapshot pointer.
-func TestCountCacheGenerationInvalidates(t *testing.T) {
-	part := lruPartition(t)
-	c := NewCountCache()
-	s := NewSnapshot("x", 0, []netaddr.Addr{
-		netaddr.MustParseAddr("10.0.0.1"),
-		netaddr.MustParseAddr("10.0.0.2"),
-	})
-	counts, _ := c.Counts(s, part, 1)
-	if counts[0] != 2 {
-		t.Fatalf("pre-mutation counts[0] = %d", counts[0])
-	}
-	err := s.Apply(&Delta{Protocol: "x", FromMonth: 0, ToMonth: 1,
-		Born: []netaddr.Addr{netaddr.MustParseAddr("11.0.0.9")},
-		Died: []netaddr.Addr{netaddr.MustParseAddr("10.0.0.2")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, _ = c.Counts(s, part, 1)
-	if counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("post-mutation counts = %v: stale entry served", counts)
-	}
-}

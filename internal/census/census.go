@@ -21,7 +21,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/tass-scan/tass/internal/addrset"
 	"github.com/tass-scan/tass/internal/netaddr"
@@ -52,25 +51,10 @@ type SnapshotOf[A netaddr.Key[A]] struct {
 	// closer releases the storage backing a lazy snapshot (the mapped
 	// census file); nil otherwise.
 	closer io.Closer
-
-	// gen counts in-place mutations (Apply): identity-keyed caches
-	// include it so counts memoized before a mutation are never served
-	// afterwards. Snapshots that are never mutated stay at generation
-	// 0. Atomic rather than setMu-guarded: cache lookups read it on
-	// every hit and must not serialize behind a concurrent first-time
-	// Set() build.
-	gen atomic.Uint64
 }
 
 // Snapshot is the IPv4 instantiation of SnapshotOf.
 type Snapshot = SnapshotOf[netaddr.Addr]
-
-// Generation returns the snapshot's mutation generation: 0 for a
-// freshly built snapshot, incremented by every in-place Apply. Caches
-// keyed by snapshot identity must key on (pointer, generation) so an
-// in-place delta application invalidates exactly the mutated
-// snapshot's entries.
-func (s *SnapshotOf[A]) Generation() uint64 { return s.gen.Load() }
 
 // Set returns the block-indexed view of the snapshot's address set,
 // building it on first use and memoizing it. Snapshots parsed by

@@ -92,51 +92,21 @@ func diff32(s, later *Snapshot) *Delta {
 
 // ApplyDelta reconstructs the later snapshot from an earlier one and
 // the delta between them: ApplyDelta(a, a.Diff(b)) equals b exactly.
-// The address slice is rebuilt by one merge pass; when the earlier
-// snapshot's block-indexed set view has already been built and the
-// delta is sparse relative to the block count, the new view is derived
-// by the copy-on-write overlay apply (O(changed blocks)) instead of
-// being re-encoded from scratch on first use.
+// The address slice is rebuilt by one merge pass; a lazy earlier
+// snapshot is decoded in full first, as Diff does. The result is always
+// an eager snapshot that owns its addresses, so it stays valid after
+// the earlier snapshot is closed.
 //
 // It errors when the delta does not fit the snapshot: protocol or month
 // mismatch, a born address already present, or a died address missing.
+// It also errors, with the typed *addrset.BlockError, when a lazy
+// snapshot has a block that cannot be read, under either fault policy.
 func ApplyDelta[A netaddr.Key[A]](from *SnapshotOf[A], d *DeltaOf[A]) (*SnapshotOf[A], error) {
-	addrs, set, err := applyDelta(from, d)
-	if err != nil {
-		return nil, err
-	}
-	// A delta applied to a lazy snapshot yields another lazy snapshot;
-	// it reads through the parent's backing, so it stays valid only
-	// while the parent remains open (the parent keeps owning the file).
-	return &SnapshotOf[A]{Protocol: from.Protocol, Month: d.ToMonth, Addrs: addrs, set: set, lazy: from.lazy}, nil
-}
-
-// Apply is ApplyDelta in place: the receiver becomes the later
-// snapshot and its generation counter advances, so count caches keyed
-// by (snapshot, generation) stop serving the pre-mutation counts. The
-// old address slice is released, not overwritten — callers that kept a
-// reference keep consistent data. Apply must not race with readers of
-// the snapshot.
-func (s *SnapshotOf[A]) Apply(d *DeltaOf[A]) error {
-	addrs, set, err := applyDelta(s, d)
-	if err != nil {
-		return err
-	}
-	s.setMu.Lock()
-	s.Month = d.ToMonth
-	s.Addrs = addrs
-	s.set = set
-	s.gen.Add(1)
-	s.setMu.Unlock()
-	return nil
-}
-
-func applyDelta[A netaddr.Key[A]](from *SnapshotOf[A], d *DeltaOf[A]) ([]A, *addrset.SetOf[A], error) {
 	if d.Protocol != from.Protocol {
-		return nil, nil, fmt.Errorf("census: delta protocol %q does not match snapshot %q", d.Protocol, from.Protocol)
+		return nil, fmt.Errorf("census: delta protocol %q does not match snapshot %q", d.Protocol, from.Protocol)
 	}
 	if d.FromMonth != from.Month {
-		return nil, nil, fmt.Errorf("census: delta from month %d does not match snapshot month %d", d.FromMonth, from.Month)
+		return nil, fmt.Errorf("census: delta from month %d does not match snapshot month %d", d.FromMonth, from.Month)
 	}
 	// A hand-assembled out-of-order run would otherwise merge into a
 	// silently unsorted snapshot; the check costs O(changed), like the
@@ -144,27 +114,23 @@ func applyDelta[A netaddr.Key[A]](from *SnapshotOf[A], d *DeltaOf[A]) ([]A, *add
 	for _, run := range [2][]A{d.Born, d.Died} {
 		for i := 1; i < len(run); i++ {
 			if run[i].Compare(run[i-1]) <= 0 {
-				return nil, nil, fmt.Errorf("%w: delta run not strictly ascending at %v", ErrFormat, run[i])
+				return nil, fmt.Errorf("%w: delta run not strictly ascending at %v", ErrFormat, run[i])
 			}
 		}
-	}
-	if from.lazy {
-		// A lazy snapshot has no Addrs to merge into — the whole point
-		// is never materializing them. The copy-on-write overlay apply
-		// keeps the result lazy: untouched blocks stay byte-ranges into
-		// the backing file, only churned blocks decode and re-encode.
-		set, err := from.Set().ApplyDelta(d.Born, d.Died)
-		if err != nil {
-			return nil, nil, fmt.Errorf("census: %w", err)
-		}
-		return nil, set, nil
 	}
 	// Merge by delta events, not by base elements: the unchanged runs
 	// between consecutive born/died addresses — almost everything, at
 	// realistic churn — are block-copied, so the merge costs
 	// O(changed · log n) searches plus one pass of memmove instead of a
 	// branch per address.
-	capHint := len(from.Addrs) + len(d.Born) - len(d.Died)
+	base, born, died := from.addrsView(), d.Born, d.Died
+	if faults := from.StorageFaults(); len(faults) > 0 {
+		// The decode skipped a block it could not read: merging over it
+		// would silently drop that block's survivors, whatever the fault
+		// policy, and the eager result would keep no record of the loss.
+		return nil, fmt.Errorf("census: %w", &faults[0])
+	}
+	capHint := len(base) + len(born) - len(died)
 	if capHint < 0 {
 		// More died addresses than the snapshot holds: the merge below
 		// reports exactly which one is missing; the hint just must not
@@ -172,7 +138,6 @@ func applyDelta[A netaddr.Key[A]](from *SnapshotOf[A], d *DeltaOf[A]) ([]A, *add
 		capHint = 0
 	}
 	addrs := make([]A, 0, capHint)
-	base, born, died := from.Addrs, d.Born, d.Died
 	i, b, dd := 0, 0, 0
 	for b < len(born) || dd < len(died) {
 		var e A
@@ -188,35 +153,20 @@ func applyDelta[A netaddr.Key[A]](from *SnapshotOf[A], d *DeltaOf[A]) ([]A, *add
 		i = p
 		if takeBorn {
 			if i < len(base) && base[i] == e {
-				return nil, nil, fmt.Errorf("census: delta born %v already in snapshot", e)
+				return nil, fmt.Errorf("census: delta born %v already in snapshot", e)
 			}
 			addrs = append(addrs, e)
 			b++
 		} else {
 			if i == len(base) || base[i] != e {
-				return nil, nil, fmt.Errorf("census: delta died %v not in snapshot", e)
+				return nil, fmt.Errorf("census: delta died %v not in snapshot", e)
 			}
 			i++
 			dd++
 		}
 	}
 	addrs = append(addrs, base[i:]...)
-
-	// Carry the block-indexed view over only when it exists and the
-	// delta is sparse enough that the overlay apply beats rebuilding
-	// lazily: a delta touching most blocks would pay decode+re-encode
-	// of nearly everything just to hit the compaction threshold.
-	from.setMu.Lock()
-	prevSet := from.set
-	from.setMu.Unlock()
-	if prevSet != nil && d.Changed() < prevSet.Blocks()/2 {
-		set, err := prevSet.ApplyDelta(d.Born, d.Died)
-		if err != nil {
-			return nil, nil, fmt.Errorf("census: %w", err)
-		}
-		return addrs, set, nil
-	}
-	return addrs, nil, nil
+	return &SnapshotOf[A]{Protocol: from.Protocol, Month: d.ToMonth, Addrs: addrs}, nil
 }
 
 // Binary delta format, sharing the snapshot codec's conventions

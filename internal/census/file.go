@@ -476,9 +476,8 @@ func WriteSnapshotFile(path string, s *Snapshot) error {
 // WriteSnapshotFileOf writes a snapshot of any family to path in
 // TASSNAP3 format, atomically (temp file + rename). The payload is
 // re-encoded from the snapshot's set view into canonical
-// fixed-population blocks, so overlay-carrying snapshots (ApplyDelta
-// output) and lazy snapshots serialize to the same bytes as a freshly
-// built equal snapshot. Memory stays O(blocks): the encode runs twice —
+// fixed-population blocks, so lazy snapshots serialize to the same
+// bytes as a freshly built equal snapshot. Memory stays O(blocks): the encode runs twice —
 // once to size the directory and checksum the payload, once to stream
 // the payload to disk — rather than buffering the payload.
 func WriteSnapshotFileOf[A netaddr.Key[A]](path string, s *SnapshotOf[A]) error {

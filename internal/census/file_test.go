@@ -96,17 +96,15 @@ func TestSnapshotFileV1Rejected(t *testing.T) {
 }
 
 // TestSnapshotFileApplyDeltaRoundTrip is the acceptance criterion:
-// TASSNAP2 round-trips ApplyDelta-mutated snapshots — both writing a
-// mutated (overlay-carrying) snapshot and mutating an opened lazy one.
+// TASSNAP2 round-trips ApplyDelta results — both writing a snapshot
+// built by a delta and applying a delta to an opened lazy one, which
+// yields an eager snapshot that outlives the file.
 func TestSnapshotFileApplyDeltaRoundTrip(t *testing.T) {
 	base := fileFixtureSnap(3, 10000)
 	next := fileFixtureSnap(33, 10000)
 	next.Protocol, next.Month = base.Protocol, base.Month+1
 	d := base.Diff(next)
 
-	// Build the overlay: force the set view first so ApplyDelta uses
-	// the copy-on-write path when sparse enough, then write + reopen.
-	base.Set()
 	mutated, err := ApplyDelta(base, d)
 	if err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
@@ -124,18 +122,30 @@ func TestSnapshotFileApplyDeltaRoundTrip(t *testing.T) {
 		t.Fatal("mutated snapshot round-trip differs")
 	}
 
-	// Mutate the lazy snapshot itself and round-trip the result.
+	// Apply a delta to the lazy snapshot itself: the result must equal
+	// the eager path's, be eager, and still read after the file closes.
 	d2 := next.Diff(base)
 	d2.FromMonth, d2.ToMonth = back.Month, back.Month+1
 	lazyMutated, err := ApplyDelta(back, d2)
 	if err != nil {
 		t.Fatalf("ApplyDelta(lazy): %v", err)
 	}
-	if !lazyMutated.Lazy() {
-		t.Fatal("delta over lazy snapshot lost laziness")
+	eagerMutated, err := ApplyDelta(next, d2)
+	if err != nil {
+		t.Fatalf("ApplyDelta(eager): %v", err)
 	}
-	if lazyMutated.Hosts() != base.Hosts() {
-		t.Fatalf("lazy mutated Hosts = %d want %d", lazyMutated.Hosts(), base.Hosts())
+	if lazyMutated.Protocol != eagerMutated.Protocol || lazyMutated.Month != eagerMutated.Month ||
+		!slices.Equal(lazyMutated.Addrs, eagerMutated.Addrs) {
+		t.Fatal("delta over lazy snapshot differs from the eager path")
+	}
+	if lazyMutated.Lazy() {
+		t.Fatal("delta over lazy snapshot stayed lazy")
+	}
+	if err := back.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(lazyMutated.Set().AppendTo(nil), base.Addrs) {
+		t.Fatal("delta result over a closed file differs")
 	}
 	path2 := filepath.Join(t.TempDir(), "mutated.snap2")
 	if err := WriteSnapshotFileOf(path2, lazyMutated); err != nil {

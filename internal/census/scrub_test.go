@@ -250,6 +250,43 @@ func TestVerifyIndexOKPayloadCorrupt(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaRefusesDamagedBlock pins that a delta never merges over
+// a lazy snapshot with an unreadable block: the full decode would skip
+// the block, and the eager result would silently lose its addresses
+// with no fault left to report. Both fault policies refuse.
+func TestApplyDeltaRefusesDamagedBlock(t *testing.T) {
+	eager := fileFixtureSnap(26, 8000)
+	path := writeSnapFile(t, eager)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, path, st.Size()-5, 0x10)
+
+	for _, policy := range []addrset.FaultPolicy{addrset.FailFast, addrset.Degrade} {
+		snap, err := OpenSnapshotFile(path)
+		if err != nil {
+			t.Fatalf("open after payload flip: %v", err)
+		}
+		snap.SetFaultPolicy(policy)
+		d := &Delta{Protocol: snap.Protocol, FromMonth: snap.Month, ToMonth: snap.Month + 1}
+		got, err := ApplyDelta(snap, d)
+		snap.Close()
+		var be *addrset.BlockError
+		if !errors.As(err, &be) {
+			t.Fatalf("policy %v: ApplyDelta = %v (%d hosts), want *addrset.BlockError", policy, err, hostsOf(got))
+		}
+	}
+}
+
+// hostsOf is the host count of a possibly nil snapshot, for failure messages.
+func hostsOf(s *Snapshot) int {
+	if s == nil {
+		return 0
+	}
+	return s.Hosts()
+}
+
 // copyV2Fixture copies the checked-in TASSNAP2 fixture — a file the
 // pre-TASSNAP3 writer produced for fileFixtureSnap(27, 2000) — to a
 // scratch path the test may rewrite.

@@ -757,7 +757,7 @@ func (f *footprint) probedByAS() map[uint32]uint64 {
 func (f *footprint) report() map[uint32]ASStat {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[uint32]ASStat)
+	out := make(map[uint32]ASStat, len(f.tab.ases))
 	for id, as := range f.tab.ases {
 		if !f.listed[id] {
 			continue

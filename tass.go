@@ -123,10 +123,11 @@ func DiffSnapshots(earlier, later *Snapshot) DiffResult {
 func DeltaOf(earlier, later *Snapshot) *Delta { return earlier.Diff(later) }
 
 // ApplyDelta reconstructs a later snapshot from an earlier one plus
-// the delta between them, reusing the earlier snapshot's block index
-// through a copy-on-write overlay when the delta is sparse. Use
-// Snapshot.Apply for the in-place variant (it advances the snapshot's
-// generation so count caches invalidate precisely).
+// the delta between them by one merge pass. The result is a new eager
+// snapshot; the earlier one is left unchanged, and a lazy earlier
+// snapshot may be closed afterwards. To carry a ranking across months,
+// apply the delta to an IncrementalSelector instead, which repairs only
+// the prefixes it touches.
 func ApplyDelta(earlier *Snapshot, d *Delta) (*Snapshot, error) {
 	return census.ApplyDelta(earlier, d)
 }

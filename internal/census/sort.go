@@ -71,9 +71,10 @@ func insertionSort(addrs []netaddr.Addr) {
 	}
 }
 
-// Diff compares two snapshots of one protocol and returns the churn
-// decomposition the paper's §3.3 host-stability analysis needs: how many
-// addresses persisted, disappeared and appeared between the scans.
+// DiffResult is the churn decomposition between two snapshots of one
+// protocol that the paper's §3.3 host-stability analysis needs: how many
+// addresses persisted, disappeared and appeared between the scans
+// (DeltaOf.Result).
 type DiffResult struct {
 	// Kept counts addresses responsive in both snapshots.
 	Kept int
@@ -90,28 +91,4 @@ func (d DiffResult) Retention() float64 {
 		return 0
 	}
 	return float64(d.Kept) / float64(d.Kept+d.Lost)
-}
-
-// Diff computes the address-level churn between two snapshots.
-func Diff(earlier, later *Snapshot) DiffResult {
-	var d DiffResult
-	i, j := 0, 0
-	a, b := earlier.Addrs, later.Addrs
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			d.Lost++
-			i++
-		case a[i] > b[j]:
-			d.New++
-			j++
-		default:
-			d.Kept++
-			i++
-			j++
-		}
-	}
-	d.Lost += len(a) - i
-	d.New += len(b) - j
-	return d
 }

@@ -61,14 +61,15 @@ func TestSortAddrsSmallAndEmpty(t *testing.T) {
 func TestDiff(t *testing.T) {
 	earlier := NewSnapshot("ftp", 0, addrs("1.0.0.1", "2.0.0.2", "3.0.0.3"))
 	later := NewSnapshot("ftp", 1, addrs("2.0.0.2", "3.0.0.3", "4.0.0.4", "5.0.0.5"))
-	d := Diff(earlier, later)
+	d := earlier.Diff(later).Result(earlier.Hosts())
 	if d.Kept != 2 || d.Lost != 1 || d.New != 2 {
 		t.Fatalf("Diff = %+v", d)
 	}
 	if r := d.Retention(); r < 0.66 || r > 0.67 {
 		t.Errorf("Retention = %v", r)
 	}
-	empty := Diff(NewSnapshot("x", 0, nil), NewSnapshot("x", 1, nil))
+	none := NewSnapshot("x", 0, nil)
+	empty := none.Diff(NewSnapshot("x", 1, nil)).Result(0)
 	if empty.Retention() != 0 {
 		t.Error("empty retention")
 	}
@@ -81,7 +82,7 @@ func TestDiffSelfIsIdentity(t *testing.T) {
 			raw[i] = netaddr.Addr(v)
 		}
 		s := NewSnapshot("p", 0, raw)
-		d := Diff(s, s)
+		d := s.Diff(s).Result(s.Hosts())
 		return d.Kept == s.Hosts() && d.Lost == 0 && d.New == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

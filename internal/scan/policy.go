@@ -24,9 +24,12 @@ type Politeness struct {
 	// Origin 0 groups prefixes with no known origin.
 	Origins []uint32
 	// ASRate, when positive, caps probes per second into any single
-	// origin AS (a token bucket per AS, built with the Scanner).
+	// origin AS (a token bucket per AS, built with the Scanner). The
+	// Scanner splits it across its workers: each worker paces its probes
+	// into an AS at ASRate/Workers.
 	ASRate float64
-	// ASBurst is the per-AS bucket burst (default 16).
+	// ASBurst is the per-AS bucket burst (default 16), split across the
+	// workers like ASRate: each worker's share holds ASBurst/Workers.
 	ASBurst int
 	// PrefixRate, when positive, caps probes per second into any single
 	// target prefix (a 48-byte bucket per prefix, built with the Scanner).
@@ -93,28 +96,38 @@ func (b *BackoffConfig) withDefaults() BackoffConfig {
 // taken at one instant add up exactly; otherwise the error stays within
 // float64 resolution, a fraction of a nanosecond per token after a month.
 //
+// A bucket split into W shares, as each per-AS bucket of a Scanner is
+// (one share per worker), keeps one tat word per share outside the
+// bucket, in PolicyLimiter.shares; the bucket is then the AS's record:
+// every share runs at rate/W with burst/W, so the shares sum to the AS's
+// rate and burst, and the record's own tat is unused.
+//
 // Rate changes (backoff, recovery, SetASRate) run under the owner's mu
 // and convert the balance at the old interval to the new one in a single
-// CAS on tat, then publish the new interval. A Wait racing a rate change
-// may charge its token at the old interval against the converted tat:
-// the error is at most one token per racing Wait.
+// CAS on each tat word, then publish the new interval. A Wait racing a
+// rate change may charge its token at the old interval against the
+// converted tat: the error is at most one token per racing Wait.
 type bucket struct {
 	tat      atomic.Uint64 // math.Float64bits of the debt-clear instant; -Inf = full, never taken
-	interval atomic.Uint64 // math.Float64bits of ns per token at the current rate
-	rate     atomic.Uint64 // math.Float64bits of the current rate (backoff moves it); written under mu
+	interval atomic.Uint64 // math.Float64bits of ns per token of one share at the current rate
+	rate     atomic.Uint64 // math.Float64bits of the current whole rate (backoff moves it); written under mu
 	streak   atomic.Int64  // consecutive errors (backoff detection)
 	base     float64       // configured rate (recovery target)
-	burst    float64
+	burst    float64       // of one share
 }
 
-// newBuckets returns n full buckets at rate with the given burst.
-func newBuckets(n int, rate float64, burst int) []bucket {
+// full is the tat of a bucket that was never taken.
+var full = math.Float64bits(math.Inf(-1))
+
+// newBuckets returns n full buckets at rate with the given burst, each
+// split into shares.
+func newBuckets(n int, rate float64, burst, shares int) []bucket {
 	bs := make([]bucket, n)
 	for i := range bs {
 		b := &bs[i]
-		b.base, b.burst = rate, float64(burst)
-		b.tat.Store(math.Float64bits(math.Inf(-1)))
-		b.interval.Store(math.Float64bits(intervalOf(rate)))
+		b.base, b.burst = rate, float64(burst)/float64(shares)
+		b.tat.Store(full)
+		b.interval.Store(math.Float64bits(intervalOf(rate) * float64(shares)))
 		b.rate.Store(math.Float64bits(rate))
 	}
 	return bs
@@ -133,16 +146,17 @@ func (b *bucket) currentRate() float64 { return math.Float64frombits(b.rate.Load
 
 func (b *bucket) currentInterval() float64 { return math.Float64frombits(b.interval.Load()) }
 
-// take reserves one token at time now (driving the balance negative) and
-// returns the instant the refill covers the debt: at or before now when
-// the token was immediately available.
-func (b *bucket) take(now float64) float64 {
+// take reserves one token of the share whose tat word is w at time now
+// (driving its balance negative) and returns the instant the refill
+// covers the debt: at or before now when the token was immediately
+// available.
+func (b *bucket) take(w *atomic.Uint64, now float64) float64 {
 	for {
-		old := b.tat.Load()
+		old := w.Load()
 		iv := b.currentInterval()
 		// The balance is capped at burst.
 		tat := max(math.Float64frombits(old), now-b.burst*iv) + iv
-		if b.tat.CompareAndSwap(old, math.Float64bits(tat)) {
+		if w.CompareAndSwap(old, math.Float64bits(tat)) {
 			return tat
 		}
 	}
@@ -171,28 +185,33 @@ func (b *bucket) claim(now float64, k int) (int, float64) {
 	}
 }
 
-// untake returns n canceled or unused reservations. The burst cap is
-// applied by the next take, so the refund itself needs no clock.
-func (b *bucket) untake(n int) {
+// untake returns n canceled or unused reservations to the share whose
+// tat word is w. The burst cap is applied by the next take, so the
+// refund itself needs no clock.
+func (b *bucket) untake(w *atomic.Uint64, n int) {
 	for {
-		old := b.tat.Load()
+		old := w.Load()
 		tat := math.Float64frombits(old) - float64(n)*b.currentInterval()
-		if b.tat.CompareAndSwap(old, math.Float64bits(tat)) {
+		if w.CompareAndSwap(old, math.Float64bits(tat)) {
 			return
 		}
 	}
 }
 
-// retune switches the bucket to rate at time now: the balance accrued at
-// the old interval carries over unchanged in tokens. Callers hold the
-// owner's mu, so rate changes never race each other.
-func (b *bucket) retune(now, rate float64) {
-	oldIv, newIv := b.currentInterval(), intervalOf(rate)
-	for {
-		old := b.tat.Load()
-		tokens := (now - max(math.Float64frombits(old), now-b.burst*oldIv)) / oldIv
-		if b.tat.CompareAndSwap(old, math.Float64bits(now-tokens*newIv)) {
-			break
+// retuneAS switches AS id to rate: each share's balance accrued at the
+// old interval carries over unchanged in tokens. Callers hold mu, so
+// rate changes never race each other.
+func (p *PolicyLimiter) retuneAS(id int32, rate float64) {
+	b, now, nAS := &p.as[id], p.clock(), len(p.as)
+	oldIv, newIv := b.currentInterval(), intervalOf(rate)*float64(len(p.shares)/nAS)
+	for i := int(id); i < len(p.shares); i += nAS {
+		w := &p.shares[i]
+		for {
+			old := w.Load()
+			tokens := (now - max(math.Float64frombits(old), now-b.burst*oldIv)) / oldIv
+			if w.CompareAndSwap(old, math.Float64bits(now-tokens*newIv)) {
+				break
+			}
 		}
 	}
 	b.interval.Store(math.Float64bits(newIv))
@@ -220,11 +239,15 @@ func (b *bucket) retune(now, rate float64) {
 // again, to sleep until its slot. A scanner worker paces through a
 // pacer instead, which shares one clock reading and one global claim
 // among a batch of probes; Wait is the same path with a batch of one.
-// Every bucket exists from construction, one per AS of the table and
-// one per target prefix (48 B each), so the probe path never creates
-// one, even for the prefixes a one-shard Scanner never probes (DESIGN.md
-// §12). mu serializes rate changes only: SetASRate and the Observe
-// backoff path retune a single AS's rate while a cycle runs.
+// Each per-AS bucket is split into one share per Scanner worker (one
+// share from NewPolicyLimiter), and worker w's pacer takes only from
+// share w, a tat word no other worker writes; Wait takes from share 0.
+// Every bucket exists from construction, one per AS of the table with an
+// 8-byte word per share, and one per target prefix (48 B each), so the
+// probe path never creates one, even for the prefixes a one-shard
+// Scanner never probes (DESIGN.md §12). mu serializes rate changes only:
+// SetASRate and the Observe backoff path retune a single AS's rate, all
+// its shares at once, while a cycle runs.
 type PolicyLimiter struct {
 	mu    sync.Mutex // serializes rate changes
 	epoch time.Time  // zero of the monotonic limiter clock
@@ -236,6 +259,9 @@ type PolicyLimiter struct {
 	global  *bucket  // nil when no global rate
 	tab     *asTable // the ASes behind as; nil without per-AS pacing
 	as      []bucket // per dense AS id; nil without per-AS pacing
+	// shares holds the tat words of the per-AS buckets' shares, worker
+	// major: share w of AS id is shares[w·len(as)+id].
+	shares  []atomic.Uint64
 	pfx     []bucket // per target prefix; nil without per-prefix pacing
 	backoff BackoffConfig
 }
@@ -280,17 +306,19 @@ func (cfg *PolicyConfig) validate() error {
 }
 
 // NewPolicyLimiter validates cfg and builds the hierarchy; with per-AS
-// pacing, over an AS table of its own, numbered from cfg.Origins.
+// pacing, over an AS table of its own, numbered from cfg.Origins, and
+// with one share per AS.
 func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return newPolicyLimiter(cfg, nil), nil
+	return newPolicyLimiter(cfg, nil, 1), nil
 }
 
 // newPolicyLimiter builds the hierarchy of a validated cfg. Per-AS pacing
-// indexes tab, the AS table of cfg.Origins, built here when nil.
-func newPolicyLimiter(cfg PolicyConfig, tab *asTable) *PolicyLimiter {
+// indexes tab, the AS table of cfg.Origins, built here when nil, and
+// splits each AS's bucket into the given number of shares.
+func newPolicyLimiter(cfg PolicyConfig, tab *asTable, shares int) *PolicyLimiter {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
 	}
@@ -306,16 +334,20 @@ func newPolicyLimiter(cfg PolicyConfig, tab *asTable) *PolicyLimiter {
 		backoff: cfg.Backoff.withDefaults(),
 	}
 	if cfg.Rate > 0 {
-		p.global = &newBuckets(1, cfg.Rate, cfg.Burst)[0]
+		p.global = &newBuckets(1, cfg.Rate, cfg.Burst, 1)[0]
 	}
 	if cfg.ASRate > 0 {
 		if tab == nil {
 			tab = newASTable(cfg.Origins)
 		}
-		p.tab, p.as = tab, newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst)
+		p.tab, p.as = tab, newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst, shares)
+		p.shares = make([]atomic.Uint64, shares*len(tab.ases))
+		for i := range p.shares {
+			p.shares[i].Store(full)
+		}
 	}
 	if cfg.PrefixRate > 0 {
-		p.pfx = newBuckets(cfg.Prefixes, cfg.PrefixRate, cfg.PrefixBurst)
+		p.pfx = newBuckets(cfg.Prefixes, cfg.PrefixRate, cfg.PrefixBurst, 1)
 	}
 	p.nowBase.Store(noBase)
 	return p
@@ -348,14 +380,10 @@ func (p *PolicyLimiter) clock() float64 {
 	return float64(t - p.nowBase.Load())
 }
 
-// asBucket returns the bucket of the AS owning target prefix pfxIdx.
-func (p *PolicyLimiter) asBucket(pfxIdx int) *bucket {
-	return &p.as[p.tab.ids[pfxIdx]]
-}
-
 // Wait blocks until a probe of target prefix pfxIdx may be sent, or the
 // context is canceled (the reservations are returned). One sleep covers
-// the deepest debt across all configured levels.
+// the deepest debt across all configured levels. It takes per-AS tokens
+// from share 0.
 func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
 	pc := pacer{p: p, k: 1}
 	return pc.wait(ctx, pfxIdx)
@@ -377,16 +405,18 @@ const paceSpan = time.Millisecond
 // consecutive passes, and one CAS on the shared global bucket claims up
 // to k tokens that are already due at that reading, kept as local credit.
 // The per-AS and per-prefix levels still take one token per probe, at the
-// batch's reading.
+// batch's reading; the per-AS token comes from the pacer's own share.
 //
 // A reading is never later than the true time, so a stale one can only
 // make the pacer stricter: a token it finds due was due. Credit never
 // outlives its batch, since a claim takes at most the batch's remaining
 // passes, and goes back before any sleep and in release. So a worker
 // never holds a future slot, and in any window [a, b] a level at a fixed
-// rate sends at most burst + (b−a)/interval + W·k probes across W pacers.
+// rate sends at most burst + (b−a)/interval + W·k probes across W pacers:
+// each per-AS share within its own burst/W + (b−a)/(W·interval) + k.
 type pacer struct {
 	p      *PolicyLimiter
+	share  int     // the per-AS share this pacer takes from, < the limiter's shares
 	k      int     // passes per batch, 1 ≤ k ≤ paceBatch
 	now    float64 // the batch's clock reading
 	left   int     // passes the reading still serves
@@ -402,33 +432,35 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 	c.left--
 	now := c.now
 	var taken [3]*bucket
+	var words [3]*atomic.Uint64 // the tat word each level takes from
 	n := 0
 	deadline := now // the deepest level's debt-clear instant
-	if p.global != nil {
-		taken[n] = p.global
+	if g := p.global; g != nil {
+		taken[n], words[n] = g, &g.tat
 		n++
 		switch {
 		case c.credit > 0:
 			c.credit--
 		case c.left == 0: // a claim of one is a take
-			deadline = max(deadline, p.global.take(now))
+			deadline = max(deadline, g.take(&g.tat, now))
 		default:
-			got, tat := p.global.claim(now, c.left+1)
+			got, tat := g.claim(now, c.left+1)
 			c.credit = got - 1
 			deadline = max(deadline, tat)
 		}
 	}
 	lower := n // the per-AS and per-prefix levels take one token each
 	if p.as != nil {
-		taken[n] = p.asBucket(pfxIdx)
+		id := int(p.tab.ids[pfxIdx])
+		taken[n], words[n] = &p.as[id], &p.shares[c.share*len(p.as)+id]
 		n++
 	}
 	if p.pfx != nil {
-		taken[n] = &p.pfx[pfxIdx]
+		taken[n], words[n] = &p.pfx[pfxIdx], &p.pfx[pfxIdx].tat
 		n++
 	}
-	for _, b := range taken[lower:n] {
-		deadline = max(deadline, b.take(now))
+	for i := lower; i < n; i++ {
+		deadline = max(deadline, taken[i].take(words[i], now))
 	}
 	if deadline <= now {
 		return nil
@@ -450,8 +482,8 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 		d = time.Microsecond
 	}
 	if err := p.sleep(ctx, d); err != nil {
-		for _, b := range taken[:n] {
-			b.untake(1)
+		for i, b := range taken[:n] {
+			b.untake(words[i], 1)
 		}
 		return err
 	}
@@ -462,7 +494,7 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 // calls it when it leaves its loop; wait calls it before any sleep.
 func (c *pacer) release() {
 	if c.credit > 0 {
-		c.p.global.untake(c.credit)
+		c.p.global.untake(&c.p.global.tat, c.credit)
 		c.credit = 0
 	}
 }
@@ -478,7 +510,8 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 	if p.backoff.Threshold <= 0 {
 		return false
 	}
-	b := p.asBucket(pfxIdx)
+	id := p.tab.ids[pfxIdx]
+	b := &p.as[id]
 	if ok {
 		if b.streak.Load() != 0 {
 			b.streak.Store(0)
@@ -486,7 +519,7 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 		if b.currentRate() < b.base {
 			p.mu.Lock()
 			if r := b.currentRate(); r < b.base {
-				b.retune(p.clock(), min(r+b.base*p.backoff.Recovery, b.base))
+				p.retuneAS(id, min(r+b.base*p.backoff.Recovery, b.base))
 			}
 			p.mu.Unlock()
 		}
@@ -516,7 +549,7 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 	if next >= r {
 		return false // already at the floor: no further event
 	}
-	b.retune(p.clock(), next)
+	p.retuneAS(id, next)
 	return true
 }
 
@@ -538,13 +571,13 @@ func (p *PolicyLimiter) SetASRate(as uint32, rate float64) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.as[id].retune(p.clock(), rate)
+	p.retuneAS(id, rate)
 	return nil
 }
 
-// ASRateOf returns the current bucket rate of an AS (the configured
-// ASRate when no target prefix maps to the AS); ok is false when per-AS
-// pacing is off.
+// ASRateOf returns the current rate of an AS, the sum over its shares
+// (the configured ASRate when no target prefix maps to the AS); ok is
+// false when per-AS pacing is off.
 func (p *PolicyLimiter) ASRateOf(as uint32) (rate float64, ok bool) {
 	if p.as == nil {
 		return 0, false

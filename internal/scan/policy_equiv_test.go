@@ -318,26 +318,44 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 //     sends, the W·k being the probes that read the clock before a;
 //   - after every worker has released, no pacer holds credit, and the
 //     sends plus the balance left never exceed what the rate minted.
+//
+// In the share cases each pacer takes its per-AS tokens from a share of
+// its own, as a Scanner's workers do, so an AS's sends and balance are
+// summed over its W shares, each at rate/W with burst/W: the bounds
+// hold for the sum unchanged. In the skewed case worker 0 draws every
+// probe of AS 10, so that AS is paced by one share alone while its
+// other shares sit full. There the per-prefix level is loose, so that
+// the per-AS level binds, and each share is also checked as a level of
+// its own: one pacer at rate/W with burst/W.
 func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 	const workers, k, m = 4, 4, 400
 	const probeNs = 300_000 // a probe takes up to 0.3 ms: demand far above every rate
 	for _, tc := range []struct {
 		name              string
 		rate, asRate, pfx float64
+		pfxBurst          int
+		shares, skew      bool
 	}{
-		{"global-binds", 1000, 1000, 500},
-		{"lower-levels-bind", 5000, 400, 250},
+		{"global-binds", 1000, 1000, 500, 2, false, false},
+		{"lower-levels-bind", 5000, 400, 250, 2, false, false},
+		// The per-AS level binds, from the first probe on.
+		{"as-shares", 5000, 100, 5000, 64, true, false},
+		{"as-shares-skewed", 5000, 100, 5000, 64, true, true},
 	} {
 		cfg := PolicyConfig{
 			Rate: tc.rate, Burst: workers * k,
 			ASRate: tc.asRate, ASBurst: 4,
-			PrefixRate: tc.pfx, PrefixBurst: 2,
+			PrefixRate: tc.pfx, PrefixBurst: tc.pfxBurst,
 			Origins:  []uint32{10, 10, 20, 20, 30, 30},
 			Prefixes: 6,
 		}
 		ivOf := func(rate float64) time.Duration { return time.Duration(1e9 / rate) }
 		for seed := int64(1); seed <= 8; seed++ {
 			p, clock, _ := virtualPolicy(t, cfg)
+			if tc.shares {
+				p = newPolicyLimiter(cfg, nil, workers)
+				clock, _ = virtualize(p)
+			}
 			start := clock.now()
 			p.clock() // the limiter clock's zero is start
 			type send struct {
@@ -359,8 +377,16 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 					pacers[w] = pacer{p: p, k: k}
 					pc := &pacers[w]
 					defer pc.release()
+					if tc.shares {
+						pc.share = w
+					}
 					for i := 0; i < m; i++ {
 						pfx := rng.Intn(cfg.Prefixes)
+						if tc.skew && w == 0 {
+							pfx = rng.Intn(2) // AS 10's prefixes, 0 and 1
+						} else if tc.skew {
+							pfx = 2 + rng.Intn(cfg.Prefixes-2)
+						}
 						pass.Lock()
 						err := pc.wait(context.Background(), pfx)
 						sends[w] = append(sends[w], send{clock.now().Sub(start), pfx})
@@ -381,28 +407,41 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 			wg.Wait()
 			end := clock.now().Sub(start)
 
+			// A level's window slack is the probes of the pacers that
+			// take from it: W·k, or k for a single share.
 			type level struct {
-				name  string
-				b     *bucket
-				burst int
-				iv    time.Duration
-				at    []time.Duration
+				name    string
+				balance func(now float64) float64 // summed over the level's shares
+				burst   int
+				iv      time.Duration
+				slack   int
+				at      []time.Duration
 			}
-			global := &level{name: "global", b: p.global, burst: cfg.Burst, iv: ivOf(cfg.Rate)}
+			global := &level{name: "global", balance: p.global.balance, burst: cfg.Burst, iv: ivOf(cfg.Rate), slack: workers * k}
 			levels := []*level{global}
 			byAS := map[uint32]*level{}
+			byShare := map[[2]int]*level{} // per AS and worker, in the share cases
 			byPfx := map[int]*level{}
-			for _, sl := range sends {
+			for w, sl := range sends {
 				for _, s := range sl {
 					global.at = append(global.at, s.at)
-					as := cfg.Origins[s.pfx]
+					as, pfx := cfg.Origins[s.pfx], s.pfx
 					if byAS[as] == nil {
-						byAS[as] = &level{name: fmt.Sprintf("AS%d", as), b: p.asBucket(s.pfx), burst: cfg.ASBurst, iv: ivOf(cfg.ASRate)}
+						byAS[as] = &level{name: fmt.Sprintf("AS%d", as), balance: func(now float64) float64 { return p.asBalance(pfx, now) }, burst: cfg.ASBurst, iv: ivOf(cfg.ASRate), slack: workers * k}
 						levels = append(levels, byAS[as])
 					}
 					byAS[as].at = append(byAS[as].at, s.at)
+					// Each share is a level of its own at rate/W and burst/W
+					// (a whole token here), taken by one pacer.
+					if sh := [2]int{int(as), w}; tc.shares {
+						if byShare[sh] == nil {
+							byShare[sh] = &level{name: fmt.Sprintf("AS%d share %d", as, w), balance: func(now float64) float64 { return p.shareBalance(pfx, w, now) }, burst: cfg.ASBurst / workers, iv: workers * ivOf(cfg.ASRate), slack: k}
+							levels = append(levels, byShare[sh])
+						}
+						byShare[sh].at = append(byShare[sh].at, s.at)
+					}
 					if byPfx[s.pfx] == nil {
-						byPfx[s.pfx] = &level{name: fmt.Sprintf("prefix %d", s.pfx), b: &p.pfx[s.pfx], burst: cfg.PrefixBurst, iv: ivOf(cfg.PrefixRate)}
+						byPfx[s.pfx] = &level{name: fmt.Sprintf("prefix %d", s.pfx), balance: p.pfx[s.pfx].balance, burst: cfg.PrefixBurst, iv: ivOf(cfg.PrefixRate), slack: workers * k}
 						levels = append(levels, byPfx[s.pfx])
 					}
 					byPfx[s.pfx].at = append(byPfx[s.pfx].at, s.at)
@@ -431,7 +470,7 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 				best := math.Inf(-1)
 				for j, tj := range at {
 					best = max(best, float64(at[j])/float64(l.iv)-float64(j))
-					if excess := float64(j+1) - float64(tj)/float64(l.iv) + best - float64(l.burst+workers*k); excess > 1e-9 {
+					if excess := float64(j+1) - float64(tj)/float64(l.iv) + best - float64(l.burst+l.slack); excess > 1e-9 {
 						t.Fatalf("%s seed %d %s: a window ending at %v holds %.3g sends over its bound", tc.name, seed, l.name, tj, excess)
 					}
 				}
@@ -439,8 +478,8 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 				// plus what the rate minted since the start: no credit was
 				// created.
 				now := p.clock()
-				if got, minted := float64(len(at))+l.b.balance(now), float64(l.burst)+float64(end)/float64(l.iv); got > minted+1e-9 {
-					t.Fatalf("%s seed %d %s: %d sends and a balance of %.3f exceed the %.3f tokens minted", tc.name, seed, l.name, len(at), l.b.balance(now), minted)
+				if got, minted := float64(len(at))+l.balance(now), float64(l.burst)+float64(end)/float64(l.iv); got > minted+1e-9 {
+					t.Fatalf("%s seed %d %s: %d sends and a balance of %.3f exceed the %.3f tokens minted", tc.name, seed, l.name, len(at), l.balance(now), minted)
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,13 @@ func virtualPolicy(t *testing.T, cfg PolicyConfig) (*PolicyLimiter, *fakeClock, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock, sleeps := virtualize(p)
+	return p, clock, sleeps
+}
+
+// virtualize puts p on a fresh fake clock, as virtualPolicy does, and
+// returns the clock and the count of sleeps.
+func virtualize(p *PolicyLimiter) (*fakeClock, *atomic.Int64) {
 	clock := newFakeClock()
 	var sleeps atomic.Int64
 	p.now = clock.now
@@ -40,7 +48,7 @@ func virtualPolicy(t *testing.T, cfg PolicyConfig) (*PolicyLimiter, *fakeClock, 
 		clock.advance(d)
 		return nil
 	}
-	return p, clock, &sleeps
+	return clock, &sleeps
 }
 
 // balance is a bucket's token count at limiter time now: the
@@ -48,6 +56,39 @@ func virtualPolicy(t *testing.T, cfg PolicyConfig) (*PolicyLimiter, *fakeClock, 
 func (b *bucket) balance(now float64) float64 {
 	iv := b.currentInterval()
 	return (now - max(math.Float64frombits(b.tat.Load()), now-b.burst*iv)) / iv
+}
+
+// asBucket returns a bucket that reads as share 0 of the AS owning target
+// prefix pfxIdx at the time of the call: the AS's record with share 0's
+// tat word. With one share, as NewPolicyLimiter builds, that is the
+// whole AS's bucket.
+func (p *PolicyLimiter) asBucket(pfxIdx int) *bucket {
+	id := p.tab.ids[pfxIdx]
+	rec := &p.as[id]
+	b := &bucket{base: rec.base, burst: rec.burst}
+	b.tat.Store(p.shares[id].Load())
+	b.interval.Store(rec.interval.Load())
+	b.rate.Store(rec.rate.Load())
+	return b
+}
+
+// shareBalance is the token count of share w of the AS owning target
+// prefix pfxIdx at limiter time now.
+func (p *PolicyLimiter) shareBalance(pfxIdx, w int, now float64) float64 {
+	id := int(p.tab.ids[pfxIdx])
+	rec := &p.as[id]
+	iv := rec.currentInterval()
+	return (now - max(math.Float64frombits(p.shares[w*len(p.as)+id].Load()), now-rec.burst*iv)) / iv
+}
+
+// asBalance is the token count of the AS owning target prefix pfxIdx at
+// limiter time now, summed over its shares.
+func (p *PolicyLimiter) asBalance(pfxIdx int, now float64) float64 {
+	sum := 0.0
+	for w := range len(p.shares) / len(p.as) {
+		sum += p.shareBalance(pfxIdx, w, now)
+	}
+	return sum
 }
 
 func TestPolicyLimiterValidation(t *testing.T) {
@@ -318,6 +359,8 @@ func TestScannerPolitenessValidation(t *testing.T) {
 // and per-prefix pacing on). What grows with the AS count, the
 // per-worker tallies and the report's PerAS map, every Run allocates
 // alike. Creating buckets on first touch would add two per AS here.
+// Every per-AS share word, one per worker and AS, is allocated by New,
+// and Run leaves the words where New put them.
 func TestScannerFirstRunCreatesNoBucket(t *testing.T) {
 	runAllocs := func(s *Scanner) uint64 {
 		var before, after runtime.MemStats
@@ -357,11 +400,60 @@ func TestScannerFirstRunCreatesNoBucket(t *testing.T) {
 		first, later := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		for range 3 {
 			s := newScanner()
+			words := s.policy.shares
+			if len(words) != 2*n {
+				t.Fatalf("%d ASes, 2 workers: New allocated %d share words, want %d", n, len(words), 2*n)
+			}
 			first = min(first, runAllocs(s))
 			later = min(later, runAllocs(s))
+			if got := s.policy.shares; len(got) != len(words) || &got[0] != &words[0] {
+				t.Fatalf("%d ASes: Run replaced the share words", n)
+			}
 		}
 		if first > later {
 			t.Errorf("%d ASes: the first Run allocated %d times, a later one %d", n, first, later)
+		}
+	}
+}
+
+// TestScannerSharedASRateContracts: a Scanner splits each AS's rate
+// across its workers, yet the rate an operator sets or reads is the
+// whole AS's, exactly, at any worker count: SetASRate then ASRateOf reads
+// the rate back, a backoff halving reads exactly half of it, and each
+// share runs at the rate over the worker count.
+func TestScannerSharedASRateContracts(t *testing.T) {
+	part, origins := politenessFixture(t)
+	const as, r = 64501, 300.0
+	pfx := slices.Index(origins, as)
+	for _, workers := range []int{1, 4} {
+		s := mustScanner(t, Config{
+			Targets: part, Workers: workers, Seed: 1,
+			Prober: proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) { return Result{Addr: a}, nil }),
+			Politeness: Politeness{Origins: origins, ASRate: 1000, ASBurst: 8,
+				Backoff: BackoffConfig{Threshold: 2, MinRateShare: 1.0 / 64}},
+		})
+		p := s.Policy()
+		if len(p.shares) != workers*len(p.as) {
+			t.Fatalf("workers=%d: %d share words for %d ASes", workers, len(p.shares), len(p.as))
+		}
+		if err := p.SetASRate(as, r); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := p.ASRateOf(as); !ok || got != r {
+			t.Fatalf("workers=%d: ASRateOf after SetASRate(%v) = %v, %v", workers, r, got, ok)
+		}
+		rec := &p.as[p.tab.ids[pfx]]
+		if iv, want := rec.currentInterval(), intervalOf(r)*float64(workers); iv != want {
+			t.Fatalf("workers=%d: share interval %v ns, want %v", workers, iv, want)
+		}
+		if rec.burst*float64(workers) != 8 {
+			t.Fatalf("workers=%d: shares hold %v tokens of burst, want 8", workers, rec.burst*float64(workers))
+		}
+		if p.Observe(pfx, false) || !p.Observe(pfx, false) {
+			t.Fatalf("workers=%d: no backoff at the threshold", workers)
+		}
+		if got, _ := p.ASRateOf(as); got != r/2 {
+			t.Fatalf("workers=%d: ASRateOf after a halving = %v, want %v", workers, got, r/2)
 		}
 	}
 }

@@ -185,8 +185,8 @@ func New(cfg Config) (*Scanner, error) {
 	if pcfg.Rate > 0 || pcfg.ASRate > 0 || pcfg.PrefixRate > 0 {
 		// One pacer for every level: a global-only Rate is a
 		// single-bucket PolicyLimiter, and per-AS or per-prefix rates add
-		// bucket levels to it.
-		s.policy = newPolicyLimiter(pcfg, tab)
+		// bucket levels to it. Each worker gets its own per-AS share.
+		s.policy = newPolicyLimiter(pcfg, tab, cfg.Workers)
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
 	return s, nil
@@ -294,7 +294,8 @@ func (s *Scanner) ExclusionCount() int {
 // for external feeds to retune a single AS mid-cycle via SetASRate,
 // which errors unless Politeness set a per-AS rate and some target
 // prefix maps to the AS. The pacer shares the Scanner's AS table with
-// the footprint.
+// the footprint. Its Wait paces on the first worker's per-AS shares,
+// at ASRate/Workers.
 func (s *Scanner) Policy() *PolicyLimiter {
 	return s.policy
 }
@@ -418,7 +419,10 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sh := shards[w]
+			// The worker draws from a copy on its own stack, so its
+			// per-draw cursor writes share no cache line with another
+			// worker's shard; the copy goes back when the worker leaves.
+			sh := *shards[w]
 			// Polled without blocking instead of ctx.Err(), which locks.
 			done := ctx.Done()
 			var local []netaddr.Addr
@@ -433,7 +437,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			}
 			var pc pacer
 			if s.policy != nil {
-				pc = pacer{p: s.policy, k: paceK}
+				pc = pacer{p: s.policy, share: w, k: paceK}
 				defer pc.release() // unused global credit goes back on every exit
 			}
 			for !stop.Load() {
@@ -526,6 +530,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			if tl != nil {
 				s.fp.merge(tl)
 			}
+			*shards[w] = sh
 			responsive[w] = local
 		}(w)
 	}

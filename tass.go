@@ -113,8 +113,9 @@ func NewAddrSet(addrs []Addr, blockSize int) *AddrSet {
 
 // DiffSnapshots compares two scans of one protocol: how many addresses
 // persisted, disappeared and appeared (the §3.3 host-stability view).
+// Either snapshot may be lazy.
 func DiffSnapshots(earlier, later *Snapshot) DiffResult {
-	return census.Diff(earlier, later)
+	return earlier.Diff(later).Result(earlier.Hosts())
 }
 
 // DeltaOf returns the full churn between two snapshots as sorted

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,56 @@ func TestPublicDiffSnapshots(t *testing.T) {
 	// CWMP is the churniest protocol: a month must lose a visible share.
 	if r := d.Retention(); r > 0.9 || r < 0.4 {
 		t.Errorf("cwmp one-month retention %v implausible", r)
+	}
+}
+
+// TestPublicDiffSnapshotsLazy: a lazily opened census file has no
+// address slice, and DiffSnapshots must count it through its set view.
+// An intact file against its eager copy keeps every host, in both
+// directions, and a lazy side diffs against a churned snapshot as its
+// eager copy does.
+func TestPublicDiffSnapshotsLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	addrs := make([]tass.Addr, 0, 8000)
+	v := uint32(rng.Intn(1 << 16))
+	for len(addrs) < cap(addrs) {
+		if rng.Intn(100) == 0 {
+			v += uint32(rng.Intn(1 << 22))
+		}
+		v += 1 + uint32(rng.Intn(200))
+		addrs = append(addrs, tass.Addr(v))
+	}
+	eager := tass.NewSnapshot("https", 4, addrs)
+	path := filepath.Join(t.TempDir(), "census.snap")
+	if err := tass.WriteSnapshotFile(path, eager); err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := tass.OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	if !lazy.Lazy() {
+		t.Fatal("OpenSnapshotFile returned an eager snapshot")
+	}
+	same := tass.DiffResult{Kept: len(addrs)}
+	if d := tass.DiffSnapshots(lazy, eager); d != same {
+		t.Errorf("DiffSnapshots(lazy, its eager copy) = %+v, want %+v", d, same)
+	}
+	if d := tass.DiffSnapshots(eager, lazy); d != same {
+		t.Errorf("DiffSnapshots(eager, its lazy copy) = %+v, want %+v", d, same)
+	}
+	churned := tass.NewSnapshot("https", 4, append(addrs[len(addrs)/3:len(addrs):len(addrs)], tass.Addr(v+1), tass.Addr(v+7)))
+	for _, pair := range [][2]*tass.Snapshot{{lazy, churned}, {churned, lazy}} {
+		ref := pair
+		for i, s := range ref {
+			if s == lazy {
+				ref[i] = eager
+			}
+		}
+		if got, want := tass.DiffSnapshots(pair[0], pair[1]), tass.DiffSnapshots(ref[0], ref[1]); got != want {
+			t.Errorf("a lazy side diffs to %+v, its eager copy to %+v", got, want)
+		}
 	}
 }
 

@@ -96,8 +96,8 @@ func (b *BackoffConfig) withDefaults() BackoffConfig {
 // taken at one instant add up exactly; otherwise the error stays within
 // float64 resolution, a fraction of a nanosecond per token after a month.
 //
-// A bucket split into W shares, as each per-AS bucket of a Scanner is
-// (one share per worker), keeps one tat word per share outside the
+// A per-AS bucket is split into W shares (one per Scanner worker, one
+// from NewPolicyLimiter) and keeps one tat word per share outside the
 // bucket, in PolicyLimiter.shares; the bucket is then the AS's record:
 // every share runs at rate/W with burst/W, so the shares sum to the AS's
 // rate and burst, and the record's own tat is unused.

@@ -25,11 +25,11 @@ type Politeness struct {
 	Origins []uint32
 	// ASRate, when positive, caps probes per second into any single
 	// origin AS (a token bucket per AS, built with the Scanner). The
-	// Scanner splits it across its workers: each worker paces its probes
-	// into an AS at ASRate/Workers.
+	// Scanner splits each bucket into one share per worker, up to ASBurst
+	// shares, which lend each other the tokens their own worker leaves.
 	ASRate float64
 	// ASBurst is the per-AS bucket burst (default 16), split across the
-	// workers like ASRate: each worker's share holds ASBurst/Workers.
+	// shares like ASRate: each share holds ASBurst/min(Workers, ASBurst).
 	ASBurst int
 	// PrefixRate, when positive, caps probes per second into any single
 	// target prefix (a 48-byte bucket per prefix, built with the Scanner).
@@ -96,11 +96,10 @@ func (b *BackoffConfig) withDefaults() BackoffConfig {
 // taken at one instant add up exactly; otherwise the error stays within
 // float64 resolution, a fraction of a nanosecond per token after a month.
 //
-// A per-AS bucket is split into W shares (one per Scanner worker, one
-// from NewPolicyLimiter) and keeps one tat word per share outside the
-// bucket, in PolicyLimiter.shares; the bucket is then the AS's record:
-// every share runs at rate/W with burst/W, so the shares sum to the AS's
-// rate and burst, and the record's own tat is unused.
+// A per-AS bucket is split into S shares (see PolicyLimiter) and keeps
+// one tat word per share outside the bucket, in PolicyLimiter.shares; the
+// bucket is then the AS's record: every share runs at rate/S with burst/S,
+// so the shares sum to the AS's rate and burst; its own tat is unused.
 //
 // Rate changes (backoff, recovery, SetASRate) run under the owner's mu
 // and convert the balance at the old interval to the new one in a single
@@ -149,14 +148,14 @@ func (b *bucket) currentInterval() float64 { return math.Float64frombits(b.inter
 // take reserves one token of the share whose tat word is w at time now
 // (driving its balance negative) and returns the instant the refill
 // covers the debt: at or before now when the token was immediately
-// available.
-func (b *bucket) take(w *atomic.Uint64, now float64) float64 {
+// available. It takes nothing when that instant lies past by.
+func (b *bucket) take(w *atomic.Uint64, now, by float64) float64 {
 	for {
 		old := w.Load()
 		iv := b.currentInterval()
 		// The balance is capped at burst.
 		tat := max(math.Float64frombits(old), now-b.burst*iv) + iv
-		if w.CompareAndSwap(old, math.Float64bits(tat)) {
+		if tat > by || w.CompareAndSwap(old, math.Float64bits(tat)) {
 			return tat
 		}
 	}
@@ -203,7 +202,7 @@ func (b *bucket) untake(w *atomic.Uint64, n int) {
 // rate changes never race each other.
 func (p *PolicyLimiter) retuneAS(id int32, rate float64) {
 	b, now, nAS := &p.as[id], p.clock(), len(p.as)
-	oldIv, newIv := b.currentInterval(), intervalOf(rate)*float64(len(p.shares)/nAS)
+	oldIv, newIv := b.currentInterval(), intervalOf(rate)*float64(p.nShares)
 	for i := int(id); i < len(p.shares); i += nAS {
 		w := &p.shares[i]
 		for {
@@ -239,9 +238,10 @@ func (p *PolicyLimiter) retuneAS(id int32, rate float64) {
 // again, to sleep until its slot. A scanner worker paces through a
 // pacer instead, which shares one clock reading and one global claim
 // among a batch of probes; Wait is the same path with a batch of one.
-// Each per-AS bucket is split into one share per Scanner worker (one
-// share from NewPolicyLimiter), and worker w's pacer takes only from
-// share w, a tat word no other worker writes; Wait takes from share 0.
+// Each per-AS bucket is split into S = min(Workers, ASBurst) shares (one
+// from NewPolicyLimiter), so a share holds at least one token, and worker
+// w's pacer takes from share w mod S, a tat word no other worker writes
+// while Workers ≤ ASBurst, whenever a token is due there (takeAS).
 // Every bucket exists from construction, one per AS of the table with an
 // 8-byte word per share, and one per target prefix (48 B each), so the
 // probe path never creates one, even for the prefixes a one-shard
@@ -259,9 +259,10 @@ type PolicyLimiter struct {
 	global  *bucket  // nil when no global rate
 	tab     *asTable // the ASes behind as; nil without per-AS pacing
 	as      []bucket // per dense AS id; nil without per-AS pacing
-	// shares holds the tat words of the per-AS buckets' shares, worker
-	// major: share w of AS id is shares[w·len(as)+id].
+	// shares holds the tat words of the per-AS buckets' nShares shares,
+	// worker major: share w of AS id is shares[w·len(as)+id].
 	shares  []atomic.Uint64
+	nShares int
 	pfx     []bucket // per target prefix; nil without per-prefix pacing
 	backoff BackoffConfig
 }
@@ -317,7 +318,8 @@ func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
 
 // newPolicyLimiter builds the hierarchy of a validated cfg. Per-AS pacing
 // indexes tab, the AS table of cfg.Origins, built here when nil, and
-// splits each AS's bucket into the given number of shares.
+// splits each AS's bucket into that many shares, at most ASBurst: a share
+// below one token would make every probe wait, even into an idle AS.
 func newPolicyLimiter(cfg PolicyConfig, tab *asTable, shares int) *PolicyLimiter {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
@@ -331,6 +333,7 @@ func newPolicyLimiter(cfg PolicyConfig, tab *asTable, shares int) *PolicyLimiter
 	p := &PolicyLimiter{
 		epoch:   time.Now(),
 		sleep:   timerSleep,
+		nShares: min(shares, cfg.ASBurst),
 		backoff: cfg.Backoff.withDefaults(),
 	}
 	if cfg.Rate > 0 {
@@ -340,8 +343,8 @@ func newPolicyLimiter(cfg PolicyConfig, tab *asTable, shares int) *PolicyLimiter
 		if tab == nil {
 			tab = newASTable(cfg.Origins)
 		}
-		p.tab, p.as = tab, newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst, shares)
-		p.shares = make([]atomic.Uint64, shares*len(tab.ases))
+		p.tab, p.as = tab, newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst, p.nShares)
+		p.shares = make([]atomic.Uint64, p.nShares*len(tab.ases))
 		for i := range p.shares {
 			p.shares[i].Store(full)
 		}
@@ -383,7 +386,7 @@ func (p *PolicyLimiter) clock() float64 {
 // Wait blocks until a probe of target prefix pfxIdx may be sent, or the
 // context is canceled (the reservations are returned). One sleep covers
 // the deepest debt across all configured levels. It takes per-AS tokens
-// from share 0.
+// as worker 0's pacer does, from share 0 first (takeAS).
 func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
 	pc := pacer{p: p, k: 1}
 	return pc.wait(ctx, pfxIdx)
@@ -405,18 +408,19 @@ const paceSpan = time.Millisecond
 // consecutive passes, and one CAS on the shared global bucket claims up
 // to k tokens that are already due at that reading, kept as local credit.
 // The per-AS and per-prefix levels still take one token per probe, at the
-// batch's reading; the per-AS token comes from the pacer's own share.
+// batch's reading.
 //
 // A reading is never later than the true time, so a stale one can only
 // make the pacer stricter: a token it finds due was due. Credit never
 // outlives its batch, since a claim takes at most the batch's remaining
 // passes, and goes back before any sleep and in release. So a worker
 // never holds a future slot, and in any window [a, b] a level at a fixed
-// rate sends at most burst + (b−a)/interval + W·k probes across W pacers:
-// each per-AS share within its own burst/W + (b−a)/(W·interval) + k.
+// rate sends at most burst + (b−a)/interval + W·k probes across W pacers.
+// Each per-AS share is such a level at rate/S and burst/S, and every probe
+// takes from one share, so the AS as a whole keeps the bound.
 type pacer struct {
 	p      *PolicyLimiter
-	share  int     // the per-AS share this pacer takes from, < the limiter's shares
+	share  int     // the per-AS share this pacer takes from, < the limiter's nShares
 	k      int     // passes per batch, 1 ≤ k ≤ paceBatch
 	now    float64 // the batch's clock reading
 	left   int     // passes the reading still serves
@@ -442,25 +446,25 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 		case c.credit > 0:
 			c.credit--
 		case c.left == 0: // a claim of one is a take
-			deadline = max(deadline, g.take(&g.tat, now))
+			deadline = max(deadline, g.take(&g.tat, now, math.Inf(1)))
 		default:
 			got, tat := g.claim(now, c.left+1)
 			c.credit = got - 1
 			deadline = max(deadline, tat)
 		}
 	}
-	lower := n // the per-AS and per-prefix levels take one token each
 	if p.as != nil {
 		id := int(p.tab.ids[pfxIdx])
-		taken[n], words[n] = &p.as[id], &p.shares[c.share*len(p.as)+id]
+		var tat float64
+		taken[n] = &p.as[id]
+		words[n], tat = p.takeAS(id, &p.shares[c.share*len(p.as)+id], now)
 		n++
+		deadline = max(deadline, tat)
 	}
-	if p.pfx != nil {
-		taken[n], words[n] = &p.pfx[pfxIdx], &p.pfx[pfxIdx].tat
+	if b := p.pfx; b != nil {
+		taken[n], words[n] = &b[pfxIdx], &b[pfxIdx].tat
 		n++
-	}
-	for i := lower; i < n; i++ {
-		deadline = max(deadline, taken[i].take(words[i], now))
+		deadline = max(deadline, b[pfxIdx].take(&b[pfxIdx].tat, now, math.Inf(1)))
 	}
 	if deadline <= now {
 		return nil
@@ -488,6 +492,24 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 		return err
 	}
 	return nil
+}
+
+// takeAS is take for AS id and a pacer whose own share's word is own: it
+// takes from own when a token is due there, else from any share with one
+// due, else reserves on the share whose next token comes soonest, as one
+// bucket would queue it. It returns the word taken from and take's result.
+func (p *PolicyLimiter) takeAS(id int, own *atomic.Uint64, now float64) (*atomic.Uint64, float64) {
+	b := &p.as[id]
+	best, soonest := own, b.take(own, now, now)
+	for i := id; soonest > now && i < len(p.shares); i += len(p.as) {
+		if tat := b.take(&p.shares[i], now, now); tat < soonest {
+			best, soonest = &p.shares[i], tat
+		}
+	}
+	if soonest <= now {
+		return best, soonest
+	}
+	return best, b.take(best, now, math.Inf(1))
 }
 
 // release returns the pacer's unused global credit in one CAS. A worker

@@ -319,32 +319,39 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 //   - after every worker has released, no pacer holds credit, and the
 //     sends plus the balance left never exceed what the rate minted.
 //
-// In the share cases each pacer takes its per-AS tokens from a share of
-// its own, as a Scanner's workers do, so an AS's sends and balance are
-// summed over its W shares, each at rate/W with burst/W: the bounds
-// hold for the sum unchanged. In the skewed case worker 0 draws every
-// probe of AS 10, so that AS is paced by one share alone while its
-// other shares sit full. There the per-prefix level is loose, so that
-// the per-AS level binds, and each share is also checked as a level of
-// its own: one pacer at rate/W with burst/W.
+// In the share cases each pacer owns share w mod S of S = min(W, ASBurst)
+// shares, as a Scanner's workers do, and borrows a due token of another
+// share when its own has none, so an AS's sends and balance are summed
+// over its S shares, each at rate/S with burst/S: the bounds hold for
+// the sum unchanged. With ASBurst 4 each pacer owns a share of its own,
+// with 6 a share holds a token and a half, and with 2 two pacers own each
+// share. In the skewed case worker 0 draws every probe of AS 10, so that
+// AS's tokens reach it only through its own share and borrowing from
+// shares that sit full. The per-prefix level is loose there, so that the
+// per-AS level binds, and each share is also checked as a level of its
+// own at rate/S with burst/S; any pacer may take from it, so its window
+// slack stays W·k.
 func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 	const workers, k, m = 4, 4, 400
 	const probeNs = 300_000 // a probe takes up to 0.3 ms: demand far above every rate
 	for _, tc := range []struct {
 		name              string
 		rate, asRate, pfx float64
-		pfxBurst          int
+		asBurst, pfxBurst int
 		shares, skew      bool
 	}{
-		{"global-binds", 1000, 1000, 500, 2, false, false},
-		{"lower-levels-bind", 5000, 400, 250, 2, false, false},
+		{"global-binds", 1000, 1000, 500, 4, 2, false, false},
+		{"lower-levels-bind", 5000, 400, 250, 4, 2, false, false},
 		// The per-AS level binds, from the first probe on.
-		{"as-shares", 5000, 100, 5000, 64, true, false},
-		{"as-shares-skewed", 5000, 100, 5000, 64, true, true},
+		{"as-shares", 5000, 100, 5000, 4, 64, true, false},
+		{"as-shares-skewed", 5000, 100, 5000, 4, 64, true, true},
+		{"as-shares-fractional", 5000, 100, 5000, 6, 64, true, false},
+		{"as-shares-shared", 5000, 100, 5000, 2, 64, true, false},
+		{"as-shares-shared-skewed", 5000, 100, 5000, 2, 64, true, true},
 	} {
 		cfg := PolicyConfig{
 			Rate: tc.rate, Burst: workers * k,
-			ASRate: tc.asRate, ASBurst: 4,
+			ASRate: tc.asRate, ASBurst: tc.asBurst,
 			PrefixRate: tc.pfx, PrefixBurst: tc.pfxBurst,
 			Origins:  []uint32{10, 10, 20, 20, 30, 30},
 			Prefixes: 6,
@@ -359,8 +366,8 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 			start := clock.now()
 			p.clock() // the limiter clock's zero is start
 			type send struct {
-				at  time.Duration
-				pfx int
+				at         time.Duration
+				pfx, share int // share: the one the per-AS token came from
 			}
 			sends := make([][]send, workers)
 			pacers := make([]pacer, workers)
@@ -378,7 +385,7 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 					pc := &pacers[w]
 					defer pc.release()
 					if tc.shares {
-						pc.share = w
+						pc.share = w % p.nShares
 					}
 					for i := 0; i < m; i++ {
 						pfx := rng.Intn(cfg.Prefixes)
@@ -388,8 +395,19 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 							pfx = 2 + rng.Intn(cfg.Prefixes-2)
 						}
 						pass.Lock()
+						// The share whose word the wait moved gave the token.
+						id, before := int(p.tab.ids[pfx]), make([]uint64, p.nShares)
+						for j := range before {
+							before[j] = p.shares[j*len(p.as)+id].Load()
+						}
 						err := pc.wait(context.Background(), pfx)
-						sends[w] = append(sends[w], send{clock.now().Sub(start), pfx})
+						from := -1
+						for j, old := range before {
+							if p.shares[j*len(p.as)+id].Load() != old {
+								from = j
+							}
+						}
+						sends[w] = append(sends[w], send{clock.now().Sub(start), pfx, from})
 						// Now and then the worker idles.
 						d := time.Duration(rng.Int63n(probeNs))
 						if rng.Intn(200) == 0 {
@@ -408,40 +426,42 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 			end := clock.now().Sub(start)
 
 			// A level's window slack is the probes of the pacers that
-			// take from it: W·k, or k for a single share.
+			// may take from it: W·k, every pacer.
 			type level struct {
 				name    string
 				balance func(now float64) float64 // summed over the level's shares
-				burst   int
+				burst   float64
 				iv      time.Duration
 				slack   int
 				at      []time.Duration
 			}
-			global := &level{name: "global", balance: p.global.balance, burst: cfg.Burst, iv: ivOf(cfg.Rate), slack: workers * k}
+			global := &level{name: "global", balance: p.global.balance, burst: float64(cfg.Burst), iv: ivOf(cfg.Rate), slack: workers * k}
 			levels := []*level{global}
 			byAS := map[uint32]*level{}
-			byShare := map[[2]int]*level{} // per AS and worker, in the share cases
+			byShare := map[[2]int]*level{} // per AS and share, in the share cases
 			byPfx := map[int]*level{}
-			for w, sl := range sends {
+			for _, sl := range sends {
 				for _, s := range sl {
+					if s.share < 0 {
+						t.Fatalf("%s seed %d: a send at %v took no per-AS token", tc.name, seed, s.at)
+					}
 					global.at = append(global.at, s.at)
 					as, pfx := cfg.Origins[s.pfx], s.pfx
 					if byAS[as] == nil {
-						byAS[as] = &level{name: fmt.Sprintf("AS%d", as), balance: func(now float64) float64 { return p.asBalance(pfx, now) }, burst: cfg.ASBurst, iv: ivOf(cfg.ASRate), slack: workers * k}
+						byAS[as] = &level{name: fmt.Sprintf("AS%d", as), balance: func(now float64) float64 { return p.asBalance(pfx, now) }, burst: float64(cfg.ASBurst), iv: ivOf(cfg.ASRate), slack: workers * k}
 						levels = append(levels, byAS[as])
 					}
 					byAS[as].at = append(byAS[as].at, s.at)
-					// Each share is a level of its own at rate/W and burst/W
-					// (a whole token here), taken by one pacer.
-					if sh := [2]int{int(as), w}; tc.shares {
+					// Each share is a level of its own at rate/S and burst/S.
+					if sh := [2]int{int(as), s.share}; tc.shares {
 						if byShare[sh] == nil {
-							byShare[sh] = &level{name: fmt.Sprintf("AS%d share %d", as, w), balance: func(now float64) float64 { return p.shareBalance(pfx, w, now) }, burst: cfg.ASBurst / workers, iv: workers * ivOf(cfg.ASRate), slack: k}
+							byShare[sh] = &level{name: fmt.Sprintf("AS%d share %d", as, s.share), balance: func(now float64) float64 { return p.shareBalance(pfx, sh[1], now) }, burst: float64(cfg.ASBurst) / float64(p.nShares), iv: time.Duration(p.nShares) * ivOf(cfg.ASRate), slack: workers * k}
 							levels = append(levels, byShare[sh])
 						}
 						byShare[sh].at = append(byShare[sh].at, s.at)
 					}
 					if byPfx[s.pfx] == nil {
-						byPfx[s.pfx] = &level{name: fmt.Sprintf("prefix %d", s.pfx), balance: p.pfx[s.pfx].balance, burst: cfg.PrefixBurst, iv: ivOf(cfg.PrefixRate), slack: workers * k}
+						byPfx[s.pfx] = &level{name: fmt.Sprintf("prefix %d", s.pfx), balance: p.pfx[s.pfx].balance, burst: float64(cfg.PrefixBurst), iv: ivOf(cfg.PrefixRate), slack: workers * k}
 						levels = append(levels, byPfx[s.pfx])
 					}
 					byPfx[s.pfx].at = append(byPfx[s.pfx].at, s.at)
@@ -460,7 +480,7 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 				sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
 				// The i-th send (from 1) is due no earlier than (i−burst)·iv.
 				for i, t0 := range at {
-					if slot := time.Duration(i+1-l.burst) * l.iv; t0 < slot {
+					if slot := time.Duration((float64(i+1) - l.burst) * float64(l.iv)); t0 < slot {
 						t.Fatalf("%s seed %d %s: send %d at %v, before its slot %v", tc.name, seed, l.name, i+1, t0, slot)
 					}
 				}
@@ -470,7 +490,7 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 				best := math.Inf(-1)
 				for j, tj := range at {
 					best = max(best, float64(at[j])/float64(l.iv)-float64(j))
-					if excess := float64(j+1) - float64(tj)/float64(l.iv) + best - float64(l.burst+l.slack); excess > 1e-9 {
+					if excess := float64(j+1) - float64(tj)/float64(l.iv) + best - l.burst - float64(l.slack); excess > 1e-9 {
 						t.Fatalf("%s seed %d %s: a window ending at %v holds %.3g sends over its bound", tc.name, seed, l.name, tj, excess)
 					}
 				}
@@ -478,7 +498,7 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 				// plus what the rate minted since the start: no credit was
 				// created.
 				now := p.clock()
-				if got, minted := float64(len(at))+l.balance(now), float64(l.burst)+float64(end)/float64(l.iv); got > minted+1e-9 {
+				if got, minted := float64(len(at))+l.balance(now), l.burst+float64(end)/float64(l.iv); got > minted+1e-9 {
 					t.Fatalf("%s seed %d %s: %d sends and a balance of %.3f exceed the %.3f tokens minted", tc.name, seed, l.name, len(at), l.balance(now), minted)
 				}
 			}

@@ -458,6 +458,184 @@ func TestScannerSharedASRateContracts(t *testing.T) {
 	}
 }
 
+// TestPolicyLimiterShareLendsToLoneWorker: a pacer that alone draws an
+// AS still gets the whole AS's rate and burst, not its share's: it takes
+// the tokens the other shares hold and, when none is due, reserves the
+// AS's next token on whichever share it comes from. Wait, which takes as
+// worker 0's pacer does, is such a pacer: on a virtual clock advanced only
+// by its sleeps, its n-th probe goes out within S−1
+// intervals of when it would through one bucket, (n − burst)·interval
+// after the first (through S shares of rate/S, it would be S times
+// later). Reservations it holds at once, as concurrent waiters would,
+// are each due within S−1 intervals of their slot at one bucket too.
+func TestPolicyLimiterShareLendsToLoneWorker(t *testing.T) {
+	const n, rate = 400, 100.0
+	iv := time.Duration(intervalOf(rate))
+	for _, tc := range []struct{ burst, shares int }{{4, 1}, {4, 2}, {4, 4}, {6, 3}, {6, 4}, {5, 3}} {
+		cfg := PolicyConfig{ASRate: rate, ASBurst: tc.burst, Origins: []uint32{10, 20}}
+		slack := time.Duration(tc.shares-1) * iv
+		p := newPolicyLimiter(cfg, nil, tc.shares)
+		clock, _ := virtualize(p)
+		start := clock.now()
+		for range n {
+			if err := p.Wait(context.Background(), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := clock.now().Sub(start), time.Duration(n-tc.burst)*iv; got < want || got > want+slack {
+			t.Fatalf("%+v: probe %d went out at %v, want within %v of %v", tc, n, got, slack, want)
+		}
+		// The clock stands still: each wait holds its reservation.
+		p = newPolicyLimiter(cfg, nil, tc.shares)
+		p.now = newFakeClock().now
+		var due time.Duration
+		p.sleep = func(_ context.Context, d time.Duration) error { due = d; return nil }
+		pc := pacer{p: p, share: tc.shares - 1, k: 1}
+		for i := range n / 10 {
+			due = 0
+			if err := pc.wait(context.Background(), 0); err != nil {
+				t.Fatal(err)
+			}
+			if slot := max(0, time.Duration(i+1-tc.burst)*iv); due < slot || due > slot+slack {
+				t.Fatalf("%+v: reservation %d due in %v, want within %v of its slot %v", tc, i+1, due, slack, slot)
+			}
+		}
+	}
+}
+
+// TestScannerIdleASNeverWaits: a probe into an AS nobody has probed
+// passes at once, as it does through a single per-AS bucket, whatever
+// the worker count and AS burst. Each target is one address of an AS of
+// its own, so every probe is the first into its AS; a share holding less
+// than one token of burst would make every one of them sleep, capping
+// the whole Scanner near Workers·ASRate/(Workers−ASBurst) probes/s
+// however many ASes it covers.
+func TestScannerIdleASNeverWaits(t *testing.T) {
+	const n = 256
+	ps := make([]netaddr.Prefix, n)
+	origins := make([]uint32, n)
+	for i := range ps {
+		ps[i] = pfx(fmt.Sprintf("10.0.%d.%d/32", i/256, i%256))
+		origins[i] = uint32(64512 + i)
+	}
+	part, err := rib.NewPartition(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ workers, asBurst, shares int }{
+		{4, 4, 4}, {4, 6, 4}, {8, 2, 2}, {16, 1, 1}, {32, 0, 16}, // 0: the default burst, 16
+	} {
+		s := mustScanner(t, Config{
+			Targets: part, Workers: tc.workers, Seed: 1,
+			Prober:     proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) { return Result{Addr: a}, nil }),
+			Politeness: Politeness{Origins: origins, ASRate: 100, ASBurst: tc.asBurst},
+		})
+		p := s.Policy()
+		_, sleeps := virtualize(p)
+		if p.nShares != tc.shares || len(p.shares) != tc.shares*n {
+			t.Fatalf("workers=%d as-burst=%d: %d shares in %d words, want %d shares", tc.workers, tc.asBurst, p.nShares, len(p.shares), tc.shares)
+		}
+		burst := tc.asBurst
+		if burst == 0 {
+			burst = 16
+		}
+		if p.as[0].burst < 1 || p.as[0].burst*float64(p.nShares) != float64(burst) {
+			t.Fatalf("workers=%d as-burst=%d: a share holds %v tokens of burst", tc.workers, tc.asBurst, p.as[0].burst)
+		}
+		rep, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Probed != n || sleeps.Load() != 0 {
+			t.Fatalf("workers=%d as-burst=%d: %d probes, %d slept; want %d probes, none asleep", tc.workers, tc.asBurst, rep.Probed, sleeps.Load(), n)
+		}
+	}
+}
+
+// BenchmarkScannerBindingASRate measures, on the real clock, the probes
+// per second a Scanner reaches into each AS when the per-AS rate binds:
+// with each AS's bucket split into per-worker shares, as New builds it,
+// and with one bucket every worker takes from, as New built it before
+// the split. Two /23 ASes take 86 % of the draws and bind; the /25, /27
+// and /29 ones take the rest, at what the big ones leave. Reported per
+// AS size, "asN-probes/s" is (probes − 1)/(last probe − first probe) into
+// the AS, and "cycle-ms" the time of the whole cycle. Run it with
+// -benchtime Nx: each cycle sleeps about 0.3 s.
+func BenchmarkScannerBindingASRate(b *testing.B) {
+	const asRate = 2000
+	type asOf struct {
+		p    string
+		as   uint32
+		size int
+	}
+	layout := []asOf{
+		{"10.0.0.0/23", 1, 512}, {"10.0.2.0/23", 2, 512},
+		{"10.0.4.0/25", 3, 128}, {"10.0.4.128/27", 4, 32}, {"10.0.4.160/29", 5, 8},
+	}
+	ps := make([]netaddr.Prefix, len(layout))
+	origins := make([]uint32, len(layout))
+	for i, l := range layout {
+		ps[i], origins[i] = pfx(l.p), l.as
+	}
+	part, err := rib.NewPartition(ps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{4, 16} {
+		for _, split := range []bool{true, false} {
+			name := fmt.Sprintf("workers=%d/shares=per-worker", workers)
+			if !split {
+				name = fmt.Sprintf("workers=%d/shares=one", workers)
+			}
+			b.Run(name, func(b *testing.B) {
+				var mu sync.Mutex
+				var start time.Time
+				first, last, count := map[uint32]time.Duration{}, map[uint32]time.Duration{}, map[uint32]int{}
+				s := mustScanner(b, Config{
+					Targets: part, Workers: workers, Seed: 1,
+					Prober: proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) {
+						at := time.Since(start)
+						i, _ := part.Find(a)
+						mu.Lock()
+						as := origins[i]
+						if count[as] == 0 {
+							first[as] = at
+						}
+						last[as] = at
+						count[as]++
+						mu.Unlock()
+						return Result{Addr: a}, nil
+					}),
+					Politeness: Politeness{Origins: origins, ASRate: asRate},
+				})
+				shares := workers
+				if !split {
+					shares = 1
+				}
+				rates := map[uint32]float64{}
+				var cycle time.Duration
+				for range b.N {
+					// A fresh limiter per cycle: every bucket starts full.
+					s.policy = newPolicyLimiter(PolicyConfig{ASRate: asRate, Origins: origins, Prefixes: len(layout)}, s.policy.tab, shares)
+					clear(count)
+					start = time.Now()
+					if _, err := s.Run(context.Background()); err != nil {
+						b.Fatal(err)
+					}
+					cycle += time.Since(start)
+					for as, n := range count {
+						rates[as] += float64(n-1) / (last[as] - first[as]).Seconds()
+					}
+				}
+				for _, l := range layout {
+					b.ReportMetric(rates[l.as]/float64(b.N), fmt.Sprintf("as%d-probes/s", l.size))
+				}
+				b.ReportMetric(float64(cycle.Milliseconds())/float64(b.N), "cycle-ms")
+			})
+		}
+	}
+}
+
 func TestScannerBudgetCapsPerAS(t *testing.T) {
 	part, origins := politenessFixture(t)
 	var mu sync.Mutex
@@ -659,7 +837,7 @@ func TestScannerMidCycleExclusionReloadHonored(t *testing.T) {
 	}
 }
 
-func mustScanner(t *testing.T, cfg Config) *Scanner {
+func mustScanner(t testing.TB, cfg Config) *Scanner {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

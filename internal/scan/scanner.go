@@ -185,7 +185,8 @@ func New(cfg Config) (*Scanner, error) {
 	if pcfg.Rate > 0 || pcfg.ASRate > 0 || pcfg.PrefixRate > 0 {
 		// One pacer for every level: a global-only Rate is a
 		// single-bucket PolicyLimiter, and per-AS or per-prefix rates add
-		// bucket levels to it. Each worker gets its own per-AS share.
+		// bucket levels to it. Each worker gets its own per-AS share,
+		// unless there are more workers than tokens of AS burst.
 		s.policy = newPolicyLimiter(pcfg, tab, cfg.Workers)
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
@@ -294,8 +295,8 @@ func (s *Scanner) ExclusionCount() int {
 // for external feeds to retune a single AS mid-cycle via SetASRate,
 // which errors unless Politeness set a per-AS rate and some target
 // prefix maps to the AS. The pacer shares the Scanner's AS table with
-// the footprint. Its Wait paces on the first worker's per-AS shares,
-// at ASRate/Workers.
+// the footprint. Its Wait takes per-AS tokens as the first worker does,
+// so it competes with the workers for each AS's whole rate.
 func (s *Scanner) Policy() *PolicyLimiter {
 	return s.policy
 }
@@ -437,7 +438,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 			}
 			var pc pacer
 			if s.policy != nil {
-				pc = pacer{p: s.policy, share: w, k: paceK}
+				pc = pacer{p: s.policy, share: w % s.policy.nShares, k: paceK}
 				defer pc.release() // unused global credit goes back on every exit
 			}
 			for !stop.Load() {

@@ -241,7 +241,7 @@ func (p *PolicyLimiter) retuneAS(id int32, rate float64) {
 // Each per-AS bucket is split into S = min(Workers, ASBurst) shares (one
 // from NewPolicyLimiter), so a share holds at least one token, and worker
 // w's pacer takes from share w mod S, a tat word no other worker writes
-// while Workers ≤ ASBurst, whenever a token is due there (takeAS).
+// while Workers ≤ ASBurst, whenever a token is due there (else lend).
 // Every bucket exists from construction, one per AS of the table with an
 // 8-byte word per share, and one per target prefix (48 B each), so the
 // probe path never creates one, even for the prefixes a one-shard
@@ -386,7 +386,7 @@ func (p *PolicyLimiter) clock() float64 {
 // Wait blocks until a probe of target prefix pfxIdx may be sent, or the
 // context is canceled (the reservations are returned). One sleep covers
 // the deepest debt across all configured levels. It takes per-AS tokens
-// as worker 0's pacer does, from share 0 first (takeAS).
+// as worker 0's pacer does, from share 0 first (else lend).
 func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
 	pc := pacer{p: p, k: 1}
 	return pc.wait(ctx, pfxIdx)
@@ -455,9 +455,12 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 	}
 	if p.as != nil {
 		id := int(p.tab.ids[pfxIdx])
-		var tat float64
-		taken[n] = &p.as[id]
-		words[n], tat = p.takeAS(id, &p.shares[c.share*len(p.as)+id], now)
+		b, w := &p.as[id], &p.shares[c.share*len(p.as)+id]
+		tat := b.take(w, now, now)
+		if tat > now { // no token due in the pacer's own share
+			w, tat = p.lend(id, w, tat, now)
+		}
+		taken[n], words[n] = b, w
 		n++
 		deadline = max(deadline, tat)
 	}
@@ -494,20 +497,20 @@ func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 	return nil
 }
 
-// takeAS is take for AS id and a pacer whose own share's word is own: it
-// takes from own when a token is due there, else from any share with one
-// due, else reserves on the share whose next token comes soonest, as one
-// bucket would queue it. It returns the word taken from and take's result.
-func (p *PolicyLimiter) takeAS(id int, own *atomic.Uint64, now float64) (*atomic.Uint64, float64) {
+// lend takes one token of AS id at time now for a pacer whose own share,
+// with the tat word own, has none due until next: from any share with one
+// due, else as a reservation on the share whose next token comes soonest
+// (own on a tie), where one bucket would queue it. It returns the word
+// taken from and take's result.
+func (p *PolicyLimiter) lend(id int, own *atomic.Uint64, next, now float64) (*atomic.Uint64, float64) {
 	b := &p.as[id]
-	best, soonest := own, b.take(own, now, now)
-	for i := id; soonest > now && i < len(p.shares); i += len(p.as) {
-		if tat := b.take(&p.shares[i], now, now); tat < soonest {
+	best, soonest := own, next
+	for i := id; i < len(p.shares); i += len(p.as) {
+		if tat := b.take(&p.shares[i], now, now); tat <= now {
+			return &p.shares[i], tat
+		} else if tat < soonest {
 			best, soonest = &p.shares[i], tat
 		}
-	}
-	if soonest <= now {
-		return best, soonest
 	}
 	return best, b.take(best, now, math.Inf(1))
 }

@@ -555,8 +555,7 @@ func TestScannerIdleASNeverWaits(t *testing.T) {
 // BenchmarkScannerBindingASRate measures, on the real clock, the probes
 // per second a Scanner reaches into each AS when the per-AS rate binds:
 // with each AS's bucket split into per-worker shares, as New builds it,
-// and with one bucket every worker takes from, as New built it before
-// the split. Two /23 ASes take 86 % of the draws and bind; the /25, /27
+// and, for comparison, with one bucket that every worker takes from. Two /23 ASes take 86 % of the draws and bind; the /25, /27
 // and /29 ones take the rest, at what the big ones leave. Reported per
 // AS size, "asN-probes/s" is (probes − 1)/(last probe − first probe) into
 // the AS, and "cycle-ms" the time of the whole cycle. Run it with

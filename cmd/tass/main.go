@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tass select -pfx2as TABLE -addrs ADDRS [-phi 0.95] [-universe more]
-//	tass select -pfx2as TABLE -census-file FILE [-lazy=false] [-phi 0.95]
+//	tass select -pfx2as TABLE -census-file FILE [-phi 0.95]
 //	tass select -6 -prefixes CIDRS -addrs ADDRS [-phi 0.95]
 //	tass rank   -pfx2as TABLE (-addrs ADDRS | -census-file FILE) [-top 20]
 //	tass stats  -pfx2as TABLE
@@ -25,9 +25,7 @@
 // "convert" writes a census into the indexed TASSNAP3 snapshot format,
 // which -census-file then opens in O(index) and decodes block by block
 // as selection counts over it — a multi-gigabyte census seeds select,
-// rank, or a scan campaign without ever being resident in memory. Pass
-// -lazy=false to decode the whole file up front instead (faster for
-// small censuses that are re-counted many times).
+// rank, or a scan campaign without ever being resident in memory.
 //
 // "coordinate" and "work" run the same feedback campaign across a fleet:
 // the coordinator owns the campaign state machine (durably, in -state)
@@ -99,17 +97,17 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tass select -pfx2as TABLE (-addrs ADDRS | -census-file FILE [-lazy=false])
+  tass select -pfx2as TABLE (-addrs ADDRS | -census-file FILE)
               [-phi F] [-universe less|more] [-min-density F]
   tass select -6 -prefixes CIDRS -addrs ADDRS [-phi F]
-  tass rank   -pfx2as TABLE (-addrs ADDRS | -census-file FILE [-lazy=false])
+  tass rank   -pfx2as TABLE (-addrs ADDRS | -census-file FILE)
               [-universe less|more] [-top N]
   tass stats  -pfx2as TABLE
   tass diff   -a ADDRS -b ADDRS
   tass convert (-addrs ADDRS | -in SNAPFILE) -o FILE [-verify]
   tass fsck   [-repair] FILE...
   tass scan   -targets PREFIXES (-sim ADDRS | -port N) [-cycles N] [-phi F]
-              [-census-file FILE [-lazy=false]]
+              [-census-file FILE]
               [-rate F] [-burst N] [-workers N]
               [-shard I -shards N] [-checkpoint FILE] [-exclude FILE]
               [-seed N] [-max N] [-loss F]
@@ -149,14 +147,14 @@ func loadAddrs(path string) (*tass.Snapshot, error) {
 
 // loadSeed loads the seed snapshot of select/rank/scan: from a census
 // snapshot file when -census-file is set (a TASSNAP3 file opens in
-// O(index) and decodes on demand; -lazy=false decodes it up front
-// instead; older formats are rejected naming their upgrade command),
+// O(index) and decodes on demand; older formats are rejected naming
+// their upgrade command),
 // otherwise from the -addrs text file. With degraded, storage
 // corruption in a lazy census is skipped block by block instead of
 // failing the run (the faults are reported by reportStorageFaults). The
 // returned cleanup releases the file backing a lazy snapshot — the
 // snapshot must not be used after it runs.
-func loadSeed(addrsPath, censusPath string, lazy, degraded bool) (*tass.Snapshot, func(), error) {
+func loadSeed(addrsPath, censusPath string, degraded bool) (*tass.Snapshot, func(), error) {
 	if censusPath == "" {
 		snap, err := loadAddrs(addrsPath)
 		return snap, func() {}, err
@@ -168,13 +166,7 @@ func loadSeed(addrsPath, censusPath string, lazy, degraded bool) (*tass.Snapshot
 	if degraded {
 		snap.SetFaultPolicy(tass.FaultDegrade)
 	}
-	cleanup := func() { snap.Close() }
-	if !lazy {
-		// Decode everything now; the materialized view shares the set,
-		// so the file stays open until cleanup.
-		return snap.Materialize(), cleanup, nil
-	}
-	return snap, cleanup, nil
+	return snap, func() { snap.Close() }, nil
 }
 
 // reportStorageFaults prints every storage fault a counting pass over
@@ -261,7 +253,6 @@ func runSelect(args []string) error {
 	universe := fs.String("universe", "more", "prefix universe: less or more")
 	minDensity := fs.Float64("min-density", 0, "stop below this density (0 = off)")
 	censusPath := fs.String("census-file", "", "seed from a TASSNAP3 census snapshot file (see convert) instead of -addrs")
-	lazy := fs.Bool("lazy", true, "with -census-file: leave the census on disk and decode blocks on demand")
 	degraded := fs.Bool("degraded", false, "with -census-file: skip corrupt census blocks instead of failing (faults reported on stderr)")
 	six := fs.Bool("6", false, "IPv6 mode: select over an announced-prefix universe")
 	prefixesPath := fs.String("prefixes", "", "announced IPv6 prefixes, one CIDR per line (required with -6)")
@@ -276,7 +267,7 @@ func runSelect(args []string) error {
 	if err != nil {
 		return err
 	}
-	seed, cleanup, err := loadSeed(*addrsPath, *censusPath, *lazy, *degraded)
+	seed, cleanup, err := loadSeed(*addrsPath, *censusPath, *degraded)
 	if err != nil {
 		return err
 	}
@@ -337,7 +328,6 @@ func runRank(args []string) error {
 	universe := fs.String("universe", "more", "prefix universe: less or more")
 	top := fs.Int("top", 20, "how many ranks to print")
 	censusPath := fs.String("census-file", "", "seed from a TASSNAP3 census snapshot file (see convert) instead of -addrs")
-	lazy := fs.Bool("lazy", true, "with -census-file: leave the census on disk and decode blocks on demand")
 	degraded := fs.Bool("degraded", false, "with -census-file: skip corrupt census blocks instead of failing (faults reported on stderr)")
 	fs.Parse(args)
 	if *tablePath == "" || (*addrsPath == "") == (*censusPath == "") {
@@ -347,7 +337,7 @@ func runRank(args []string) error {
 	if err != nil {
 		return err
 	}
-	seed, cleanup, err := loadSeed(*addrsPath, *censusPath, *lazy, *degraded)
+	seed, cleanup, err := loadSeed(*addrsPath, *censusPath, *degraded)
 	if err != nil {
 		return err
 	}
@@ -523,7 +513,6 @@ func runScan(args []string) (err error) {
 	cycles := fs.Int("cycles", 1, "feedback cycles: >1 re-selects from each cycle's results")
 	phi := fs.Float64("phi", 0.95, "host coverage target φ for re-selection (with -cycles > 1)")
 	censusPath := fs.String("census-file", "", "seed cycle 0 from this census snapshot file instead of scanning the full universe first (with -cycles > 1)")
-	lazyCensus := fs.Bool("lazy", true, "with -census-file: leave the census on disk and decode blocks on demand")
 	degraded := fs.Bool("degraded", false, "with -census-file: skip corrupt census blocks in the seed selection instead of failing (faults reported on stderr)")
 	rate := fs.Float64("rate", 0, "probes per second (0 = unlimited)")
 	burst := fs.Int("burst", 0, "rate limiter burst (default 64)")
@@ -642,7 +631,7 @@ func runScan(args []string) (err error) {
 		var seedSnap *tass.Snapshot
 		if *censusPath != "" {
 			var cleanup func()
-			if seedSnap, cleanup, err = loadSeed("", *censusPath, *lazyCensus, *degraded); err != nil {
+			if seedSnap, cleanup, err = loadSeed("", *censusPath, *degraded); err != nil {
 				return err
 			}
 			defer cleanup()

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/tass-scan/tass/internal/lru"
 	"github.com/tass-scan/tass/internal/netaddr"
 )
 
@@ -58,10 +59,10 @@ type SetOf[A netaddr.Key[A]] struct {
 	// Lazy backing (see source.go). When src is non-nil the payload is
 	// not in data: block bi's stream is src.Bytes(offs[bi], blens[bi]),
 	// fetched and decoded on first touch through cache (an LRU with
-	// single-flight faulting).
+	// single-flight faulting), keyed by block index.
 	src   BlockSource
 	blens []int // per-block encoded byte length; nil unless src-backed
-	cache *blockCache[A]
+	cache *lru.Cache[int, []A]
 
 	// Storage-fault state (see source.go): policy selects FailFast or
 	// Degrade, faults records each damaged block once. The set stays
@@ -170,7 +171,12 @@ func (s *SetOf[A]) decodeBlock(bi int, buf []A) ([]A, error) {
 	var addrs []A
 	var err error
 	if s.cache != nil {
-		addrs, err = s.cache.get(s, bi)
+		// A cold block decodes once per residency, however many readers
+		// fault it at once; a failed decode is not cached, so a
+		// transient read fault heals on the next touch.
+		addrs, err = s.cache.Get(bi, func() ([]A, error) {
+			return s.decodeBlockInto(bi, make([]A, 0, s.blockLen(bi)))
+		})
 	} else {
 		addrs, err = s.decodeBlockInto(bi, buf)
 	}

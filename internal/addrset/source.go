@@ -2,9 +2,8 @@ package addrset
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"github.com/tass-scan/tass/internal/lru"
 	"github.com/tass-scan/tass/internal/netaddr"
 )
 
@@ -98,112 +97,6 @@ const (
 // another bound passes it to FromIndex.
 const DefaultBlockCacheCap = 4096
 
-// blockCache is the decoded-block LRU of one lazy set: block faults
-// decode through it exactly once per residency (concurrent faults on a
-// cold block share a single decode), and the least-recently-used
-// decoded block is dropped once the cap is exceeded — so a full-census
-// counting pass holds O(cap·blocksize) addresses resident, never the
-// whole universe.
-type blockCache[A netaddr.Key[A]] struct {
-	mu         sync.Mutex
-	cap        int
-	m          map[int]*blockEntry[A]
-	head, tail *blockEntry[A] // LRU list: head is most recently used
-
-	decodes atomic.Int64
-}
-
-type blockEntry[A netaddr.Key[A]] struct {
-	bi         int
-	prev, next *blockEntry[A]
-	once       sync.Once
-	addrs      []A
-	err        error
-}
-
-func newBlockCache[A netaddr.Key[A]](cacheCap int) *blockCache[A] {
-	if cacheCap <= 0 {
-		cacheCap = DefaultBlockCacheCap
-	}
-	return &blockCache[A]{cap: cacheCap, m: make(map[int]*blockEntry[A])}
-}
-
-// unlink removes e from the LRU list. Callers hold c.mu.
-func (c *blockCache[A]) unlink(e *blockEntry[A]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront makes e the most recently used entry. Callers hold c.mu.
-func (c *blockCache[A]) pushFront(e *blockEntry[A]) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// get returns block bi's decoded addresses, faulting it in on first
-// touch. The decode runs outside the cache lock under the entry's
-// once, so concurrent faults on one cold block block on a single
-// decode; eviction only drops the map reference — readers holding the
-// (immutable) slice keep it alive. A failed decode is never cached:
-// the entry is dropped so a later touch retries, which heals faults
-// that were transient (an interrupted pread) rather than data damage.
-func (c *blockCache[A]) get(s *SetOf[A], bi int) ([]A, error) {
-	c.mu.Lock()
-	e, ok := c.m[bi]
-	if ok {
-		if c.head != e {
-			c.unlink(e)
-			c.pushFront(e)
-		}
-	} else {
-		e = &blockEntry[A]{bi: bi}
-		c.m[bi] = e
-		c.pushFront(e)
-		if c.cap > 0 && len(c.m) > c.cap {
-			evict := c.tail
-			c.unlink(evict)
-			delete(c.m, evict.bi)
-		}
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		c.decodes.Add(1)
-		e.addrs, e.err = s.decodeBlockInto(bi, make([]A, 0, s.blockLen(bi)))
-	})
-	if e.err != nil {
-		c.mu.Lock()
-		if c.m[bi] == e {
-			c.unlink(e)
-			delete(c.m, bi)
-		}
-		c.mu.Unlock()
-		return nil, e.err
-	}
-	return e.addrs, nil
-}
-
-// len returns the resident entry count.
-func (c *blockCache[A]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // Lazy reports whether the set's payload lives behind a BlockSource
 // (blocks decode on demand through the LRU cache) rather than in a
 // contiguous in-memory slice.
@@ -216,7 +109,7 @@ func (s *SetOf[A]) ResidentBlocks() int {
 	if s.cache == nil {
 		return 0
 	}
-	return s.cache.len()
+	return s.cache.Len()
 }
 
 // Decodes returns how many block decodes the lazy cache has performed
@@ -227,7 +120,8 @@ func (s *SetOf[A]) Decodes() int64 {
 	if s.cache == nil {
 		return 0
 	}
-	return s.cache.decodes.Load()
+	_, misses := s.cache.Stats()
+	return misses
 }
 
 // SetFaultPolicy sets how the set treats failed block reads; see
@@ -393,6 +287,9 @@ func FromIndex[A netaddr.Key[A]](mins, maxs []A, counts, blens []int, bsize int,
 	if off != src.Size() {
 		return nil, fmt.Errorf("addrset: index describes %d payload bytes, source holds %d", off, src.Size())
 	}
-	s.cache = newBlockCache[A](cacheCap)
+	if cacheCap <= 0 {
+		cacheCap = DefaultBlockCacheCap
+	}
+	s.cache = lru.New[int, []A](cacheCap)
 	return s, nil
 }

@@ -24,7 +24,7 @@ func lruPartition(t *testing.T) rib.Partition {
 // after eviction.
 func TestCountCacheLRUEviction(t *testing.T) {
 	part := lruPartition(t)
-	c := NewCountCacheCap(2)
+	c := newCountCacheOf[netaddr.Addr](2)
 	snaps := []*Snapshot{
 		NewSnapshot("a", 0, []netaddr.Addr{netaddr.MustParseAddr("10.0.0.1")}),
 		NewSnapshot("b", 0, []netaddr.Addr{netaddr.MustParseAddr("10.0.0.2")}),

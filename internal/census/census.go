@@ -4,18 +4,25 @@
 // selection strategies are seeded from and evaluated against.
 //
 // Snapshots are generic over the address family (SnapshotOf); Snapshot
-// is the IPv4 instantiation. They serialize to a compact binary format
-// (varint delta coding of the sorted address set, typically ~1.5
-// bytes/host for IPv4) so that a six-month, four-protocol series fits
-// comfortably on disk and loads in milliseconds. The wire format is
-// family-tagged through the magic ("TASSCNS" for IPv4, "TASSCN6" for
-// IPv6), so a reader can never silently decode a snapshot of the wrong
-// family; the IPv4 byte layout is unchanged from the pre-generic codec.
+// is the IPv4 instantiation. They have two on-disk forms:
+//
+//   - The v1 stream (codec.go): a snapshot, and the churn delta between
+//     two snapshots, are records of one layout — a family-tagged magic
+//     ("TASSCNS"/"TASSCN6" for snapshots, "TASSDLT"/"TASSDL6" for
+//     deltas), a protocol, header uvarints, then count-prefixed
+//     ascending address runs in varint delta coding, typically ~1.5
+//     bytes/host for IPv4. One writer and one batched run reader serve
+//     both records. A reader can never silently decode a record of the
+//     wrong family, and the IPv4 byte layout is unchanged from the
+//     pre-generic codec.
+//   - The indexed TASSNAP3 file (file.go): the same delta-coded
+//     addresses in fixed-population blocks behind a checksummed block
+//     directory, so OpenSnapshotFile serves a census lazily, decoding
+//     blocks on demand.
 package census
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -57,9 +64,7 @@ type SnapshotOf[A netaddr.Key[A]] struct {
 type Snapshot = SnapshotOf[netaddr.Addr]
 
 // Set returns the block-indexed view of the snapshot's address set,
-// building it on first use and memoizing it. Snapshots parsed by
-// ReadSnapshot arrive with the view prebuilt (the codec decodes the
-// wire delta stream straight into blocks). The returned set is
+// building it on first use and memoizing it. The returned set is
 // immutable and safe for concurrent use.
 func (s *SnapshotOf[A]) Set() *addrset.SetOf[A] {
 	s.setMu.Lock()
@@ -346,103 +351,29 @@ func intersectCount32(a, b []netaddr.Addr) int {
 	return n
 }
 
-// Binary format:
+// WriteTo serializes the snapshot as a v1 record with one run, its
+// addresses (see codec.go). It implements io.WriterTo.
 //
-//	magic   [8]byte  "TASSCNS\x01" (IPv4) or "TASSCN6\x01" (IPv6)
-//	proto   uvarint length + bytes
-//	month   uvarint
-//	count   uvarint
-//	addrs   count uvarints: first value absolute, then deltas (>=1)
-//
-// Address uvarints are LEB128 of the full family width: for IPv4 the
-// bytes coincide with encoding/binary's PutUvarint, so pre-generic
-// snapshot files read back unchanged; IPv6 deltas may span up to 19
-// bytes.
-var (
-	magic  = [8]byte{'T', 'A', 'S', 'S', 'C', 'N', 'S', 1}
-	magic6 = [8]byte{'T', 'A', 'S', 'S', 'C', 'N', '6', 1}
-)
-
-// snapMagic returns the snapshot magic for an address width.
-func snapMagic(width int) [8]byte {
-	if width == 32 {
-		return magic
-	}
-	return magic6
-}
-
-// ErrFormat reports a malformed snapshot stream.
-var ErrFormat = errors.New("census: malformed snapshot")
-
-// WriteTo serializes the snapshot. It implements io.WriterTo.
+// A lazy snapshot streams off its block index, one block resident at a
+// time. Its header has already promised every indexed address when a
+// block turns out unreadable, so that fails the write with the
+// *addrset.BlockError under either fault policy.
 func (s *SnapshotOf[A]) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	write := func(b []byte) error {
-		m, err := bw.Write(b)
-		n += int64(m)
-		return err
-	}
 	var zero A
-	m := snapMagic(zero.Width())
-	if err := write(m[:]); err != nil {
-		return n, err
+	rw := newRecordWriter(w, snapMagic(zero.Width()), s.Protocol, uint64(s.Month))
+	run := startRun[A](rw, s.Hosts(), "")
+	if !s.lazy {
+		run.add(s.Addrs)
+		return rw.finish()
 	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		return write(buf[:binary.PutUvarint(buf[:], v)])
-	}
-	if err := putUvarint(uint64(len(s.Protocol))); err != nil {
-		return n, err
-	}
-	if err := write([]byte(s.Protocol)); err != nil {
-		return n, err
-	}
-	if err := putUvarint(uint64(s.Month)); err != nil {
-		return n, err
-	}
-	if err := putUvarint(uint64(s.Hosts())); err != nil {
-		return n, err
-	}
-	kbuf := make([]byte, 0, 19)
-	prev := zero
-	i := 0
-	var werr error
-	emit := func(a A) bool {
-		v := a
-		if i > 0 {
-			if a.Compare(prev) <= 0 {
-				werr = fmt.Errorf("%w: addresses not strictly ascending", ErrFormat)
-				return false
-			}
-			v = netaddr.KeySub(a, prev)
-		}
-		if err := write(netaddr.AppendKeyUvarint(kbuf[:0], v)); err != nil {
-			werr = err
+	s.Set().WalkBlocks(func(_ int, addrs []A, err error) bool {
+		if err != nil {
+			rw.fail(fmt.Errorf("census: %w", err))
 			return false
 		}
-		prev = a
-		i++
-		return true
-	}
-	if s.lazy {
-		// Stream straight off the block index: one block resident at a
-		// time, never the whole census.
-		s.Set().Walk(emit)
-	} else {
-		for _, a := range s.Addrs {
-			if !emit(a) {
-				break
-			}
-		}
-	}
-	if werr != nil {
-		return n, werr
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
+		return run.add(addrs)
+	})
+	return rw.finish()
 }
 
 // ReadSnapshot parses one IPv4 snapshot from r. When r is already a
@@ -457,101 +388,34 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // *bufio.Reader it is used directly, so back-to-back snapshots in one
 // stream are not disturbed by read-ahead.
 func ReadSnapshotOf[A netaddr.Key[A]](r io.Reader) (*SnapshotOf[A], error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
+	br := bufReader(r)
 	var zero A
-	want := snapMagic(zero.Width())
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, fmt.Errorf("census: reading magic: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, got[:])
-	}
-	protoLen, err := binary.ReadUvarint(br)
+	var month [1]uint64
+	proto, err := readHeader(br, snapMagic(zero.Width()), "", month[:])
 	if err != nil {
-		return nil, fmt.Errorf("census: %w", err)
+		return nil, err
 	}
-	if protoLen > 255 {
-		return nil, fmt.Errorf("%w: protocol name length %d", ErrFormat, protoLen)
-	}
-	proto := make([]byte, protoLen)
-	if _, err := io.ReadFull(br, proto); err != nil {
-		return nil, fmt.Errorf("census: %w", err)
-	}
-	month, err := binary.ReadUvarint(br)
+	count, err := readRunCount(br)
 	if err != nil {
-		return nil, fmt.Errorf("census: %w", err)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("census: %w", err)
-	}
-	if count > 1<<32 {
-		return nil, fmt.Errorf("%w: impossible host count %d", ErrFormat, count)
+		return nil, err
 	}
 	// Every address costs at least one byte on the wire, so a declared
 	// count must be covered by at least that many remaining input bytes.
 	// Peek as far as the read-ahead buffer allows before allocating
 	// anything: a truncated header claiming millions of hosts fails here
 	// instead of allocating and then erroring mid-decode.
-	if count > 0 {
-		want := int(count)
-		if want > br.Size() {
-			want = br.Size()
-		}
+	if want := min(count, br.Size()); want > 0 {
 		if peeked, _ := br.Peek(want); len(peeked) < want {
 			return nil, fmt.Errorf("%w: declared %d hosts but only %d bytes remain",
 				ErrFormat, count, len(peeked))
 		}
 	}
-	// The count is attacker-controlled until the deltas actually decode:
-	// cap the up-front allocation and grow while decoding, so a 9-byte
-	// stream declaring 2^32 hosts cannot demand gigabytes.
-	capHint := int(count)
-	if capHint > maxAddrPrealloc {
-		capHint = maxAddrPrealloc
+	addrs, err := readAddrRun[A](br, count, "")
+	if err != nil {
+		return nil, err
 	}
-	addrs := make([]A, 0, capHint)
-	// The wire format is the same ascending delta stream the block
-	// layout stores, so the set view is encoded directly as the varints
-	// decode — no intermediate pass over a materialized slice.
-	sb := addrset.NewBuilderOf[A](0, capHint)
-	prev := zero
-	for i := 0; i < int(count); i++ {
-		d, err := netaddr.ReadKeyUvarint[A](br)
-		if err != nil {
-			if errors.Is(err, netaddr.ErrOverflow) {
-				return nil, fmt.Errorf("%w: address overflow", ErrFormat)
-			}
-			return nil, fmt.Errorf("census: address %d: %w", i, err)
-		}
-		v := d
-		if i > 0 {
-			if d == zero {
-				return nil, fmt.Errorf("%w: zero delta", ErrFormat)
-			}
-			v = netaddr.KeyAdd(prev, d)
-			// The delta fits the width, but the sum may still wrap past
-			// the top of the address space.
-			if v.Compare(prev) <= 0 {
-				return nil, fmt.Errorf("%w: address overflow", ErrFormat)
-			}
-		}
-		addrs = append(addrs, v)
-		if err := sb.Append(v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		prev = v
-	}
-	return &SnapshotOf[A]{Protocol: string(proto), Month: int(month), Addrs: addrs, set: sb.Finish()}, nil
+	return &SnapshotOf[A]{Protocol: proto, Month: int(month[0]), Addrs: addrs}, nil
 }
-
-// maxAddrPrealloc caps the address-slice allocation made before any
-// delta of the stream has decoded (1 MiB worth of IPv4 addresses).
-const maxAddrPrealloc = 1 << 18
 
 // SeriesOf is the monthly snapshot sequence for one protocol, ordered
 // by month.

@@ -1,13 +1,9 @@
 package census
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
-	"github.com/tass-scan/tass/internal/addrset"
 	"github.com/tass-scan/tass/internal/netaddr"
 )
 
@@ -169,82 +165,15 @@ func ApplyDelta[A netaddr.Key[A]](from *SnapshotOf[A], d *DeltaOf[A]) (*Snapshot
 	return &SnapshotOf[A]{Protocol: from.Protocol, Month: d.ToMonth, Addrs: addrs}, nil
 }
 
-// Binary delta format, sharing the snapshot codec's conventions
-// (including the family tag in the magic):
-//
-//	magic   [8]byte  "TASSDLT\x01" (IPv4) or "TASSDL6\x01" (IPv6)
-//	proto   uvarint length + bytes
-//	from    uvarint
-//	to      uvarint
-//	born    uvarint count, then count uvarints (first absolute, then deltas >= 1)
-//	died    uvarint count, then count uvarints (first absolute, then deltas >= 1)
-var (
-	deltaMagic  = [8]byte{'T', 'A', 'S', 'S', 'D', 'L', 'T', 1}
-	deltaMagic6 = [8]byte{'T', 'A', 'S', 'S', 'D', 'L', '6', 1}
-)
-
-// deltaMagicFor returns the delta magic for an address width.
-func deltaMagicFor(width int) [8]byte {
-	if width == 32 {
-		return deltaMagic
-	}
-	return deltaMagic6
-}
-
-// WriteTo serializes the delta. It implements io.WriterTo.
+// WriteTo serializes the delta as a v1 record with two runs, born
+// then died (see codec.go). It implements io.WriterTo.
 func (d *DeltaOf[A]) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	write := func(b []byte) error {
-		m, err := bw.Write(b)
-		n += int64(m)
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		return write(buf[:binary.PutUvarint(buf[:], v)])
-	}
 	var zero A
-	m := deltaMagicFor(zero.Width())
-	if err := write(m[:]); err != nil {
-		return n, err
+	rw := newRecordWriter(w, deltaMagicFor(zero.Width()), d.Protocol, uint64(d.FromMonth), uint64(d.ToMonth))
+	for _, run := range [2][]A{d.Born, d.Died} {
+		startRun[A](rw, len(run), "delta ").add(run)
 	}
-	if err := putUvarint(uint64(len(d.Protocol))); err != nil {
-		return n, err
-	}
-	if err := write([]byte(d.Protocol)); err != nil {
-		return n, err
-	}
-	if err := putUvarint(uint64(d.FromMonth)); err != nil {
-		return n, err
-	}
-	if err := putUvarint(uint64(d.ToMonth)); err != nil {
-		return n, err
-	}
-	kbuf := make([]byte, 0, 19)
-	for _, run := range [][]A{d.Born, d.Died} {
-		if err := putUvarint(uint64(len(run))); err != nil {
-			return n, err
-		}
-		prev := zero
-		for i, a := range run {
-			v := a
-			if i > 0 {
-				if a.Compare(prev) <= 0 {
-					return n, fmt.Errorf("%w: delta addresses not strictly ascending", ErrFormat)
-				}
-				v = netaddr.KeySub(a, prev)
-			}
-			if err := write(netaddr.AppendKeyUvarint(kbuf[:0], v)); err != nil {
-				return n, err
-			}
-			prev = a
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
+	return rw.finish()
 }
 
 // ReadDelta parses one IPv4 delta from r. When r is already a
@@ -257,48 +186,21 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 // ReadDeltaOf parses one delta of family A from r; a delta of the other
 // family fails the magic check.
 func ReadDeltaOf[A netaddr.Key[A]](r io.Reader) (*DeltaOf[A], error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
+	br := bufReader(r)
 	var zero A
-	want := deltaMagicFor(zero.Width())
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, fmt.Errorf("census: reading delta magic: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: bad delta magic %q", ErrFormat, got[:])
-	}
-	protoLen, err := binary.ReadUvarint(br)
+	var months [2]uint64
+	proto, err := readHeader(br, deltaMagicFor(zero.Width()), "delta ", months[:])
 	if err != nil {
-		return nil, fmt.Errorf("census: %w", err)
+		return nil, err
 	}
-	if protoLen > 255 {
-		return nil, fmt.Errorf("%w: protocol name length %d", ErrFormat, protoLen)
-	}
-	proto := make([]byte, protoLen)
-	if _, err := io.ReadFull(br, proto); err != nil {
-		return nil, fmt.Errorf("census: %w", err)
-	}
-	from, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("census: %w", err)
-	}
-	to, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("census: %w", err)
-	}
-	d := &DeltaOf[A]{Protocol: string(proto), FromMonth: int(from), ToMonth: int(to)}
-	for side := 0; side < 2; side++ {
-		run, err := readAddrRun[A](br)
+	d := &DeltaOf[A]{Protocol: proto, FromMonth: int(months[0]), ToMonth: int(months[1])}
+	for _, run := range [2]*[]A{&d.Born, &d.Died} {
+		count, err := readRunCount(br)
 		if err != nil {
 			return nil, err
 		}
-		if side == 0 {
-			d.Born = run
-		} else {
-			d.Died = run
+		if *run, err = readAddrRun[A](br, count, "delta "); err != nil {
+			return nil, err
 		}
 	}
 	// Born and died must be disjoint: check with one merge pass so a
@@ -349,159 +251,4 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// readAddrRun decodes one length-prefixed strictly-ascending address
-// run, with the same attacker-controlled-count allocation cap as the
-// snapshot codec. Families up to 64 bits batch-decode the run from the
-// reader's buffered window (readNarrowRun); wider ones read it one
-// varint at a time.
-func readAddrRun[A netaddr.Key[A]](br *bufio.Reader) ([]A, error) {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("census: %w", err)
-	}
-	if count > 1<<32 {
-		return nil, fmt.Errorf("%w: impossible address count %d", ErrFormat, count)
-	}
-	capHint := int(count)
-	if capHint > maxAddrPrealloc {
-		capHint = maxAddrPrealloc
-	}
-	addrs := make([]A, 0, capHint)
-	var zero A
-	if zero.Width() <= 64 {
-		return readNarrowRun(br, addrs, int(count))
-	}
-	var prev A
-	for i := 0; i < int(count); i++ {
-		v, err := readRunAddr(br, i, prev)
-		if err != nil {
-			return nil, err
-		}
-		addrs = append(addrs, v)
-		prev = v
-	}
-	return addrs, nil
-}
-
-// readRunAddr reads run element i through the scalar varint reader: the
-// absolute first address, or the delta onto prev after it. Every
-// element the batch path cannot decode from the buffered window comes
-// through here, so both paths share one set of checks and messages.
-func readRunAddr[A netaddr.Key[A]](br *bufio.Reader, i int, prev A) (A, error) {
-	var zero A
-	d, err := netaddr.ReadKeyUvarint[A](br)
-	if err != nil {
-		if errors.Is(err, netaddr.ErrOverflow) {
-			return zero, fmt.Errorf("%w: address overflow", ErrFormat)
-		}
-		return zero, fmt.Errorf("census: delta address %d: %w", i, err)
-	}
-	if i == 0 {
-		return d, nil
-	}
-	if d == zero {
-		return zero, fmt.Errorf("%w: zero delta", ErrFormat)
-	}
-	v := netaddr.KeyAdd(prev, d)
-	if v.Compare(prev) <= 0 {
-		return zero, fmt.Errorf("%w: address overflow", ErrFormat)
-	}
-	return v, nil
-}
-
-// runChunk is how many varints readNarrowRun decodes per batch: the
-// uint64 scratch stays on the stack and the window it peeks stays a few
-// cache lines.
-const runChunk = 128
-
-// readNarrowRun appends count run elements of a ≤64-bit family to addrs.
-// It batch-decodes whole varints straight out of the reader's buffered
-// window (Peek of at most Buffered bytes never reads, Discard consumes
-// exactly the decoded bytes) through addrset.DecodeUvarints. A value
-// the window cannot hold whole, or that the kernel rejects, is read by
-// readRunAddr — the scalar reader the run used before batching — so the
-// batch path never consumes, or blocks on, a byte the scalar path would
-// not have read, and back-to-back records in one stream stay intact.
-// The checks are the scalar path's: width, zero delta, overflow, strict
-// ascent.
-func readNarrowRun[A netaddr.Key[A]](br *bufio.Reader, addrs []A, count int) ([]A, error) {
-	var zero A
-	wide := ^uint64(0) >> (64 - zero.Width()) // largest value of the family
-	var scratch [runChunk]uint64
-	var prev uint64
-	for i := 0; i < count; {
-		c := count - i
-		if c > runChunk {
-			c = runChunk
-		}
-		win := br.Buffered()
-		if win > c*binary.MaxVarintLen64 {
-			win = c * binary.MaxVarintLen64
-		}
-		buf, _ := br.Peek(win) // win <= Buffered(): no read, no error
-		n := addrset.DecodeUvarints(scratch[:c], buf)
-		if n < 0 {
-			// The window ends inside a value or holds one the kernel
-			// rejects: take the whole values before it.
-			c, n = 0, 0
-			for c < len(scratch) && i+c < count {
-				v, m := binary.Uvarint(buf[n:])
-				if m <= 0 {
-					break
-				}
-				scratch[c] = v
-				c++
-				n += m
-			}
-		}
-		if c == 0 {
-			v, err := readRunAddr(br, i, zero.FromHalves(0, prev))
-			if err != nil {
-				return nil, err
-			}
-			addrs = append(addrs, v)
-			_, prev = v.Halves()
-			i++
-			continue
-		}
-		for k, d := range scratch[:c] {
-			if d > wide {
-				return nil, fmt.Errorf("%w: address overflow", ErrFormat)
-			}
-			v := d
-			if i+k > 0 {
-				if d == 0 {
-					return nil, fmt.Errorf("%w: zero delta", ErrFormat)
-				}
-				v = prev + d
-				if v < prev || v > wide {
-					return nil, fmt.Errorf("%w: address overflow", ErrFormat)
-				}
-			}
-			scratch[k] = v
-			prev = v
-		}
-		addrs = appendLows(addrs, scratch[:c])
-		br.Discard(n) // n peeked bytes: cannot fail
-		i += c
-	}
-	return addrs, nil
-}
-
-// appendLows appends the ≤64-bit family values vs to dst; IPv4 runs
-// convert with a plain integer cast instead of a FromHalves call each.
-func appendLows[A netaddr.Key[A]](dst []A, vs []uint64) []A {
-	if d4, ok := any(dst).([]netaddr.Addr); ok {
-		for _, v := range vs {
-			d4 = append(d4, netaddr.Addr(v))
-		}
-		return any(d4).([]A)
-	}
-	var zero A
-	for _, v := range vs {
-		dst = append(dst, zero.FromHalves(0, v))
-	}
-	return dst
 }

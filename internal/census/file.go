@@ -477,24 +477,56 @@ func WriteSnapshotFile(path string, s *Snapshot) error {
 // TASSNAP3 format, atomically (temp file + rename). The payload is
 // re-encoded from the snapshot's set view into canonical
 // fixed-population blocks, so lazy snapshots serialize to the same
-// bytes as a freshly built equal snapshot. Memory stays O(blocks): the encode runs twice —
-// once to size the directory and checksum the payload, once to stream
-// the payload to disk — rather than buffering the payload.
+// bytes as a freshly built equal snapshot. Memory stays O(blocks): the
+// encode runs twice — once to size the directory and checksum the
+// payload, once to stream the payload to disk — rather than buffering
+// the payload.
+//
+// A lazy snapshot with a block that cannot be read follows its fault
+// policy: under FailFast the write fails with the *addrset.BlockError
+// and leaves path untouched; under Degrade it writes the
+// self-consistent file of the intact blocks.
 func WriteSnapshotFileOf[A netaddr.Key[A]](path string, s *SnapshotOf[A]) error {
 	set := s.Set()
-	return writeSnapStream(path, s.Protocol, s.Month, set.BlockSize(), set.Walk)
+	_, err := writeSnapStream(path, s.Protocol, s.Month, set.BlockSize(), blockWalk(set, set.Policy() == addrset.Degrade))
+	return err
+}
+
+// blockWalk walks set's addresses block by block for writeSnapStream. A
+// block that cannot be read is skipped when skipDamaged is set, and
+// otherwise ends the walk with its *addrset.BlockError.
+func blockWalk[A netaddr.Key[A]](set *addrset.SetOf[A], skipDamaged bool) func(func(A) bool) error {
+	return func(yield func(A) bool) error {
+		var ferr error
+		set.WalkBlocks(func(_ int, addrs []A, err error) bool {
+			if err != nil {
+				if !skipDamaged {
+					ferr = fmt.Errorf("census: %w", err)
+				}
+				return skipDamaged
+			}
+			for _, a := range addrs {
+				if !yield(a) {
+					return false
+				}
+			}
+			return true
+		})
+		return ferr
+	}
 }
 
 // writeSnapStream writes the addresses yielded by walk — which must
 // yield the same ascending sequence every time it is called — to path
-// as a TASSNAP3 file. It is the writer behind
-// both WriteSnapshotFileOf (walk = set.Walk) and snapshot repair (walk
-// = the intact-blocks-only walk). The two encode passes are cross-
-// checked: if the payload streamed in pass 2 diverges in length from
-// the directory built in pass 1 (a non-deterministic walk — e.g. a
-// storage fault that appeared mid-repair), the write fails instead of
-// producing a file whose index lies about its payload.
-func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, walk func(func(A) bool)) error {
+// as a TASSNAP3 file and returns how many it wrote. It is the writer
+// behind both WriteSnapshotFileOf and snapshot repair (which skips the
+// damaged blocks). An error from walk fails the write, leaving path
+// untouched. The two encode passes are cross-checked: if the payload
+// streamed in pass 2 diverges in length from the directory built in
+// pass 1 (a non-deterministic walk — e.g. a storage fault that appeared
+// mid-repair), the write fails instead of producing a file whose index
+// lies about its payload.
+func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, walk func(func(A) bool) error) (int, error) {
 	// Pass 1: directory + payload CRC + per-block CRCs, no payload
 	// retained.
 	var (
@@ -506,7 +538,7 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 	)
 	crc := crc32.NewIEEE()
 	bcrc := crc32.NewIEEE()
-	encodeSnapBlocks(walk, bsize,
+	err := encodeSnapBlocks(walk, bsize,
 		func(min A) { mins = append(mins, min); bcrc.Reset() },
 		func(b []byte) { crc.Write(b); bcrc.Write(b); payloadLen += len(b) },
 		func(max A, count, blen int) {
@@ -516,6 +548,9 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 			crcs = append(crcs, bcrc.Sum32())
 			total += count
 		})
+	if err != nil {
+		return 0, err
+	}
 
 	var zero A
 	var hdr bytes.Buffer
@@ -556,7 +591,7 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer os.Remove(tmp)
 	bw := bufio.NewWriterSize(f, 1<<16)
@@ -572,26 +607,28 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 	write(hdr.Bytes())
 	write(crcb[:])
 	// Pass 2: stream the payload, counting bytes against pass 1.
-	encodeSnapBlocks(walk, bsize, func(A) {}, func(b []byte) { write(b); written += len(b) }, func(A, int, int) {})
+	if err := encodeSnapBlocks(walk, bsize, func(A) {}, func(b []byte) { write(b); written += len(b) }, func(A, int, int) {}); err != nil && werr == nil {
+		werr = err
+	}
 	if werr == nil && written != payloadLen {
 		werr = fmt.Errorf("census: snapshot encode not deterministic: pass 1 sized %d payload bytes, pass 2 wrote %d", payloadLen, written)
 	}
 	if werr != nil {
 		f.Close()
-		return werr
+		return 0, werr
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return 0, err
 	}
-	return os.Rename(tmp, path)
+	return total, os.Rename(tmp, path)
 }
 
 // encodeSnapBlocks consumes walk's ascending address sequence,
@@ -600,13 +637,13 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 // every encoded delta, and endBlock with the block's last address,
 // population, and encoded byte length. Two invocations over the same
 // walk produce identical byte streams — the property the two-pass file
-// writer depends on.
-func encodeSnapBlocks[A netaddr.Key[A]](walk func(func(A) bool), bsize int,
-	startBlock func(min A), deltaBytes func(b []byte), endBlock func(max A, count, blen int)) {
+// writer depends on. An error from walk is returned as is.
+func encodeSnapBlocks[A netaddr.Key[A]](walk func(func(A) bool) error, bsize int,
+	startBlock func(min A), deltaBytes func(b []byte), endBlock func(max A, count, blen int)) error {
 	kbuf := make([]byte, 0, 19)
 	var prev A
 	inBlk, blen := 0, 0
-	walk(func(a A) bool {
+	err := walk(func(a A) bool {
 		if inBlk == bsize {
 			endBlock(prev, inBlk, blen)
 			inBlk, blen = 0, 0
@@ -622,9 +659,10 @@ func encodeSnapBlocks[A netaddr.Key[A]](walk func(func(A) bool), bsize int,
 		inBlk++
 		return true
 	})
-	if inBlk > 0 {
+	if err == nil && inBlk > 0 {
 		endBlock(prev, inBlk, blen)
 	}
+	return err
 }
 
 // ConvertSnapshotFile reads a v1 snapshot stream from r and writes it

@@ -270,23 +270,8 @@ func repairSnapOf[A netaddr.Key[A]](m *mmapfile.File, path string, scrub *Snapsh
 	// the writer's two passes agree; a fault that appears only mid-write
 	// trips the writer's pass-1/pass-2 cross-check instead of producing
 	// a lying file.
-	recovered := 0
-	walk := func(yield func(A) bool) {
-		recovered = 0
-		set.WalkBlocks(func(bi int, addrs []A, err error) bool {
-			if err != nil {
-				return true
-			}
-			for _, a := range addrs {
-				if !yield(a) {
-					return false
-				}
-			}
-			recovered += len(addrs)
-			return true
-		})
-	}
-	if err := writeSnapStream(path, idx.proto, idx.month, idx.blockSize, walk); err != nil {
+	recovered, err := writeSnapStream(path, idx.proto, idx.month, idx.blockSize, blockWalk(set, true))
+	if err != nil {
 		return err
 	}
 	res.RecoveredHosts = recovered

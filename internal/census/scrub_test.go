@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -275,6 +276,68 @@ func TestApplyDeltaRefusesDamagedBlock(t *testing.T) {
 		var be *addrset.BlockError
 		if !errors.As(err, &be) {
 			t.Fatalf("policy %v: ApplyDelta = %v (%d hosts), want *addrset.BlockError", policy, err, hostsOf(got))
+		}
+	}
+}
+
+// TestWriteDamagedSnapshot pins both writers over a lazy snapshot with
+// an unreadable block, under both fault policies. The v1 stream has
+// already promised every indexed address in its header, so WriteTo
+// fails with the typed block error either way. The file writer follows
+// the policy: FailFast fails and leaves the destination untouched;
+// Degrade writes the self-consistent file of the intact blocks.
+func TestWriteDamagedSnapshot(t *testing.T) {
+	eager := fileFixtureSnap(26, 8000)
+	path := writeSnapFile(t, eager)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, path, st.Size()-5, 0x10)
+
+	for _, policy := range []addrset.FaultPolicy{addrset.FailFast, addrset.Degrade} {
+		for _, writer := range []string{"WriteTo", "WriteSnapshotFile"} {
+			snap, err := OpenSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap.SetFaultPolicy(policy)
+			dst := filepath.Join(t.TempDir(), "out.snap")
+			const old = "previous contents"
+			if err := os.WriteFile(dst, []byte(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if writer == "WriteTo" {
+				_, err = snap.WriteTo(io.Discard)
+			} else {
+				err = WriteSnapshotFile(dst, snap)
+			}
+			snap.Close()
+			var be *addrset.BlockError
+			if writer == "WriteSnapshotFile" && policy == addrset.Degrade {
+				if err != nil {
+					t.Fatalf("%v/%s: %v", policy, writer, err)
+				}
+				if err := VerifySnapshotFile(dst); err != nil {
+					t.Fatalf("%v/%s: written file: %v", policy, writer, err)
+				}
+				back, err := OpenSnapshotFile(dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The flipped byte sits in the last block, a full one.
+				if want := eager.Hosts() - addrset.DefaultBlockSize; back.Hosts() != want {
+					t.Fatalf("%v/%s: wrote %d hosts, want the %d of the intact blocks", policy, writer, back.Hosts(), want)
+				}
+				back.Close()
+				continue
+			}
+			if !errors.As(err, &be) {
+				t.Fatalf("%v/%s = %v, want *addrset.BlockError", policy, writer, err)
+			}
+			if got, _ := os.ReadFile(dst); string(got) != old {
+				t.Fatalf("%v/%s: failed write changed the destination", policy, writer)
+			}
 		}
 	}
 }

@@ -47,8 +47,10 @@ func NewReseeder(universe rib.Partition, opts Options, workers int, cache *censu
 // Advance moves the reseeder to snap. delta, when non-nil, is the churn
 // from the previous snapshot to snap (a native churn or census delta);
 // when nil, an incremental reseeder derives it with a Snapshot.Diff
-// merge walk, and a recounting one needs none. On error the reseeder is
-// unchanged.
+// merge walk, and a recounting one needs none. A derived delta over a
+// lazy snapshot with an unreadable block fails with the
+// *addrset.BlockError under either fault policy. On error the reseeder
+// is unchanged.
 func (r *Reseeder) Advance(snap *census.Snapshot, delta *census.Delta) error {
 	if r.incremental {
 		if r.ranker == nil {
@@ -60,6 +62,14 @@ func (r *Reseeder) Advance(snap *census.Snapshot, delta *census.Delta) error {
 		} else {
 			if delta == nil {
 				delta = r.snap.Diff(snap)
+				// Diff skips a block it cannot read, which would turn
+				// that block's addresses into spurious churn: refuse it
+				// under either fault policy, as census.ApplyDelta does.
+				for _, s := range [2]*census.Snapshot{r.snap, snap} {
+					if faults := s.StorageFaults(); len(faults) > 0 {
+						return fmt.Errorf("core: %w", &faults[0])
+					}
+				}
 			}
 			if err := r.ranker.Apply(delta); err != nil {
 				return err

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
+	"github.com/tass-scan/tass/internal/addrset"
 	"github.com/tass-scan/tass/internal/census"
 	"github.com/tass-scan/tass/internal/netaddr"
+	"github.com/tass-scan/tass/internal/rib"
 )
 
 // nativeDelta builds the month-over-month delta by set difference, the
@@ -124,4 +129,97 @@ func TestReseederAdvanceErrorLeavesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualSelections(t, "after failed Advance", got, want)
+}
+
+// damagedFixture writes the census damaged-block fixture twice as
+// TASSNAP3 files: 8,000 hosts from fileFixtureSnap(26, 8000) of the
+// census tests, intact and with one payload byte flipped, so its last
+// block fails its checksum on a lazy read.
+func damagedFixture(t *testing.T) (intact, damaged string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(26))
+	addrs := make([]netaddr.Addr, 0, 8000)
+	v := uint32(rng.Intn(1 << 16))
+	for len(addrs) < cap(addrs) {
+		if rng.Intn(100) == 0 {
+			v += uint32(rng.Intn(1 << 22))
+		}
+		v += 1 + uint32(rng.Intn(200))
+		addrs = append(addrs, netaddr.Addr(v))
+	}
+	snap := census.NewSnapshot("https", 4, addrs)
+	dir := t.TempDir()
+	intact, damaged = filepath.Join(dir, "intact.snap"), filepath.Join(dir, "damaged.snap")
+	for _, p := range []string{intact, damaged} {
+		if err := census.WriteSnapshotFile(p, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-5] ^= 0x10
+	if err := os.WriteFile(damaged, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return intact, damaged
+}
+
+// TestReseederRefusesDamagedSeed seeds an incremental Reseeder from a
+// lazily opened census with an unreadable block and advances it to an
+// intact copy without a delta. The derived Diff skips the damaged
+// block, so its addresses would come back as births and be counted
+// twice. Under either fault policy the Reseeder must refuse with the
+// typed block error and keep its state, or select exactly what
+// SelectCached selects on the later snapshot.
+func TestReseederRefusesDamagedSeed(t *testing.T) {
+	intactPath, damagedPath := damagedFixture(t)
+	var ps []netaddr.Prefix
+	for i := 0; i < 256; i++ {
+		ps = append(ps, netaddr.MustPfxFrom(netaddr.Addr(i<<20), 12))
+	}
+	part, err := rib.NewPartition(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Phi: 0.95}
+	for _, policy := range []addrset.FaultPolicy{addrset.FailFast, addrset.Degrade} {
+		damaged, err := census.OpenSnapshotFile(damagedPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer damaged.Close()
+		damaged.SetFaultPolicy(policy)
+		intact, err := census.OpenSnapshotFile(intactPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer intact.Close()
+
+		rs := NewReseeder(part, opts, 2, census.NewCountCache(), true)
+		err = rs.Advance(damaged, nil)
+		if err == nil {
+			err = rs.Advance(intact, nil)
+			if err != nil && rs.snap != damaged {
+				t.Fatalf("policy %v: failed Advance moved the reseeder", policy)
+			}
+		}
+		if err != nil {
+			var be *addrset.BlockError
+			if !errors.As(err, &be) {
+				t.Fatalf("policy %v: Advance = %v, want *addrset.BlockError", policy, err)
+			}
+			continue
+		}
+		got, err := rs.Select()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SelectCached(intact, part, opts, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualSelections(t, "damaged seed", got, want)
+	}
 }

@@ -100,11 +100,6 @@ type (
 // LRU-bounded at a generous default entry cap.
 func NewCountCache() *CountCache { return census.NewCountCache() }
 
-// NewCountCacheCap returns a count cache evicting least-recently-used
-// entries beyond maxEntries (<= 0 means unbounded) — size it to the
-// working set of a long-running campaign.
-func NewCountCacheCap(maxEntries int) *CountCache { return census.NewCountCacheCap(maxEntries) }
-
 // NewAddrSet builds a block-indexed set from ascending addresses.
 // blockSize 0 uses the package default.
 func NewAddrSet(addrs []Addr, blockSize int) *AddrSet {

@@ -60,7 +60,7 @@ func TestPublicDeltaPipeline(t *testing.T) {
 	}
 
 	// Incremental selection == full selection on every month.
-	cache := tass.NewCountCacheCap(64)
+	cache := tass.NewCountCache()
 	sel, err := tass.NewIncrementalSelector(s.At(0), u.More, 2, cache)
 	if err != nil {
 		t.Fatal(err)

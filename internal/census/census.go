@@ -368,7 +368,9 @@ func (s *SnapshotOf[A]) WriteTo(w io.Writer) (int64, error) {
 	}
 	s.Set().WalkBlocks(func(_ int, addrs []A, err error) bool {
 		if err != nil {
-			rw.fail(fmt.Errorf("census: %w", err))
+			// The walk stops at the first failed add, so this is the
+			// record's first error.
+			rw.err = fmt.Errorf("census: %w", err)
 			return false
 		}
 		return run.add(addrs)

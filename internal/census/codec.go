@@ -85,12 +85,6 @@ func (w *recordWriter) write(b []byte) {
 
 func (w *recordWriter) uvarint(v uint64) { w.write(w.buf[:binary.PutUvarint(w.buf[:], v)]) }
 
-func (w *recordWriter) fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
-
 // finish flushes the record and returns the bytes written and the
 // first error.
 func (w *recordWriter) finish() (int64, error) {

@@ -2,6 +2,7 @@ package lru
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,45 +36,57 @@ func TestEvictionOrder(t *testing.T) {
 }
 
 // TestConcurrentColdGetsShareOneLoad starts N Gets on one cold key while
-// the load is held open: exactly one load runs, and every Get sees its
-// value.
+// the load is held open: exactly one load runs, and every Get returns
+// its result, a value or an error alike. A failed load leaves no entry.
 func TestConcurrentColdGetsShareOneLoad(t *testing.T) {
 	const n = 16
-	c := New[int, int](4)
-	var loads atomic.Int32
-	release := make(chan struct{})
-	load := func() (int, error) {
-		loads.Add(1)
-		<-release
-		return 42, nil
-	}
-	var wg sync.WaitGroup
-	got := make([]int, n)
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i], _ = c.Get(7, load)
-		}()
-	}
-	// Wait until every Get has registered before letting the load end.
-	for {
-		if h, m := c.Stats(); h+m == n {
-			break
+	boom := errors.New("boom")
+	for _, fail := range []bool{false, true} {
+		c := New[int, int](4)
+		var loads atomic.Int32
+		release := make(chan struct{})
+		load := func() (int, error) {
+			loads.Add(1)
+			<-release
+			if fail {
+				return 0, boom
+			}
+			return 42, nil
 		}
-	}
-	close(release)
-	wg.Wait()
-	if l := loads.Load(); l != 1 {
-		t.Fatalf("%d loads ran, want 1", l)
-	}
-	for i, v := range got {
-		if v != 42 {
-			t.Fatalf("Get %d returned %d", i, v)
+		var wg sync.WaitGroup
+		vals := make([]int, n)
+		errs := make([]error, n)
+		for i := range vals {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vals[i], errs[i] = c.Get(7, load)
+			}()
 		}
-	}
-	if h, m := c.Stats(); h != n-1 || m != 1 {
-		t.Fatalf("stats %d hits, %d misses; want %d, 1", h, m, n-1)
+		// Wait until every Get has registered before letting the load end.
+		for h, m := c.Stats(); h+m < n; h, m = c.Stats() {
+			runtime.Gosched()
+		}
+		close(release)
+		wg.Wait()
+		if l := loads.Load(); l != 1 {
+			t.Fatalf("fail=%v: %d loads ran, want 1", fail, l)
+		}
+		for i := range vals {
+			if fail && errs[i] != boom || !fail && (errs[i] != nil || vals[i] != 42) {
+				t.Fatalf("fail=%v: Get %d returned %d, %v", fail, i, vals[i], errs[i])
+			}
+		}
+		if h, m := c.Stats(); h != n-1 || m != 1 {
+			t.Fatalf("fail=%v: stats %d hits, %d misses; want %d, 1", fail, h, m, n-1)
+		}
+		resident := 1
+		if fail {
+			resident = 0
+		}
+		if c.Len() != resident {
+			t.Fatalf("fail=%v: %d entries resident, want %d", fail, c.Len(), resident)
+		}
 	}
 }
 

@@ -148,12 +148,11 @@ func loadAddrs(path string) (*tass.Snapshot, error) {
 // loadSeed loads the seed snapshot of select/rank/scan: from a census
 // snapshot file when -census-file is set (a TASSNAP3 file opens in
 // O(index) and decodes on demand; older formats are rejected naming
-// their upgrade command),
-// otherwise from the -addrs text file. With degraded, storage
-// corruption in a lazy census is skipped block by block instead of
-// failing the run (the faults are reported by reportStorageFaults). The
-// returned cleanup releases the file backing a lazy snapshot — the
-// snapshot must not be used after it runs.
+// their upgrade command), otherwise from the -addrs text file. With
+// degraded, storage corruption in a lazy census is skipped block by
+// block instead of failing the run (the faults are reported by
+// reportStorageFaults). The returned cleanup releases the file backing
+// a lazy snapshot — the snapshot must not be used after it runs.
 func loadSeed(addrsPath, censusPath string, degraded bool) (*tass.Snapshot, func(), error) {
 	if censusPath == "" {
 		snap, err := loadAddrs(addrsPath)

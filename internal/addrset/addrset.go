@@ -7,8 +7,9 @@
 // makes range counting O(log B + blocksize) instead of the O(N) touch-
 // every-address merge walk, and lets set intersection gallop past runs
 // that cannot match. The layout is the same delta stream the census
-// binary codec uses on the wire, so snapshot loading can decode straight
-// into blocks without materializing an intermediate address slice.
+// binary codec uses on the wire, so an indexed census file serves its
+// blocks as they lie on disk (FromIndex) without materializing an
+// address slice.
 //
 // Families up to 64 bits encode deltas with encoding/binary's uvarint;
 // the 128-bit family extends the same LEB128 scheme to at most 19 bytes

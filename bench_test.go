@@ -860,79 +860,3 @@ func BenchmarkDeaggregateTable(b *testing.B) {
 		trie.Deaggregate(prefixes)
 	}
 }
-
-// BenchmarkPolicyLimiter measures the per-probe cost of the politeness
-// hierarchy against a global-only pacer, on the fast path (tokens
-// always available: the refill outruns the benchmark loop, so no sleep
-// is ever taken — exactly the steady state of a scan running below its
-// rate caps). Each level is a lock-free GCRA bucket: Wait reads the
-// monotonic clock once and takes one CAS per configured level, so
-// global+AS+prefix (policy-hierarchy) costs two CASes more than
-// global-only (policy-global), about what the single-mutex global-only
-// pacer it replaced cost on its own. policy-hierarchy-parallel runs the
-// hierarchy from GOMAXPROCS goroutines, as the scanner's workers do:
-// with no shared lock, contention is confined to the CAS on the shared
-// global bucket's cache line.
-func BenchmarkPolicyLimiter(b *testing.B) {
-	const (
-		rate     = 1e9 // refill far above benchmark throughput: never blocks
-		burst    = 1 << 16
-		prefixes = 64
-		ases     = 8
-	)
-	origins := make([]uint32, prefixes)
-	for i := range origins {
-		origins[i] = uint32(64500 + i%ases)
-	}
-	ctx := context.Background()
-
-	b.Run("policy-global", func(b *testing.B) {
-		p, err := scan.NewPolicyLimiter(scan.PolicyConfig{Rate: rate, Burst: burst})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.Wait(ctx, i%prefixes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	hierarchy := func(b *testing.B) *scan.PolicyLimiter {
-		p, err := scan.NewPolicyLimiter(scan.PolicyConfig{
-			Rate: rate, Burst: burst,
-			ASRate: rate, ASBurst: burst,
-			PrefixRate: rate, PrefixBurst: burst,
-			Origins:  origins,
-			Prefixes: prefixes,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return p
-	}
-	b.Run("policy-hierarchy", func(b *testing.B) {
-		p := hierarchy(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.Wait(ctx, i%prefixes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("policy-hierarchy-parallel", func(b *testing.B) {
-		p := hierarchy(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for i := 0; pb.Next(); i++ {
-				if err := p.Wait(ctx, i%prefixes); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-}

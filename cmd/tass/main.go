@@ -390,10 +390,9 @@ func runDiff(args []string) error {
 
 // runConvert writes a census into the indexed TASSNAP3 snapshot format:
 // either a text address list (-addrs, decoded and sorted in memory) or
-// a binary v1 snapshot stream (-in, converted block-by-block without
-// ever materializing the address slice — the path for censuses larger
-// than RAM, and the one upgrade path for v1 streams). The output opens
-// in O(index) via -census-file.
+// a binary v1 snapshot stream (-in, the one upgrade path for v1 streams;
+// a v1 stream has no block index, so it too is decoded whole before the
+// file is written). The output opens in O(index) via -census-file.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	addrsPath := fs.String("addrs", "", "text addresses, one per line")

@@ -3,8 +3,8 @@
 // The program generates a synthetic ~50M-address census (a stand-in
 // for a full-universe survey like the paper's censys.io seed), writes
 // it as a v1 snapshot stream, converts it to the indexed TASSNAP3
-// format without materializing it (the `tass convert -in` path), and
-// then runs a TASS selection from a cold open — timing the open,
+// format (the `tass convert -in` path, which decodes the stream whole),
+// and then runs a TASS selection from a cold open — timing the open,
 // counting pass, and selection, and asserting that the heap stays
 // under a stated budget that is a small fraction of the decoded
 // census.
@@ -84,8 +84,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Convert the v1 stream to the indexed format block by block — the
-	// conversion itself never holds the census decoded.
+	// Convert the v1 stream to the indexed format. A v1 stream has no
+	// block index, so the conversion decodes it whole; the heap budget
+	// below covers only the reads of the converted file.
 	snapPath := filepath.Join(dir, "census.snap")
 	in, err := os.Open(v1Path)
 	if err != nil {

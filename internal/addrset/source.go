@@ -195,32 +195,6 @@ func (s *SetOf[A]) readBlock(bi int, buf []A) []A {
 	return addrs
 }
 
-// CheckBlocks fully decodes every block and validates it against the
-// skip index: each block must decode without truncation, run ascending
-// (multiset — equal neighbors allowed), and end exactly on its indexed
-// max. It is the O(n) deep check behind census.VerifySnapshotFile —
-// lazy reads trust the payload, so untrusted files go through this
-// once up front.
-func (s *SetOf[A]) CheckBlocks() error {
-	var buf []A
-	for bi := range s.mins {
-		addrs, err := s.decodeBlockInto(bi, buf)
-		if err != nil {
-			return err
-		}
-		buf = addrs
-		for i := 1; i < len(addrs); i++ {
-			if addrs[i].Compare(addrs[i-1]) < 0 {
-				return fmt.Errorf("addrset: block %d not ascending at %v", bi, addrs[i])
-			}
-		}
-		if last := addrs[len(addrs)-1]; last != s.maxs[bi] {
-			return fmt.Errorf("addrset: block %d decodes to max %v, index says %v", bi, last, s.maxs[bi])
-		}
-	}
-	return nil
-}
-
 // FromIndex assembles a lazily-decoded set from a prebuilt skip index
 // over an encoded payload: per-block first/last addresses, address
 // counts and encoded byte lengths, plus the BlockSource holding the

@@ -100,7 +100,7 @@ type snapFileIndex[A netaddr.Key[A]] struct {
 // index CRC of an open TASSNAP2/3 file. It touches only the index prefix
 // of the file — O(blocks) bytes — never the payload. A v1 stream is
 // rejected with errV1Stream. TASSNAP2 parses, for scrub and repair;
-// the load paths go through parseCurrentSnapIndex instead.
+// the load path goes through parseCurrentSnapIndex instead.
 func parseSnapFileIndex[A netaddr.Key[A]](m *mmapfile.File) (*snapFileIndex[A], error) {
 	size := int(m.Size())
 	// The fixed header fits well under 4 KiB (proto <= 255 bytes, seven
@@ -288,8 +288,8 @@ func parseSnapFileIndex[A netaddr.Key[A]](m *mmapfile.File) (*snapFileIndex[A], 
 	return out, nil
 }
 
-// parseCurrentSnapIndex is parseSnapFileIndex for the load paths (open
-// and verify), which accept only the current format, TASSNAP3.
+// parseCurrentSnapIndex is parseSnapFileIndex for the load path, which
+// accepts only the current format, TASSNAP3.
 func parseCurrentSnapIndex[A netaddr.Key[A]](m *mmapfile.File) (*snapFileIndex[A], error) {
 	idx, err := parseSnapFileIndex[A](m)
 	if err == nil && idx.version != 3 {
@@ -412,57 +412,22 @@ func OpenSnapshotFileOf[A netaddr.Key[A]](path string, cacheBlocks int) (*Snapsh
 // family: index CRC, payload CRC, then a decode of every block against
 // the directory and its block CRC. It is the O(addresses) pass that
 // makes the lazy open's per-block trust safe for files of unknown
-// provenance. Older formats are rejected as OpenSnapshotFileOf rejects
+// provenance, and it returns the first finding of ScrubSnapshotFile, in
+// that order. Older formats are rejected as OpenSnapshotFileOf rejects
 // them.
 func VerifySnapshotFile(path string) error {
-	m, err := mmapfile.Open(path)
-	if err != nil {
+	rep, err := ScrubSnapshotFile(path)
+	switch {
+	case err != nil:
 		return err
-	}
-	defer m.Close()
-	if int(m.Size()) < 9 {
-		return fmt.Errorf("%w: not a snapshot file", ErrFormat)
-	}
-	head, err := m.BytesAt(0, 9)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if head[8] == 6 {
-		return verifySnapFile[netaddr.Addr6](m)
-	}
-	return verifySnapFile[netaddr.Addr](m)
-}
-
-func verifySnapFile[A netaddr.Key[A]](m *mmapfile.File) error {
-	idx, err := parseCurrentSnapIndex[A](m)
-	if err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
-	const chunk = 1 << 20
-	for off := 0; off < idx.payloadLen; off += chunk {
-		n := idx.payloadLen - off
-		if n > chunk {
-			n = chunk
-		}
-		b, err := m.BytesAt(idx.payloadOff+off, n)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		crc.Write(b)
-	}
-	if got := crc.Sum32(); got != idx.payloadCRC {
-		return fmt.Errorf("%w: payload CRC mismatch (got %08x, want %08x)", ErrFormat, got, idx.payloadCRC)
-	}
-	// Cache cap 1: CheckBlocks streams every block once, nothing worth
-	// keeping resident. The CRC-checking source makes CheckBlocks verify
-	// each block checksum along the way.
-	set, err := addrset.FromIndex(idx.mins, idx.maxs, idx.counts, idx.blens, idx.blockSize, snapBlockSource(m, idx), 1)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if err := set.CheckBlocks(); err != nil {
-		return fmt.Errorf("%w: %v", ErrFormat, err)
+	case rep.IndexErr != nil:
+		return rep.IndexErr
+	case rep.Format != "TASSNAP3":
+		return errV2File
+	case !rep.PayloadCRCOK:
+		return fmt.Errorf("%w: payload CRC mismatch", ErrFormat)
+	case len(rep.Damage) > 0:
+		return fmt.Errorf("%w: %v", ErrFormat, rep.Damage[0].Err)
 	}
 	return nil
 }

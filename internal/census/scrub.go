@@ -78,7 +78,7 @@ func ScrubSnapshotFile(path string) (*SnapshotScrub, error) {
 	head, err := m.BytesAt(0, 9)
 	if err != nil {
 		rep.Format = "unknown"
-		rep.IndexErr = err
+		rep.IndexErr = fmt.Errorf("%w: %v", ErrFormat, err)
 		return rep, nil
 	}
 	if head[8] == 6 {

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/tass-scan/tass/internal/addrset"
+	"github.com/tass-scan/tass/internal/netaddr"
 )
 
 // flipByte XORs one byte of the file at path in place.
@@ -232,12 +235,15 @@ func TestVerifyIndexOKPayloadCorrupt(t *testing.T) {
 	if err := VerifySnapshotFile(path); err == nil {
 		t.Fatal("payload flip passed deep verify")
 	}
-	err = snap.Set().CheckBlocks()
-	if err == nil {
-		t.Fatal("CheckBlocks missed the damaged block")
+	rep, err := ScrubSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Damage) == 0 {
+		t.Fatal("scrub missed the damaged block")
 	}
 	var be *addrset.BlockError
-	if !errors.As(err, &be) {
+	if err := rep.Damage[0].Err; !errors.As(err, &be) {
 		t.Fatalf("fault is %T, want *addrset.BlockError: %v", err, err)
 	}
 	// An ordinary read through the cache records the fault on the set's
@@ -501,4 +507,75 @@ func FuzzSnapshotFileCorruption(f *testing.F) {
 		}
 		_, _ = RepairSnapshotFile(path) // errors allowed, panics are not
 	})
+}
+
+// TestVerifyAgreesWithScrub is the differential test between the two
+// deep checks: over every single-bit flip of a small TASSNAP3 file of
+// each family, the TASSNAP2 fixture and a v1 stream, VerifySnapshotFile
+// passes exactly when ScrubSnapshotFile reports the file clean, and
+// every rejection wraps ErrFormat.
+func TestVerifyAgreesWithScrub(t *testing.T) {
+	dir := t.TempDir()
+	check := func(name string, data []byte) {
+		t.Helper()
+		path := filepath.Join(dir, "f.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ScrubSnapshotFile(path)
+		if err != nil {
+			t.Fatalf("%s: scrub: %v", name, err)
+		}
+		verr := VerifySnapshotFile(path)
+		if (verr == nil) != rep.Clean() {
+			t.Fatalf("%s: verify %v, scrub clean %v (%+v)", name, verr, rep.Clean(), rep)
+		}
+		if verr != nil && !errors.Is(verr, ErrFormat) {
+			t.Fatalf("%s: verify error %v does not wrap ErrFormat", name, verr)
+		}
+	}
+	flips := func(name string, raw []byte) {
+		t.Helper()
+		check(name, raw)
+		data := append([]byte(nil), raw...)
+		for bit := range 8 * len(raw) {
+			data[bit/8] ^= 1 << (bit % 8)
+			check(fmt.Sprintf("%s bit %d", name, bit), data)
+			data[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+	v4 := filepath.Join(dir, "v4.snap")
+	if err := WriteSnapshotFile(v4, fileFixtureSnap(29, 300)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	addrs6 := make([]netaddr.Addr6, 300)
+	hi, lo := uint64(0x2001_0db8)<<32, uint64(0)
+	for i := range addrs6 {
+		if rng.Intn(50) == 0 {
+			hi += uint64(rng.Intn(1 << 16))
+		}
+		lo += 1 + uint64(rng.Intn(1<<20))
+		addrs6[i] = netaddr.Addr6{Hi: hi, Lo: lo}
+	}
+	v6 := filepath.Join(dir, "v6.snap")
+	if err := WriteSnapshotFileOf(v6, NewSnapshotOf("https", 4, addrs6)); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ name, path string }{{"v4", v4}, {"v6", v6}} {
+		if rep, err := ScrubSnapshotFile(f.path); err != nil || rep.Blocks < 2 {
+			t.Fatalf("%s fixture: %v, want several blocks (%+v)", f.name, err, rep)
+		}
+		raw, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flips(f.name, raw)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("v2 fixture", v2)
+	check("v1 stream", encodeSnapshot(t, fileFixtureSnap(29, 300)))
 }

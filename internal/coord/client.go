@@ -24,18 +24,10 @@ type Client struct {
 	// HTTP is the underlying client; tests inject fault-injecting
 	// transports here. Defaults to http.DefaultClient.
 	HTTP *http.Client
-	// Timeout bounds each request attempt (default 5s).
-	Timeout time.Duration
 	// MaxRetries is the attempt budget per call beyond the first
-	// (default 6). With the default backoff that is roughly 6s of
+	// (default 6). With the backoff schedule that is roughly 6s of
 	// patience — transient blips heal, real outages surface.
 	MaxRetries int
-	// BackoffBase and BackoffCap shape the retry schedule: attempt k
-	// sleeps a uniformly jittered duration in (0, min(Cap, Base·2^k)]
-	// (defaults 50ms and 2s). Full jitter keeps a worker fleet from
-	// thundering back in lockstep after a coordinator restart.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Seed makes the jitter deterministic for tests (0 seeds from the
 	// clock).
 	Seed int64
@@ -46,6 +38,16 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }
+
+// Each request attempt times out after attemptTimeout. Retry attempt k
+// sleeps a uniformly jittered duration in (0, min(backoffCap,
+// backoffBase·2^k)]: full jitter keeps a worker fleet from thundering
+// back in lockstep after a coordinator restart.
+const (
+	attemptTimeout = 5 * time.Second
+	backoffBase    = 50 * time.Millisecond
+	backoffCap     = 2 * time.Second
+)
 
 // NewClient builds a client with default retry policy.
 func NewClient(base string) *Client {
@@ -136,11 +138,7 @@ func (t *transientError) Unwrap() error { return t.err }
 
 // attempt performs one HTTP exchange.
 func (cl *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	timeout := cl.Timeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	rctx, cancel := context.WithTimeout(ctx, timeout)
+	rctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	var reader io.Reader
 	if body != nil {
@@ -206,17 +204,9 @@ func (cl *Client) attempt(ctx context.Context, method, path string, body []byte,
 
 // backoff sleeps the jittered exponential delay for the given attempt.
 func (cl *Client) backoff(ctx context.Context, attempt int) error {
-	base := cl.BackoffBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxDelay := cl.BackoffCap
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Second
-	}
-	d := base << uint(min(attempt, 20))
-	if d <= 0 || d > maxDelay {
-		d = maxDelay
+	d := backoffBase << uint(min(attempt, 20))
+	if d <= 0 || d > backoffCap {
+		d = backoffCap
 	}
 	cl.rngMu.Lock()
 	if cl.rng == nil {

@@ -198,7 +198,7 @@ func TestChaosCoordStateBitSweep(t *testing.T) {
 
 // findBlockZeroFlip scans candidate bit offsets of the snapshot file at
 // path for one whose flip lands in block 0's payload: the index still
-// parses (open succeeds) and the deep check blames block 0. The file is
+// parses and the scrub blames block 0 first. The file is
 // restored before returning; the search is deterministic for fixed file
 // bytes.
 func findBlockZeroFlip(t *testing.T, path string) int64 {
@@ -220,14 +220,12 @@ func findBlockZeroFlip(t *testing.T, path string) int64 {
 		if err := faultfs.FlipBit(path, bit); err != nil {
 			t.Fatal(err)
 		}
-		s, err := census.OpenSnapshotFile(path)
-		if err != nil {
+		rep, err := census.ScrubSnapshotFile(path)
+		if err != nil || rep.IndexErr != nil || len(rep.Damage) == 0 {
 			continue
 		}
-		cerr := s.Set().CheckBlocks()
-		s.Close()
 		var be *addrset.BlockError
-		if errors.As(cerr, &be) && be.Block == 0 {
+		if errors.As(rep.Damage[0].Err, &be) && be.Block == 0 {
 			return bit
 		}
 	}

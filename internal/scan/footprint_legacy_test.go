@@ -296,13 +296,13 @@ func (r *atomicScanner) Run(ctx context.Context) (*Report, error) {
 					if fpc != nil {
 						fpc.errors.Add(1)
 					}
-					if s.backoffOn && s.policy.Observe(pi, false) {
+					if s.backoffOn && s.policy.observe(pi, false) {
 						fpc.backoffs.Add(1)
 					}
 					continue
 				}
 				if s.backoffOn {
-					s.policy.Observe(pi, true)
+					s.policy.observe(pi, true)
 				}
 				if s.cfg.OnResult != nil {
 					s.cfg.OnResult(res)

@@ -11,9 +11,10 @@ import (
 )
 
 // fakeClock is a mutex-protected virtual clock shared by the pacer's
-// now() and the injected sleeper, so Wait's blocking path runs entirely
-// on virtual time. The Wait tests below pace through a global-only
-// PolicyLimiter: one bucket, the scanner's Config.Rate path.
+// now() and the injected sleeper, so the pacer's blocking path runs
+// entirely on virtual time. The Wait tests below pace through a
+// global-only PolicyLimiter, one bucket, the scanner's Config.Rate path,
+// with waitOne: a pacer that takes one token per call.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -36,12 +37,12 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 func TestWaitBlockingPathDeterministic(t *testing.T) {
-	lim, clock, sleeps := virtualPolicy(t, PolicyConfig{Rate: 100, Burst: 2})
+	lim, clock, sleeps := virtualPolicy(t, Config{Rate: 100, Burst: 2})
 	start := clock.now()
 
 	// Burst drains without sleeping.
 	for i := 0; i < 2; i++ {
-		if err := lim.Wait(context.Background(), 0); err != nil {
+		if err := lim.waitOne(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +52,7 @@ func TestWaitBlockingPathDeterministic(t *testing.T) {
 
 	// The next token must sleep exactly one refill interval (10ms at
 	// 100/s) of virtual time.
-	if err := lim.Wait(context.Background(), 0); err != nil {
+	if err := lim.waitOne(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := sleeps.Load(); n != 1 {
@@ -69,7 +70,7 @@ func TestWaitUnderContention(t *testing.T) {
 		workers = 8
 		perG    = 5
 	)
-	lim, clock, _ := virtualPolicy(t, PolicyConfig{Rate: rate, Burst: burst})
+	lim, clock, _ := virtualPolicy(t, Config{Rate: rate, Burst: burst})
 	start := clock.now()
 
 	var wg sync.WaitGroup
@@ -79,7 +80,7 @@ func TestWaitUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if err := lim.Wait(context.Background(), 0); err != nil {
+				if err := lim.waitOne(context.Background(), 0); err != nil {
 					t.Errorf("Wait: %v", err)
 					return
 				}
@@ -111,7 +112,7 @@ func TestWaitUnderContention(t *testing.T) {
 // intervals, one per worker.
 func TestWaitSingleWakeupAtContention(t *testing.T) {
 	const workers = 8
-	lim, clock, _ := virtualPolicy(t, PolicyConfig{Rate: 100, Burst: 1}) // refill interval 10ms
+	lim, clock, _ := virtualPolicy(t, Config{Rate: 100, Burst: 1}) // refill interval 10ms
 
 	var mu sync.Mutex
 	var durations []time.Duration
@@ -130,7 +131,7 @@ func TestWaitSingleWakeupAtContention(t *testing.T) {
 	}
 
 	// The burst token is granted without a sleep.
-	if err := lim.Wait(context.Background(), 0); err != nil {
+	if err := lim.waitOne(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -138,7 +139,7 @@ func TestWaitSingleWakeupAtContention(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := lim.Wait(context.Background(), 0); err != nil {
+			if err := lim.waitOne(context.Background(), 0); err != nil {
 				t.Errorf("Wait: %v", err)
 			}
 		}()
@@ -161,20 +162,20 @@ func TestWaitSingleWakeupAtContention(t *testing.T) {
 }
 
 func TestWaitCancellationInBlockingPath(t *testing.T) {
-	lim, _, _ := virtualPolicy(t, PolicyConfig{Rate: 1, Burst: 1})
-	if err := lim.Wait(context.Background(), 0); err != nil {
+	lim, _, _ := virtualPolicy(t, Config{Rate: 1, Burst: 1})
+	if err := lim.waitOne(context.Background(), 0); err != nil {
 		t.Fatal(err) // the burst token
 	}
 
 	// The sleeper cancels the context instead of advancing the clock:
-	// Wait must surface context.Canceled without granting a token.
+	// the wait must surface context.Canceled without granting a token.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	lim.sleep = func(ctx context.Context, d time.Duration) error {
 		cancel()
 		return ctx.Err()
 	}
-	if err := lim.Wait(ctx, 0); !errors.Is(err, context.Canceled) {
+	if err := lim.waitOne(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
 	// The refund leaves the next waiter one token in debt, not two: it
@@ -184,7 +185,7 @@ func TestWaitCancellationInBlockingPath(t *testing.T) {
 		slept = d
 		return nil
 	}
-	if err := lim.Wait(context.Background(), 0); err != nil {
+	if err := lim.waitOne(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if slept != time.Second {
@@ -192,13 +193,13 @@ func TestWaitCancellationInBlockingPath(t *testing.T) {
 	}
 }
 
-// TestWaitStaleClockSleepsToSlot: Wait reads the clock before taking its
+// TestWaitStaleClockSleepsToSlot: a wait reads the clock before taking its
 // tokens, so a waiter delayed in between finds the reservation of a
 // waiter that read the clock later. Its sleep must end at its own slot,
 // measured by a fresh reading, not that far past its stale one.
 func TestWaitStaleClockSleepsToSlot(t *testing.T) {
-	lim, clock, _ := virtualPolicy(t, PolicyConfig{Rate: 100, Burst: 1}) // 10 ms per token
-	if err := lim.Wait(context.Background(), 0); err != nil {
+	lim, clock, _ := virtualPolicy(t, Config{Rate: 100, Burst: 1}) // 10 ms per token
+	if err := lim.waitOne(context.Background(), 0); err != nil {
 		t.Fatal(err) // the burst token
 	}
 	clock.advance(100 * time.Millisecond) // the bucket is full again
@@ -211,7 +212,7 @@ func TestWaitStaleClockSleepsToSlot(t *testing.T) {
 		if !interleaved {
 			interleaved = true
 			clock.advance(50 * time.Millisecond)
-			if err := lim.Wait(context.Background(), 0); err != nil {
+			if err := lim.waitOne(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -222,7 +223,7 @@ func TestWaitStaleClockSleepsToSlot(t *testing.T) {
 		slept = append(slept, d)
 		return nil
 	}
-	if err := lim.Wait(context.Background(), 0); err != nil {
+	if err := lim.waitOne(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// The delayed waiter's slot is 160 ms and the clock reads 150 ms.

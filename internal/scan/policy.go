@@ -55,32 +55,25 @@ func (p *Politeness) perAS() bool {
 
 // BackoffConfig parameterizes complaint-driven adaptive backoff: an AS
 // answering with an error burst (timeout storm, ICMP unreachable flood —
-// the classic "please stop" signals) gets its bucket rate halved, and
-// earns it back gradually as probes succeed again.
+// the classic "please stop" signals) gets its bucket rate halved, down to
+// backoffFloor of ASRate, and earns it back gradually as probes succeed
+// again, backoffRecovery of ASRate per success.
 type BackoffConfig struct {
 	// Threshold is the consecutive-error streak within one AS that
 	// triggers a rate halving. 0 disables backoff.
 	Threshold int
-	// MinRateShare floors the backed-off rate at this fraction of the
-	// configured ASRate (default 1/64): an AS never stops entirely, it
-	// just trickles until probes succeed again.
-	MinRateShare float64
-	// Recovery is the fraction of the base rate restored per successful
-	// probe after a backoff (default 0.05, i.e. ~20 successes to climb
-	// one halving back).
-	Recovery float64
 }
 
-func (b *BackoffConfig) withDefaults() BackoffConfig {
-	out := *b
-	if out.MinRateShare <= 0 || out.MinRateShare > 1 {
-		out.MinRateShare = 1.0 / 64
-	}
-	if out.Recovery <= 0 || out.Recovery > 1 {
-		out.Recovery = 0.05
-	}
-	return out
-}
+const (
+	// backoffFloor is the share of the configured ASRate below which
+	// backoff never halves: an AS never stops entirely, it just trickles
+	// until probes succeed again.
+	backoffFloor = 1.0 / 64
+	// backoffRecovery is the share of the configured ASRate each
+	// successful probe restores after a backoff: about 20 successes climb
+	// one halving back.
+	backoffRecovery = 0.05
+)
 
 // bucket is one token-bucket level of a PolicyLimiter, kept in GCRA
 // form (generic cell rate algorithm) so a probe takes its token with one
@@ -103,9 +96,9 @@ func (b *BackoffConfig) withDefaults() BackoffConfig {
 //
 // Rate changes (backoff, recovery, SetASRate) run under the owner's mu
 // and convert the balance at the old interval to the new one in a single
-// CAS on each tat word, then publish the new interval. A Wait racing a
+// CAS on each tat word, then publish the new interval. A probe racing a
 // rate change may charge its token at the old interval against the
-// converted tat: the error is at most one token per racing Wait.
+// converted tat: the error is at most one token per racing probe.
 type bucket struct {
 	tat      atomic.Uint64 // math.Float64bits of the debt-clear instant; -Inf = full, never taken
 	interval atomic.Uint64 // math.Float64bits of ns per token of one share at the current rate
@@ -232,22 +225,22 @@ func (p *PolicyLimiter) retuneAS(id int32, rate float64) {
 // workers waking together to fight over one refilled token. A canceled
 // wait returns its reservations.
 //
-// The probe path takes no lock: Wait reads the clock once, indexes its
-// buckets by the AS table's dense ids and the target prefix, and takes
-// each token with a CAS; only a Wait that must sleep reads the clock
-// again, to sleep until its slot. A scanner worker paces through a
-// pacer instead, which shares one clock reading and one global claim
-// among a batch of probes; Wait is the same path with a batch of one.
-// Each per-AS bucket is split into S = min(Workers, ASBurst) shares (one
-// from NewPolicyLimiter), so a share holds at least one token, and worker
-// w's pacer takes from share w mod S, a tat word no other worker writes
-// while Workers ≤ ASBurst, whenever a token is due there (else lend).
-// Every bucket exists from construction, one per AS of the table with an
-// 8-byte word per share, and one per target prefix (48 B each), so the
-// probe path never creates one, even for the prefixes a one-shard
-// Scanner never probes (DESIGN.md §12). mu serializes rate changes only:
-// SetASRate and the Observe backoff path retune a single AS's rate, all
-// its shares at once, while a cycle runs.
+// The probe path takes no lock: each Scanner worker paces through a
+// pacer of its own, which shares one clock reading and one global claim
+// among a batch of probes, indexes its buckets by the AS table's dense
+// ids and the target prefix, and takes each token with a CAS; only a
+// pacer that must sleep reads the clock again, to sleep until its slot.
+// Each per-AS bucket is split into S = min(Workers, ASBurst) shares, so a
+// share holds at least one token, and worker w's pacer takes from share
+// w mod S, a tat word no other worker writes while Workers ≤ ASBurst,
+// whenever a token is due there (else lend). Every bucket exists from
+// construction, one per AS of the table with an 8-byte word per share,
+// and one per target prefix (48 B each), so the probe path never creates
+// one, even for the prefixes a one-shard Scanner never probes (DESIGN.md
+// §12). mu serializes rate changes only:
+// SetASRate and the observe backoff path retune a single AS's rate, all
+// its shares at once, while a cycle runs. New builds it from the
+// Scanner's Config; Scanner.Policy exposes it.
 type PolicyLimiter struct {
 	mu    sync.Mutex // serializes rate changes
 	epoch time.Time  // zero of the monotonic limiter clock
@@ -264,93 +257,40 @@ type PolicyLimiter struct {
 	shares  []atomic.Uint64
 	nShares int
 	pfx     []bucket // per target prefix; nil without per-prefix pacing
-	backoff BackoffConfig
+	backoff int      // Backoff.Threshold; 0 disables backoff
 }
 
-// PolicyConfig parameterizes NewPolicyLimiter. Rate/Burst are the global
-// level (0 disables it); ASRate and PrefixRate the lower levels. Origins
-// is required when ASRate or Backoff is set; Prefixes sizes the
-// per-prefix level and must cover every index passed to Wait.
-type PolicyConfig struct {
-	Rate        float64
-	Burst       int
-	ASRate      float64
-	ASBurst     int
-	PrefixRate  float64
-	PrefixBurst int
-	Origins     []uint32
-	Prefixes    int
-	Backoff     BackoffConfig
-}
-
-// validate checks every rate and the inputs each level needs. It is the
-// only rate check; New runs it whether or not any rate is set.
-func (cfg *PolicyConfig) validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"rate", cfg.Rate}, {"as-rate", cfg.ASRate}, {"prefix-rate", cfg.PrefixRate}} {
-		if math.IsNaN(r.v) || math.IsInf(r.v, 0) || r.v < 0 {
-			return fmt.Errorf("scan: policy %s must be finite and non-negative, got %v", r.name, r.v)
-		}
+// newPolicyLimiter builds the pacer of a Config that New validated and
+// filled with its defaults. Per-AS pacing indexes tab, the Scanner's AS
+// table, and splits each AS's bucket into one share per worker, at most
+// ASBurst: a share below one token would make every probe wait, even
+// into an idle AS.
+func newPolicyLimiter(cfg *Config, tab *asTable) *PolicyLimiter {
+	pol := cfg.Politeness
+	if pol.ASBurst <= 0 {
+		pol.ASBurst = 16
 	}
-	if cfg.Backoff.Threshold > 0 && cfg.ASRate <= 0 {
-		return fmt.Errorf("scan: backoff needs a per-AS rate to halve")
-	}
-	if cfg.ASRate > 0 && len(cfg.Origins) == 0 {
-		return fmt.Errorf("scan: per-AS rate needs an origin mapping")
-	}
-	if cfg.PrefixRate > 0 && cfg.Prefixes <= 0 {
-		return fmt.Errorf("scan: per-prefix rate needs the target prefix count")
-	}
-	return nil
-}
-
-// NewPolicyLimiter validates cfg and builds the hierarchy; with per-AS
-// pacing, over an AS table of its own, numbered from cfg.Origins, and
-// with one share per AS.
-func NewPolicyLimiter(cfg PolicyConfig) (*PolicyLimiter, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return newPolicyLimiter(cfg, nil, 1), nil
-}
-
-// newPolicyLimiter builds the hierarchy of a validated cfg. Per-AS pacing
-// indexes tab, the AS table of cfg.Origins, built here when nil, and
-// splits each AS's bucket into that many shares, at most ASBurst: a share
-// below one token would make every probe wait, even into an idle AS.
-func newPolicyLimiter(cfg PolicyConfig, tab *asTable, shares int) *PolicyLimiter {
-	if cfg.Burst <= 0 {
-		cfg.Burst = 64
-	}
-	if cfg.ASBurst <= 0 {
-		cfg.ASBurst = 16
-	}
-	if cfg.PrefixBurst <= 0 {
-		cfg.PrefixBurst = 8
+	if pol.PrefixBurst <= 0 {
+		pol.PrefixBurst = 8
 	}
 	p := &PolicyLimiter{
 		epoch:   time.Now(),
 		sleep:   timerSleep,
-		nShares: min(shares, cfg.ASBurst),
-		backoff: cfg.Backoff.withDefaults(),
+		nShares: min(cfg.Workers, pol.ASBurst),
+		backoff: pol.Backoff.Threshold,
 	}
 	if cfg.Rate > 0 {
 		p.global = &newBuckets(1, cfg.Rate, cfg.Burst, 1)[0]
 	}
-	if cfg.ASRate > 0 {
-		if tab == nil {
-			tab = newASTable(cfg.Origins)
-		}
-		p.tab, p.as = tab, newBuckets(len(tab.ases), cfg.ASRate, cfg.ASBurst, p.nShares)
+	if pol.ASRate > 0 {
+		p.tab, p.as = tab, newBuckets(len(tab.ases), pol.ASRate, pol.ASBurst, p.nShares)
 		p.shares = make([]atomic.Uint64, p.nShares*len(tab.ases))
 		for i := range p.shares {
 			p.shares[i].Store(full)
 		}
 	}
-	if cfg.PrefixRate > 0 {
-		p.pfx = newBuckets(cfg.Prefixes, cfg.PrefixRate, cfg.PrefixBurst, 1)
+	if pol.PrefixRate > 0 {
+		p.pfx = newBuckets(cfg.Targets.Len(), pol.PrefixRate, pol.PrefixBurst, 1)
 	}
 	p.nowBase.Store(noBase)
 	return p
@@ -383,15 +323,6 @@ func (p *PolicyLimiter) clock() float64 {
 	return float64(t - p.nowBase.Load())
 }
 
-// Wait blocks until a probe of target prefix pfxIdx may be sent, or the
-// context is canceled (the reservations are returned). One sleep covers
-// the deepest debt across all configured levels. It takes per-AS tokens
-// as worker 0's pacer does, from share 0 first (else lend).
-func (p *PolicyLimiter) Wait(ctx context.Context, pfxIdx int) error {
-	pc := pacer{p: p, k: 1}
-	return pc.wait(ctx, pfxIdx)
-}
-
 // paceBatch is the most limiter passes one clock reading serves, and the
 // most global tokens one claim takes.
 const paceBatch = 16
@@ -399,8 +330,7 @@ const paceBatch = 16
 // paceSpan caps what one pacer's credit may stand for at the global
 // rate. Credit one worker holds is time the others cannot use, and a
 // batch only pays where a clock read is a real share of the interval:
-// below 2000 probes/s, every probe reads the clock and takes one token,
-// as Wait does.
+// below 2000 probes/s, every probe reads the clock and takes one token.
 const paceSpan = time.Millisecond
 
 // pacer is one goroutine's handle on a PolicyLimiter. It batches what
@@ -427,7 +357,10 @@ type pacer struct {
 	credit int     // global tokens claimed and not yet used
 }
 
-// wait is Wait for the pacer's next probe.
+// wait blocks until the pacer's next probe, into target prefix pfxIdx,
+// may be sent, or the context is canceled (the reservations are
+// returned). One sleep covers the deepest debt across all configured
+// levels.
 func (c *pacer) wait(ctx context.Context, pfxIdx int) error {
 	p := c.p
 	if c.left == 0 {
@@ -524,15 +457,15 @@ func (c *pacer) release() {
 	}
 }
 
-// Observe feeds one probe outcome into the backoff detector and reports
+// observe feeds one probe outcome into the backoff detector and reports
 // whether it triggered a rate halving for the target's AS. A streak of
 // Backoff.Threshold consecutive errors inside one AS halves that AS's
-// bucket rate (floored at MinRateShare of the base); each success resets
-// the streak and restores Recovery of the base rate. A no-op when
+// bucket rate (floored at backoffFloor of the base); each success resets
+// the streak and restores backoffRecovery of the base rate. A no-op when
 // backoff is disabled. The streak is counted lock-free; only an actual
 // rate change takes p.mu.
-func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
-	if p.backoff.Threshold <= 0 {
+func (p *PolicyLimiter) observe(pfxIdx int, ok bool) bool {
+	if p.backoff <= 0 {
 		return false
 	}
 	id := p.tab.ids[pfxIdx]
@@ -544,7 +477,7 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 		if b.currentRate() < b.base {
 			p.mu.Lock()
 			if r := b.currentRate(); r < b.base {
-				p.retuneAS(id, min(r+b.base*p.backoff.Recovery, b.base))
+				p.retuneAS(id, min(r+b.base*backoffRecovery, b.base))
 			}
 			p.mu.Unlock()
 		}
@@ -553,7 +486,7 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 	// Each error either extends the streak or completes it (resetting
 	// it to zero) in one CAS, so concurrent errors are counted exactly
 	// once and exactly one of them claims each completed streak.
-	thr := int64(p.backoff.Threshold)
+	thr := int64(p.backoff)
 	for {
 		s := b.streak.Load()
 		next := s + 1
@@ -570,7 +503,7 @@ func (p *PolicyLimiter) Observe(pfxIdx int, ok bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r := b.currentRate()
-	next := max(r/2, b.base*p.backoff.MinRateShare)
+	next := max(r/2, b.base*backoffFloor)
 	if next >= r {
 		return false // already at the floor: no further event
 	}

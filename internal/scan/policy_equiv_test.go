@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tass-scan/tass/internal/rib"
 )
 
 // recSleeper records a pacer's sleep requests without sleeping: the
@@ -26,33 +28,28 @@ func (r *recSleeper) sleep(ctx context.Context, d time.Duration) error {
 	return r.fail
 }
 
-// randomPolicyConfig draws a pacer hierarchy over six prefixes in three
-// ASes (plus the AS-0 bucket), with rates whose per-token intervals are
-// mostly not whole nanoseconds.
-func randomPolicyConfig(rng *rand.Rand) PolicyConfig {
+// randomPolicyConfig draws a pacer hierarchy over the given six target
+// prefixes in three ASes (plus the AS-0 bucket), with rates whose
+// per-token intervals are mostly not whole nanoseconds. Backoff, when
+// drawn, runs at the pacer's fixed floor and recovery step.
+func randomPolicyConfig(rng *rand.Rand, targets rib.Partition) Config {
 	rates := []float64{3, 7, 10, 64, 100, 333.3, 1000, 12345.6}
 	pick := func() float64 { return rates[rng.Intn(len(rates))] }
-	cfg := PolicyConfig{
-		Origins:  []uint32{10, 10, 20, 20, 30, 0},
-		Prefixes: 6,
-	}
-	for cfg.Rate == 0 && cfg.ASRate == 0 && cfg.PrefixRate == 0 {
+	cfg := Config{Targets: targets, Politeness: Politeness{Origins: []uint32{10, 10, 20, 20, 30, 0}}}
+	pol := &cfg.Politeness
+	for cfg.Rate == 0 && pol.ASRate == 0 && pol.PrefixRate == 0 {
 		if rng.Intn(2) == 0 {
 			cfg.Rate, cfg.Burst = pick(), rng.Intn(4)
 		}
 		if rng.Intn(2) == 0 {
-			cfg.ASRate, cfg.ASBurst = pick(), rng.Intn(4)
+			pol.ASRate, pol.ASBurst = pick(), rng.Intn(4)
 		}
 		if rng.Intn(2) == 0 {
-			cfg.PrefixRate, cfg.PrefixBurst = pick(), rng.Intn(4)
+			pol.PrefixRate, pol.PrefixBurst = pick(), rng.Intn(4)
 		}
 	}
-	if cfg.ASRate > 0 && rng.Intn(2) == 0 {
-		cfg.Backoff = BackoffConfig{
-			Threshold:    1 + rng.Intn(4),
-			MinRateShare: []float64{0, 1.0 / 8, 1.0 / 3}[rng.Intn(3)],
-			Recovery:     []float64{0, 0.25, 0.3}[rng.Intn(3)],
-		}
+	if pol.ASRate > 0 && rng.Intn(2) == 0 {
+		pol.Backoff = BackoffConfig{Threshold: 1 + rng.Intn(4)}
 	}
 	return cfg
 }
@@ -74,18 +71,13 @@ func TestPolicyLimiterMatchesMutexReference(t *testing.T) {
 	// noiseNs bounds the reference's float residue: its token counts
 	// carry ~1e-16 relative error, a debt far below 1e-3 ns.
 	const noiseNs = 1e-3
+	const prefixes = 6
+	targets := policyTargets(t, prefixes)
 	ops, waits, noise := 0, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := randomPolicyConfig(rng)
-		live, err := NewPolicyLimiter(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ref, err := newMutexPolicy(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		cfg := randomPolicyConfig(rng, targets)
+		live, ref := testPolicy(t, cfg), newMutexPolicy(cfg)
 		clock := newFakeClock()
 		var liveSleep, refSleep recSleeper
 		live.now, live.sleep = clock.now, liveSleep.sleep
@@ -96,9 +88,9 @@ func TestPolicyLimiterMatchesMutexReference(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			fail := func(format string, args ...any) {
 				t.Helper()
-				t.Fatalf("seed %d step %d (%+v): "+format, append([]any{seed, step, cfg}, args...)...)
+				t.Fatalf("seed %d step %d (rate %v burst %d, %+v): "+format, append([]any{seed, step, cfg.Rate, cfg.Burst, cfg.Politeness}, args...)...)
 			}
-			pfx := rng.Intn(cfg.Prefixes)
+			pfx := rng.Intn(prefixes)
 			switch op := rng.Intn(20); {
 			case op < 11: // Wait; 2 in 11 canceled
 				waits++
@@ -108,7 +100,7 @@ func TestPolicyLimiterMatchesMutexReference(t *testing.T) {
 				}
 				liveSleep, refSleep = recSleeper{fail: sleepErr}, recSleeper{fail: sleepErr}
 				refNeed := mutexNeedNs(ref, pfx, clock.now().UnixNano())
-				lerr, rerr := live.Wait(ctx, pfx), ref.Wait(ctx, pfx)
+				lerr, rerr := live.waitOne(ctx, pfx), ref.Wait(ctx, pfx)
 				if !errors.Is(lerr, rerr) || (lerr == nil) != (rerr == nil) {
 					fail("Wait errors differ: live %v, reference %v", lerr, rerr)
 				}
@@ -133,7 +125,7 @@ func TestPolicyLimiterMatchesMutexReference(t *testing.T) {
 				}
 			case op < 15:
 				ok := rng.Intn(3) == 0
-				if l, r := live.Observe(pfx, ok), ref.Observe(pfx, ok); l != r {
+				if l, r := live.observe(pfx, ok), ref.Observe(pfx, ok); l != r {
 					fail("Observe(%d, %v): live %v, reference %v", pfx, ok, l, r)
 				}
 			case op < 16:
@@ -219,20 +211,18 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 	const batch = 4
 	for _, tc := range []struct {
 		name  string
-		cfg   PolicyConfig
-		batch int  // 0: every goroutine calls Wait
+		cfg   Config
+		batch int  // 0: every goroutine calls waitOne
 		exact bool // one level: the sleeps are exactly the slots
 	}{
-		{"global", PolicyConfig{Rate: 100, Burst: 1}, 0, true},
-		{"hierarchy", PolicyConfig{
-			Rate: 100, Burst: 1, ASRate: 100, ASBurst: 1, PrefixRate: 100, PrefixBurst: 1,
-			Origins: []uint32{7}, Prefixes: 1,
-		}, 0, false},
-		{"global-batched", PolicyConfig{Rate: 100, Burst: k * batch}, batch, true},
-		{"hierarchy-batched", PolicyConfig{
-			Rate: 100, Burst: k * batch, ASRate: 100, ASBurst: 1, PrefixRate: 100, PrefixBurst: 1,
-			Origins: []uint32{7}, Prefixes: 1,
-		}, batch, false},
+		{"global", Config{Rate: 100, Burst: 1}, 0, true},
+		{"hierarchy", Config{Rate: 100, Burst: 1, Politeness: Politeness{
+			ASRate: 100, ASBurst: 1, PrefixRate: 100, PrefixBurst: 1, Origins: []uint32{7},
+		}}, 0, false},
+		{"global-batched", Config{Rate: 100, Burst: k * batch}, batch, true},
+		{"hierarchy-batched", Config{Rate: 100, Burst: k * batch, Politeness: Politeness{
+			ASRate: 100, ASBurst: 1, PrefixRate: 100, PrefixBurst: 1, Origins: []uint32{7},
+		}}, batch, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, _, _ := virtualPolicy(t, tc.cfg)
@@ -244,7 +234,7 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 				mu.Unlock()
 				return nil // the clock stays frozen
 			}
-			if err := p.Wait(context.Background(), 0); err != nil {
+			if err := p.waitOne(context.Background(), 0); err != nil {
 				t.Fatal(err) // the first burst token
 			}
 			var wg, done sync.WaitGroup
@@ -257,7 +247,7 @@ func TestPolicyLimiterStressSlotsExact(t *testing.T) {
 					for i := 0; i < m; i++ {
 						var err error
 						if tc.batch == 0 {
-							err = p.Wait(context.Background(), 0)
+							err = p.waitOne(context.Background(), 0)
 						} else {
 							err = pc.wait(context.Background(), 0)
 						}
@@ -349,20 +339,19 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 		{"as-shares-shared", 5000, 100, 5000, 2, 64, true, false},
 		{"as-shares-shared-skewed", 5000, 100, 5000, 2, 64, true, true},
 	} {
-		cfg := PolicyConfig{
-			Rate: tc.rate, Burst: workers * k,
+		pol := Politeness{
 			ASRate: tc.asRate, ASBurst: tc.asBurst,
 			PrefixRate: tc.pfx, PrefixBurst: tc.pfxBurst,
-			Origins:  []uint32{10, 10, 20, 20, 30, 30},
-			Prefixes: 6,
+			Origins: []uint32{10, 10, 20, 20, 30, 30},
 		}
+		cfg := Config{Rate: tc.rate, Burst: workers * k, Politeness: pol}
+		if tc.shares {
+			cfg.Workers = workers
+		}
+		prefixes := len(pol.Origins)
 		ivOf := func(rate float64) time.Duration { return time.Duration(1e9 / rate) }
 		for seed := int64(1); seed <= 8; seed++ {
 			p, clock, _ := virtualPolicy(t, cfg)
-			if tc.shares {
-				p = newPolicyLimiter(cfg, nil, workers)
-				clock, _ = virtualize(p)
-			}
 			start := clock.now()
 			p.clock() // the limiter clock's zero is start
 			type send struct {
@@ -388,11 +377,11 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 						pc.share = w % p.nShares
 					}
 					for i := 0; i < m; i++ {
-						pfx := rng.Intn(cfg.Prefixes)
+						pfx := rng.Intn(prefixes)
 						if tc.skew && w == 0 {
 							pfx = rng.Intn(2) // AS 10's prefixes, 0 and 1
 						} else if tc.skew {
-							pfx = 2 + rng.Intn(cfg.Prefixes-2)
+							pfx = 2 + rng.Intn(prefixes-2)
 						}
 						pass.Lock()
 						// The share whose word the wait moved gave the token.
@@ -446,22 +435,22 @@ func TestPolicyLimiterBatchedWindowBound(t *testing.T) {
 						t.Fatalf("%s seed %d: a send at %v took no per-AS token", tc.name, seed, s.at)
 					}
 					global.at = append(global.at, s.at)
-					as, pfx := cfg.Origins[s.pfx], s.pfx
+					as, pfx := pol.Origins[s.pfx], s.pfx
 					if byAS[as] == nil {
-						byAS[as] = &level{name: fmt.Sprintf("AS%d", as), balance: func(now float64) float64 { return p.asBalance(pfx, now) }, burst: float64(cfg.ASBurst), iv: ivOf(cfg.ASRate), slack: workers * k}
+						byAS[as] = &level{name: fmt.Sprintf("AS%d", as), balance: func(now float64) float64 { return p.asBalance(pfx, now) }, burst: float64(pol.ASBurst), iv: ivOf(pol.ASRate), slack: workers * k}
 						levels = append(levels, byAS[as])
 					}
 					byAS[as].at = append(byAS[as].at, s.at)
 					// Each share is a level of its own at rate/S and burst/S.
 					if sh := [2]int{int(as), s.share}; tc.shares {
 						if byShare[sh] == nil {
-							byShare[sh] = &level{name: fmt.Sprintf("AS%d share %d", as, s.share), balance: func(now float64) float64 { return p.shareBalance(pfx, sh[1], now) }, burst: float64(cfg.ASBurst) / float64(p.nShares), iv: time.Duration(p.nShares) * ivOf(cfg.ASRate), slack: workers * k}
+							byShare[sh] = &level{name: fmt.Sprintf("AS%d share %d", as, s.share), balance: func(now float64) float64 { return p.shareBalance(pfx, sh[1], now) }, burst: float64(pol.ASBurst) / float64(p.nShares), iv: time.Duration(p.nShares) * ivOf(pol.ASRate), slack: workers * k}
 							levels = append(levels, byShare[sh])
 						}
 						byShare[sh].at = append(byShare[sh].at, s.at)
 					}
 					if byPfx[s.pfx] == nil {
-						byPfx[s.pfx] = &level{name: fmt.Sprintf("prefix %d", s.pfx), balance: p.pfx[s.pfx].balance, burst: float64(cfg.PrefixBurst), iv: ivOf(cfg.PrefixRate), slack: workers * k}
+						byPfx[s.pfx] = &level{name: fmt.Sprintf("prefix %d", s.pfx), balance: p.pfx[s.pfx].balance, burst: float64(pol.PrefixBurst), iv: ivOf(pol.PrefixRate), slack: workers * k}
 						levels = append(levels, byPfx[s.pfx])
 					}
 					byPfx[s.pfx].at = append(byPfx[s.pfx].at, s.at)

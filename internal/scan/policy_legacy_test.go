@@ -10,8 +10,10 @@ import (
 
 // This file preserves the mutex PolicyLimiter that the lock-free GCRA
 // pacer replaced, verbatim up to type names (bucket → mutexBucket,
-// PolicyLimiter → mutexPolicy), as the reference that
-// policy_equiv_test.go drives the live pacer against.
+// PolicyLimiter → mutexPolicy), its configuration (a Config that New
+// has validated) and the backoff floor and recovery step (the live
+// pacer's constants), as the reference that policy_equiv_test.go drives
+// the live pacer against.
 
 // mutexBucket is the parent implementation's token bucket: a token count
 // refilled from the elapsed time, guarded by the owner's mutex.
@@ -77,55 +79,39 @@ type mutexPolicy struct {
 	pfx      []*mutexBucket
 }
 
-// newMutexPolicy validates cfg and builds the hierarchy.
-func newMutexPolicy(cfg PolicyConfig) (*mutexPolicy, error) {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"rate", cfg.Rate}, {"as-rate", cfg.ASRate}, {"prefix-rate", cfg.PrefixRate}} {
-		if math.IsNaN(r.v) || math.IsInf(r.v, 0) || r.v < 0 {
-			return nil, fmt.Errorf("scan: policy %s must be finite and non-negative, got %v", r.name, r.v)
-		}
-	}
-	if cfg.Backoff.Threshold > 0 && cfg.ASRate <= 0 {
-		return nil, fmt.Errorf("scan: backoff needs a per-AS rate to halve")
-	}
-	if cfg.ASRate > 0 && len(cfg.Origins) == 0 {
-		return nil, fmt.Errorf("scan: per-AS rate needs an origin mapping")
-	}
-	if cfg.PrefixRate > 0 && cfg.Prefixes <= 0 {
-		return nil, fmt.Errorf("scan: per-prefix rate needs the target prefix count")
-	}
+// newMutexPolicy builds the hierarchy of a Config that New accepts.
+func newMutexPolicy(cfg Config) *mutexPolicy {
+	pol := cfg.Politeness
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
 	}
-	if cfg.ASBurst <= 0 {
-		cfg.ASBurst = 16
+	if pol.ASBurst <= 0 {
+		pol.ASBurst = 16
 	}
-	if cfg.PrefixBurst <= 0 {
-		cfg.PrefixBurst = 8
+	if pol.PrefixBurst <= 0 {
+		pol.PrefixBurst = 8
 	}
 	p := &mutexPolicy{
 		now:      time.Now,
 		sleep:    timerSleep,
-		asRate:   cfg.ASRate,
-		asBurst:  cfg.ASBurst,
-		pfxRate:  cfg.PrefixRate,
-		pfxBurst: cfg.PrefixBurst,
-		origins:  cfg.Origins,
-		backoff:  cfg.Backoff.withDefaults(),
+		asRate:   pol.ASRate,
+		asBurst:  pol.ASBurst,
+		pfxRate:  pol.PrefixRate,
+		pfxBurst: pol.PrefixBurst,
+		origins:  pol.Origins,
+		backoff:  pol.Backoff,
 	}
 	if cfg.Rate > 0 {
 		p.global = newMutexBucket(cfg.Rate, cfg.Burst)
 	}
-	if cfg.ASRate > 0 || cfg.Backoff.Threshold > 0 {
+	if pol.ASRate > 0 || pol.Backoff.Threshold > 0 {
 		p.as = make(map[uint32]*mutexBucket)
-		p.asByPfx = make([]*mutexBucket, len(cfg.Origins))
+		p.asByPfx = make([]*mutexBucket, len(pol.Origins))
 	}
-	if cfg.PrefixRate > 0 {
-		p.pfx = make([]*mutexBucket, cfg.Prefixes)
+	if pol.PrefixRate > 0 {
+		p.pfx = make([]*mutexBucket, cfg.Targets.Len())
 	}
-	return p, nil
+	return p
 }
 
 // asBucketFor resolves (lazily creating) the AS bucket owning target
@@ -202,8 +188,8 @@ func (p *mutexPolicy) Wait(ctx context.Context, pfxIdx int) error {
 // Observe feeds one probe outcome into the backoff detector and reports
 // whether it triggered a rate halving for the target's AS. A streak of
 // Backoff.Threshold consecutive errors inside one AS halves that AS's
-// bucket rate (floored at MinRateShare of the base); each success resets
-// the streak and restores Recovery of the base rate. A no-op when
+// bucket rate (floored at backoffFloor of the base); each success resets
+// the streak and restores backoffRecovery of the base rate. A no-op when
 // backoff is disabled.
 func (p *mutexPolicy) Observe(pfxIdx int, ok bool) bool {
 	if p.backoff.Threshold <= 0 {
@@ -218,7 +204,7 @@ func (p *mutexPolicy) Observe(pfxIdx int, ok bool) bool {
 		if b.rate < b.base {
 			// Credit accrual at the old rate before raising it.
 			b.refill(now)
-			b.rate += b.base * p.backoff.Recovery
+			b.rate += b.base * backoffRecovery
 			if b.rate > b.base {
 				b.rate = b.base
 			}
@@ -230,7 +216,7 @@ func (p *mutexPolicy) Observe(pfxIdx int, ok bool) bool {
 		return false
 	}
 	b.streak = 0
-	floor := b.base * p.backoff.MinRateShare
+	floor := b.base * backoffFloor
 	next := b.rate / 2
 	if next < floor {
 		next = floor

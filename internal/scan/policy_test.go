@@ -22,14 +22,47 @@ import (
 	"github.com/tass-scan/tass/internal/rib"
 )
 
-// virtualPolicy puts a PolicyLimiter fully on a fake clock: every sleep
-// request advances virtual time instead of blocking.
-func virtualPolicy(t *testing.T, cfg PolicyConfig) (*PolicyLimiter, *fakeClock, *atomic.Int64) {
+// policyTargets is n disjoint /24 target prefixes.
+func policyTargets(t testing.TB, n int) rib.Partition {
 	t.Helper()
-	p, err := NewPolicyLimiter(cfg)
+	ps := make([]netaddr.Prefix, n)
+	for i := range ps {
+		ps[i] = pfx(fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))
+	}
+	part, err := rib.NewPartition(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return part
+}
+
+// testPolicy builds the pacer New builds for cfg. Unless cfg says
+// otherwise it runs on one worker, so every AS has one share, and paces
+// one /24 target per origin (at least one).
+func testPolicy(t testing.TB, cfg Config) *PolicyLimiter {
+	t.Helper()
+	if cfg.Targets.Len() == 0 {
+		cfg.Targets = policyTargets(t, max(1, len(cfg.Politeness.Origins)))
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = 1
+	}
+	cfg.Prober = proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) { return Result{Addr: a}, nil })
+	return mustScanner(t, cfg).policy
+}
+
+// waitOne paces one probe into target prefix pfxIdx through a pacer with
+// a batch of one on share 0: every call reads the clock and takes one
+// token per level.
+func (p *PolicyLimiter) waitOne(ctx context.Context, pfxIdx int) error {
+	return (&pacer{p: p, k: 1}).wait(ctx, pfxIdx)
+}
+
+// virtualPolicy puts testPolicy's pacer fully on a fake clock: every
+// sleep request advances virtual time instead of blocking.
+func virtualPolicy(t *testing.T, cfg Config) (*PolicyLimiter, *fakeClock, *atomic.Int64) {
+	t.Helper()
+	p := testPolicy(t, cfg)
 	clock, sleeps := virtualize(p)
 	return p, clock, sleeps
 }
@@ -60,7 +93,7 @@ func (b *bucket) balance(now float64) float64 {
 
 // asBucket returns a bucket that reads as share 0 of the AS owning target
 // prefix pfxIdx at the time of the call: the AS's record with share 0's
-// tat word. With one share, as NewPolicyLimiter builds, that is the
+// tat word. With one share, as testPolicy builds by default, that is the
 // whole AS's bucket.
 func (p *PolicyLimiter) asBucket(pfxIdx int) *bucket {
 	id := p.tab.ids[pfxIdx]
@@ -91,48 +124,22 @@ func (p *PolicyLimiter) asBalance(pfxIdx int, now float64) float64 {
 	return sum
 }
 
-func TestPolicyLimiterValidation(t *testing.T) {
-	origins := []uint32{1, 2}
-	bad := []PolicyConfig{
-		{Rate: math.NaN()},
-		{Rate: math.Inf(1)},
-		{Rate: math.Inf(-1)},
-		{ASRate: math.NaN(), Origins: origins},
-		{PrefixRate: math.Inf(-1), Prefixes: 2},
-		{Rate: -1},
-		{Backoff: BackoffConfig{Threshold: 3}}, // backoff without a per-AS rate
-		{ASRate: 10},                           // per-AS rate without origins
-		{PrefixRate: 10},                       // per-prefix rate without prefix count
-		{ASRate: 10, Origins: origins, Backoff: BackoffConfig{Threshold: -1, MinRateShare: 2}},
-	}
-	// The last entry is actually fine (threshold <= 0 disables backoff);
-	// drop it from the reject list and check it separately.
-	ok := bad[len(bad)-1]
-	bad = bad[:len(bad)-1]
-	for i, cfg := range bad {
-		if _, err := NewPolicyLimiter(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
-		}
-	}
-	if _, err := NewPolicyLimiter(ok); err != nil {
-		t.Errorf("disabled backoff rejected: %v", err)
-	}
-}
-
 // TestPolicyLimiterSlowestLevelGoverns: with a fast global rate and a
 // slow per-AS rate, sustained probing into one AS paces at the AS rate,
 // while a second AS still has its own full allowance.
 func TestPolicyLimiterSlowestLevelGoverns(t *testing.T) {
-	p, clock, sleeps := virtualPolicy(t, PolicyConfig{
+	p, clock, sleeps := virtualPolicy(t, Config{
 		Rate: 1000, Burst: 1,
-		ASRate: 10, ASBurst: 1,
-		Origins: []uint32{100, 200}, // prefix 0 -> AS100, prefix 1 -> AS200
+		Politeness: Politeness{
+			ASRate: 10, ASBurst: 1,
+			Origins: []uint32{100, 200}, // prefix 0 -> AS100, prefix 1 -> AS200
+		},
 	})
 	ctx := context.Background()
 	start := clock.now()
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := p.Wait(ctx, 0); err != nil {
+		if err := p.waitOne(ctx, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +154,7 @@ func TestPolicyLimiterSlowestLevelGoverns(t *testing.T) {
 	}
 	// The other AS's bucket is untouched: its first probe is free.
 	before := sleeps.Load()
-	if err := p.Wait(ctx, 1); err != nil {
+	if err := p.waitOne(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sleeps.Load() != before {
@@ -159,10 +166,10 @@ func TestPolicyLimiterSlowestLevelGoverns(t *testing.T) {
 // k concurrent waiters reserve strictly later slots — total virtual time
 // k/rate, one sleep each, no thundering herd.
 func TestPolicyLimiterReservationSerialized(t *testing.T) {
-	p, clock, _ := virtualPolicy(t, PolicyConfig{
+	p, clock, _ := virtualPolicy(t, Config{Politeness: Politeness{
 		ASRate: 10, ASBurst: 1,
 		Origins: []uint32{7},
-	})
+	}})
 	ctx := context.Background()
 	start := clock.now()
 	const k = 8
@@ -171,7 +178,7 @@ func TestPolicyLimiterReservationSerialized(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := p.Wait(ctx, 0); err != nil {
+			if err := p.waitOne(ctx, 0); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -185,21 +192,22 @@ func TestPolicyLimiterReservationSerialized(t *testing.T) {
 }
 
 func TestPolicyLimiterCancelRefundsAllLevels(t *testing.T) {
-	p, _, _ := virtualPolicy(t, PolicyConfig{
+	p, _, _ := virtualPolicy(t, Config{
 		Rate: 100, Burst: 1,
-		ASRate: 10, ASBurst: 1,
-		PrefixRate: 5, PrefixBurst: 1,
-		Origins:  []uint32{1},
-		Prefixes: 1,
+		Politeness: Politeness{
+			ASRate: 10, ASBurst: 1,
+			PrefixRate: 5, PrefixBurst: 1,
+			Origins: []uint32{1},
+		},
 	})
 	// Drain the bursts.
-	if err := p.Wait(context.Background(), 0); err != nil {
+	if err := p.waitOne(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// A canceled wait must return its reservation at every level.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := p.Wait(canceled, 0); !errors.Is(err, context.Canceled) {
+	if err := p.waitOne(canceled, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Wait returned %v", err)
 	}
 	now := p.clock()
@@ -213,62 +221,68 @@ func TestPolicyLimiterCancelRefundsAllLevels(t *testing.T) {
 }
 
 func TestPolicyLimiterObserveBackoffAndRecovery(t *testing.T) {
-	p, _, _ := virtualPolicy(t, PolicyConfig{
+	p, _, _ := virtualPolicy(t, Config{Politeness: Politeness{
 		ASRate: 64, ASBurst: 1,
 		Origins: []uint32{42},
-		Backoff: BackoffConfig{Threshold: 3, MinRateShare: 1.0 / 8, Recovery: 0.25},
-	})
+		Backoff: BackoffConfig{Threshold: 3},
+	}})
+	base := 64.0
 	// Two errors: below threshold, no event.
-	if p.Observe(0, false) || p.Observe(0, false) {
+	if p.observe(0, false) || p.observe(0, false) {
 		t.Fatal("backoff fired below threshold")
 	}
 	// Third consecutive error: halve 64 -> 32.
-	if !p.Observe(0, false) {
+	if !p.observe(0, false) {
 		t.Fatal("no backoff at threshold")
 	}
 	if r, _ := p.ASRateOf(42); r != 32 {
 		t.Fatalf("rate after one halving = %v, want 32", r)
 	}
-	// Two more halvings: 32 -> 16 -> 8 (the floor, 64/8).
-	for i := 0; i < 6; i++ {
-		p.Observe(0, false)
+	// Five more halvings: 32 -> 16 -> 8 -> 4 -> 2 -> 1, the floor at
+	// 1/64 of the base.
+	for i := 0; i < 15; i++ {
+		p.observe(0, false)
 	}
-	if r, _ := p.ASRateOf(42); r != 8 {
-		t.Fatalf("rate at floor = %v, want 8", r)
+	if r, _ := p.ASRateOf(42); r != 1 || r != base*backoffFloor {
+		t.Fatalf("rate at floor = %v, want 1 (1/64 of %v)", r, base)
 	}
 	// At the floor further streaks are not events.
 	for i := 0; i < 3; i++ {
-		if p.Observe(0, false) && i == 2 {
+		if p.observe(0, false) && i == 2 {
 			t.Fatal("backoff event at the floor")
 		}
 	}
-	// A success restores Recovery (0.25) of the base per call, capped at
-	// the base.
-	p.Observe(0, true)
-	if r, _ := p.ASRateOf(42); r != 8+0.25*64 {
-		t.Fatalf("rate after one success = %v, want %v", r, 8+0.25*64)
+	// A success restores 0.05 of the base per call, capped at the base:
+	// 20 successes climb from the floor back to it.
+	p.observe(0, true)
+	if r, _ := p.ASRateOf(42); r != 1+base*backoffRecovery || math.Abs(r-4.2) > 1e-12 {
+		t.Fatalf("rate after one success = %v, want 4.2", r)
 	}
-	for i := 0; i < 10; i++ {
-		p.Observe(0, true)
+	for i := 0; i < 18; i++ {
+		p.observe(0, true)
 	}
-	if r, _ := p.ASRateOf(42); r != 64 {
-		t.Fatalf("rate after full recovery = %v, want 64", r)
+	if r, _ := p.ASRateOf(42); r >= base {
+		t.Fatalf("rate after 19 successes = %v, want below %v", r, base)
+	}
+	p.observe(0, true)
+	if r, _ := p.ASRateOf(42); r != base {
+		t.Fatalf("rate after full recovery = %v, want %v", r, base)
 	}
 	// A success also resets the streak: two errors, one success, two
 	// errors must not trigger.
-	p.Observe(0, false)
-	p.Observe(0, false)
-	p.Observe(0, true)
-	if p.Observe(0, false) || p.Observe(0, false) {
+	p.observe(0, false)
+	p.observe(0, false)
+	p.observe(0, true)
+	if p.observe(0, false) || p.observe(0, false) {
 		t.Fatal("streak not reset by success")
 	}
 }
 
 func TestPolicyLimiterSetASRate(t *testing.T) {
-	p, _, _ := virtualPolicy(t, PolicyConfig{
+	p, _, _ := virtualPolicy(t, Config{Politeness: Politeness{
 		ASRate:  100,
 		Origins: []uint32{5},
-	})
+	}})
 	if err := p.SetASRate(5, math.NaN()); err == nil {
 		t.Fatal("NaN rate accepted")
 	}
@@ -290,7 +304,7 @@ func TestPolicyLimiterSetASRate(t *testing.T) {
 		t.Fatalf("off-plan ASRateOf = %v, %v", r, ok)
 	}
 	// Without per-AS pacing both calls reject/deny.
-	bare, _, _ := virtualPolicy(t, PolicyConfig{Rate: 10})
+	bare, _, _ := virtualPolicy(t, Config{Rate: 10})
 	if err := bare.SetASRate(1, 5); err == nil {
 		t.Fatal("SetASRate without per-AS pacing accepted")
 	}
@@ -322,34 +336,40 @@ func asOf(t *testing.T, part rib.Partition, origins []uint32, a netaddr.Addr) ui
 	return origins[i]
 }
 
+// TestScannerPolitenessValidation: New, the one place a pacer is built,
+// refuses every rate that is not finite and non-negative and every
+// per-AS feature it cannot map, and accepts a non-positive backoff
+// threshold, which switches backoff off.
 func TestScannerPolitenessValidation(t *testing.T) {
 	part, origins := politenessFixture(t)
 	prober, _ := NewSimProber(nil, 0, 1)
-	if _, err := New(Config{Targets: part, Prober: prober,
-		Politeness: Politeness{ASBudget: 10}}); err == nil {
-		t.Fatal("per-AS budget without origins accepted")
-	}
-	if _, err := New(Config{Targets: part, Prober: prober,
-		Politeness: Politeness{Footprint: true, Origins: origins[:2]}}); err == nil {
-		t.Fatal("short origin mapping accepted")
-	}
-	if _, err := New(Config{Targets: part, Prober: prober,
-		Politeness: Politeness{Backoff: BackoffConfig{Threshold: 3}, Origins: origins}}); err == nil {
-		t.Fatal("backoff without a per-AS rate accepted")
-	}
 	for _, c := range []struct {
 		name string
 		cfg  Config
 	}{
+		{"per-AS budget without origins", Config{Politeness: Politeness{ASBudget: 10}}},
+		{"short origin mapping", Config{Politeness: Politeness{Footprint: true, Origins: origins[:2]}}},
+		{"backoff without a per-AS rate", Config{Politeness: Politeness{Backoff: BackoffConfig{Threshold: 3}, Origins: origins}}},
+		{"per-AS rate without origins", Config{Politeness: Politeness{ASRate: 10}}},
 		{"NaN per-AS rate", Config{Politeness: Politeness{ASRate: math.NaN(), Origins: origins}}},
 		{"negative per-AS rate", Config{Politeness: Politeness{ASRate: -1, Origins: origins}}},
+		{"-Inf per-prefix rate", Config{Politeness: Politeness{PrefixRate: math.Inf(-1)}}},
 		{"NaN global rate", Config{Rate: math.NaN()}},
+		{"+Inf global rate", Config{Rate: math.Inf(1)}},
+		{"-Inf global rate", Config{Rate: math.Inf(-1)}},
 		{"negative global rate", Config{Rate: -1}},
 	} {
 		c.cfg.Targets, c.cfg.Prober = part, prober
 		if _, err := New(c.cfg); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+	if _, err := New(Config{Prober: prober, Politeness: Politeness{PrefixRate: 10}}); err == nil {
+		t.Error("per-prefix rate without targets accepted")
+	}
+	if _, err := New(Config{Targets: part, Prober: prober,
+		Politeness: Politeness{ASRate: 10, Origins: origins, Backoff: BackoffConfig{Threshold: -1}}}); err != nil {
+		t.Errorf("disabled backoff rejected: %v", err)
 	}
 }
 
@@ -430,7 +450,7 @@ func TestScannerSharedASRateContracts(t *testing.T) {
 			Targets: part, Workers: workers, Seed: 1,
 			Prober: proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) { return Result{Addr: a}, nil }),
 			Politeness: Politeness{Origins: origins, ASRate: 1000, ASBurst: 8,
-				Backoff: BackoffConfig{Threshold: 2, MinRateShare: 1.0 / 64}},
+				Backoff: BackoffConfig{Threshold: 2}},
 		})
 		p := s.Policy()
 		if len(p.shares) != workers*len(p.as) {
@@ -449,7 +469,7 @@ func TestScannerSharedASRateContracts(t *testing.T) {
 		if rec.burst*float64(workers) != 8 {
 			t.Fatalf("workers=%d: shares hold %v tokens of burst, want 8", workers, rec.burst*float64(workers))
 		}
-		if p.Observe(pfx, false) || !p.Observe(pfx, false) {
+		if p.observe(pfx, false) || !p.observe(pfx, false) {
 			t.Fatalf("workers=%d: no backoff at the threshold", workers)
 		}
 		if got, _ := p.ASRateOf(as); got != r/2 {
@@ -461,8 +481,8 @@ func TestScannerSharedASRateContracts(t *testing.T) {
 // TestPolicyLimiterShareLendsToLoneWorker: a pacer that alone draws an
 // AS still gets the whole AS's rate and burst, not its share's: it takes
 // the tokens the other shares hold and, when none is due, reserves the
-// AS's next token on whichever share it comes from. Wait, which takes as
-// worker 0's pacer does, is such a pacer: on a virtual clock advanced only
+// AS's next token on whichever share it comes from. waitOne, which takes
+// as worker 0's pacer does, is such a pacer: on a virtual clock advanced only
 // by its sleeps, its n-th probe goes out within S−1
 // intervals of when it would through one bucket, (n − burst)·interval
 // after the first (through S shares of rate/S, it would be S times
@@ -472,13 +492,12 @@ func TestPolicyLimiterShareLendsToLoneWorker(t *testing.T) {
 	const n, rate = 400, 100.0
 	iv := time.Duration(intervalOf(rate))
 	for _, tc := range []struct{ burst, shares int }{{4, 1}, {4, 2}, {4, 4}, {6, 3}, {6, 4}, {5, 3}} {
-		cfg := PolicyConfig{ASRate: rate, ASBurst: tc.burst, Origins: []uint32{10, 20}}
+		cfg := Config{Workers: tc.shares, Politeness: Politeness{ASRate: rate, ASBurst: tc.burst, Origins: []uint32{10, 20}}}
 		slack := time.Duration(tc.shares-1) * iv
-		p := newPolicyLimiter(cfg, nil, tc.shares)
-		clock, _ := virtualize(p)
+		p, clock, _ := virtualPolicy(t, cfg)
 		start := clock.now()
 		for range n {
-			if err := p.Wait(context.Background(), 0); err != nil {
+			if err := p.waitOne(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -486,7 +505,7 @@ func TestPolicyLimiterShareLendsToLoneWorker(t *testing.T) {
 			t.Fatalf("%+v: probe %d went out at %v, want within %v of %v", tc, n, got, slack, want)
 		}
 		// The clock stands still: each wait holds its reservation.
-		p = newPolicyLimiter(cfg, nil, tc.shares)
+		p = testPolicy(t, cfg)
 		p.now = newFakeClock().now
 		var due time.Duration
 		p.sleep = func(_ context.Context, d time.Duration) error { due = d; return nil }
@@ -615,7 +634,7 @@ func BenchmarkScannerBindingASRate(b *testing.B) {
 				var cycle time.Duration
 				for range b.N {
 					// A fresh limiter per cycle: every bucket starts full.
-					s.policy = newPolicyLimiter(PolicyConfig{ASRate: asRate, Origins: origins, Prefixes: len(layout)}, s.policy.tab, shares)
+					s.policy = testPolicy(b, Config{Targets: part, Workers: shares, Politeness: Politeness{Origins: origins, ASRate: asRate}})
 					clear(count)
 					start = time.Now()
 					if _, err := s.Run(context.Background()); err != nil {
@@ -633,6 +652,76 @@ func BenchmarkScannerBindingASRate(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkPolicyLimiter measures the per-probe cost of the pacer as a
+// Scanner worker runs it, on the fast path: the refill outruns the
+// benchmark loop, so no sleep is ever taken, exactly the steady state of
+// a scan running below its rate caps. Each worker paces through a pacer
+// of its own, which reads the clock once per batch of paceK probes and
+// claims the batch's global tokens in one CAS; a per-AS or per-prefix
+// level takes one CAS per probe. So global+AS+prefix (policy-hierarchy)
+// costs two CASes more than global-only (policy-global).
+// policy-hierarchy-parallel runs GOMAXPROCS goroutines, each a worker
+// taking from a per-AS share of its own, as New splits the buckets: the
+// goroutines contend only on the global bucket's claims and on the
+// per-prefix buckets.
+func BenchmarkPolicyLimiter(b *testing.B) {
+	const (
+		rate     = 1e9 // refill far above benchmark throughput: never blocks
+		burst    = 1 << 16
+		prefixes = 64
+		ases     = 8
+	)
+	origins := make([]uint32, prefixes)
+	for i := range origins {
+		origins[i] = uint32(64500 + i%ases)
+	}
+	targets := policyTargets(b, prefixes)
+	global := Config{Targets: targets, Rate: rate, Burst: burst}
+	hierarchy := global
+	hierarchy.Politeness = Politeness{
+		ASRate: rate, ASBurst: burst,
+		PrefixRate: rate, PrefixBurst: burst,
+		Origins: origins,
+	}
+	ctx := context.Background()
+	// run paces b.N probes, round-robin over the targets, through the
+	// pacers of a Scanner with the given worker count, one goroutine per
+	// worker.
+	run := func(b *testing.B, cfg Config, workers int) {
+		cfg.Workers = workers
+		cfg.Prober = proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) { return Result{Addr: a}, nil })
+		s := mustScanner(b, cfg)
+		k := s.paceK()
+		b.ReportAllocs()
+		b.ResetTimer()
+		if workers == 1 {
+			pc := pacer{p: s.policy, k: k}
+			for i := range b.N {
+				if err := pc.wait(ctx, i%prefixes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pc.release()
+			return
+		}
+		var started atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			w := int(started.Add(1) - 1)
+			pc := pacer{p: s.policy, share: w % s.policy.nShares, k: k}
+			defer pc.release()
+			for i := 0; pb.Next(); i++ {
+				if err := pc.wait(ctx, i%prefixes); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	}
+	b.Run("policy-global", func(b *testing.B) { run(b, global, 1) })
+	b.Run("policy-hierarchy", func(b *testing.B) { run(b, hierarchy, 1) })
+	b.Run("policy-hierarchy-parallel", func(b *testing.B) { run(b, hierarchy, runtime.GOMAXPROCS(0)) })
 }
 
 func TestScannerBudgetCapsPerAS(t *testing.T) {

@@ -147,16 +147,13 @@ func TestNextSafePrime(t *testing.T) {
 
 // TestLimiter runs a global-only PolicyLimiter on the real timer.
 func TestLimiter(t *testing.T) {
-	lim, err := NewPolicyLimiter(PolicyConfig{Rate: 1000, Burst: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lim := testPolicy(t, Config{Rate: 1000, Burst: 10})
 	// The burst drains at once; the 20 tokens after it refill at ~1000/s.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	start := time.Now()
 	for i := 0; i < 30; i++ {
-		if err := lim.Wait(ctx, 0); err != nil {
+		if err := lim.waitOne(ctx, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,15 +163,12 @@ func TestLimiter(t *testing.T) {
 	// Canceled context aborts the wait.
 	canceled, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	slow, _ := NewPolicyLimiter(PolicyConfig{Rate: 0.001, Burst: 1})
-	if err := slow.Wait(context.Background(), 0); err != nil { // drain
+	slow := testPolicy(t, Config{Rate: 0.001, Burst: 1})
+	if err := slow.waitOne(context.Background(), 0); err != nil { // drain
 		t.Fatal(err)
 	}
-	if err := slow.Wait(canceled, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("Wait on canceled context: %v", err)
-	}
-	if _, err := NewPolicyLimiter(PolicyConfig{Rate: -1, Burst: 1}); err == nil {
-		t.Error("negative rate accepted")
+	if err := slow.waitOne(canceled, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("wait on canceled context: %v", err)
 	}
 }
 

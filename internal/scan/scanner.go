@@ -146,25 +146,8 @@ func New(cfg Config) (*Scanner, error) {
 	if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
 		return nil, fmt.Errorf("scan: shard %d of %d out of range", cfg.Shard, cfg.Shards)
 	}
-	pol := &cfg.Politeness
-	pcfg := PolicyConfig{
-		Rate:        cfg.Rate,
-		Burst:       cfg.Burst,
-		ASRate:      pol.ASRate,
-		ASBurst:     pol.ASBurst,
-		PrefixRate:  pol.PrefixRate,
-		PrefixBurst: pol.PrefixBurst,
-		Origins:     pol.Origins,
-		Prefixes:    cfg.Targets.Len(),
-		Backoff:     pol.Backoff,
-	}
-	// Validated before any `> 0` gate: a NaN or negative rate fails
-	// every such gate and would silently switch its level off.
-	if err := pcfg.validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if pol.perAS() && len(pol.Origins) != cfg.Targets.Len() {
-		return nil, fmt.Errorf("scan: politeness origins cover %d prefixes, targets have %d (rib.Table.OriginsOf builds the mapping)", len(pol.Origins), cfg.Targets.Len())
 	}
 	s := &Scanner{cfg: cfg}
 	s.firsts, _ = cfg.Targets.Bounds()
@@ -177,20 +160,44 @@ func New(cfg Config) (*Scanner, error) {
 	s.buildTop()
 	s.SetExclusions(cfg.Exclude)
 	// One AS table serves the pacer's per-AS level and the footprint.
+	pol := &cfg.Politeness
 	var tab *asTable
 	if pol.perAS() {
 		tab = newASTable(pol.Origins)
 		s.fp = newFootprint(tab, pol.ASBudget)
 	}
-	if pcfg.Rate > 0 || pcfg.ASRate > 0 || pcfg.PrefixRate > 0 {
+	if cfg.Rate > 0 || pol.ASRate > 0 || pol.PrefixRate > 0 {
 		// One pacer for every level: a global-only Rate is a
 		// single-bucket PolicyLimiter, and per-AS or per-prefix rates add
 		// bucket levels to it. Each worker gets its own per-AS share,
 		// unless there are more workers than tokens of AS burst.
-		s.policy = newPolicyLimiter(pcfg, tab, cfg.Workers)
+		s.policy = newPolicyLimiter(&cfg, tab)
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
 	return s, nil
+}
+
+// validate checks every rate and the origin mapping that per-AS
+// features need. It is the only rate check, and New runs it before any
+// `> 0` gate, whether or not a rate is set: a NaN or negative rate fails
+// every such gate and would silently switch its level off.
+func (cfg *Config) validate() error {
+	pol := &cfg.Politeness
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"rate", cfg.Rate}, {"as-rate", pol.ASRate}, {"prefix-rate", pol.PrefixRate}} {
+		if math.IsNaN(r.v) || math.IsInf(r.v, 0) || r.v < 0 {
+			return fmt.Errorf("scan: policy %s must be finite and non-negative, got %v", r.name, r.v)
+		}
+	}
+	if pol.Backoff.Threshold > 0 && pol.ASRate <= 0 {
+		return fmt.Errorf("scan: backoff needs a per-AS rate to halve")
+	}
+	if pol.perAS() && len(pol.Origins) != cfg.Targets.Len() {
+		return fmt.Errorf("scan: politeness origins cover %d prefixes, targets have %d (rib.Table.OriginsOf builds the mapping)", len(pol.Origins), cfg.Targets.Len())
+	}
+	return nil
 }
 
 // exclusionList is one installed exclusion list: the prefixes as sorted,
@@ -294,9 +301,8 @@ func (s *Scanner) ExclusionCount() int {
 // (Config.Rate, or a per-AS or per-prefix Politeness rate) — the hook
 // for external feeds to retune a single AS mid-cycle via SetASRate,
 // which errors unless Politeness set a per-AS rate and some target
-// prefix maps to the AS. The pacer shares the Scanner's AS table with
-// the footprint. Its Wait takes per-AS tokens as the first worker does,
-// so it competes with the workers for each AS's whole rate.
+// prefix maps to the AS, and to read an AS's current rate via ASRateOf.
+// The pacer shares the Scanner's AS table with the footprint.
 func (s *Scanner) Policy() *PolicyLimiter {
 	return s.policy
 }
@@ -407,13 +413,7 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 		stop.Store(true)
 	}
 
-	// A worker's pacer claims up to paceK global tokens at once, so the
-	// credit held across all workers never exceeds one burst, and one
-	// worker's credit never stands for more than paceSpan of the rate.
-	paceK := min(paceBatch, max(1, s.cfg.Burst/workers))
-	if s.cfg.Rate > 0 {
-		paceK = min(paceK, max(1, int(s.cfg.Rate*paceSpan.Seconds())))
-	}
+	paceK := s.paceK()
 	responsive := make([][]netaddr.Addr, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -506,13 +506,13 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					if fpc != nil {
 						fpc.errors++
 					}
-					if s.backoffOn && s.policy.Observe(pi, false) {
+					if s.backoffOn && s.policy.observe(pi, false) {
 						fpc.backoffs++
 					}
 					continue
 				}
 				if s.backoffOn {
-					s.policy.Observe(pi, true)
+					s.policy.observe(pi, true)
 				}
 				if s.cfg.OnResult != nil {
 					s.cfg.OnResult(res)
@@ -559,6 +559,17 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 	})
 	report.Elapsed = time.Since(start)
 	return report, runErr
+}
+
+// paceK is the most global tokens a worker's pacer claims at once: the
+// credit held across all workers never exceeds one burst, and one
+// worker's credit never stands for more than paceSpan of the rate.
+func (s *Scanner) paceK() int {
+	k := min(paceBatch, max(1, s.cfg.Burst/s.cfg.Workers))
+	if s.cfg.Rate > 0 {
+		k = min(k, max(1, int(s.cfg.Rate*paceSpan.Seconds())))
+	}
+	return k
 }
 
 // canceled polls a context's Done channel without blocking.

@@ -18,7 +18,8 @@
 #        scripts/bench.sh -compare OLD.json NEW.json
 #        scripts/bench.sh -gate [OLD.json] NEW.json
 #        scripts/bench.sh -latest
-#   BENCH=<regex>       benchmarks to run (default: the counting/selection core)
+#   BENCH=<regex>       benchmarks to run in . and ./internal/scan (default:
+#                       the counting/selection core and the pacer)
 #   BENCHTIME=<n>       -benchtime value (default: go test's heuristic)
 #   COUNT=<n>           runs per benchmark; the record keeps medians (default: 5)
 #   GATE_THRESHOLD=<p>  -gate failure threshold in percent (default: 15)
@@ -207,11 +208,13 @@ if [ -n "$benchtime" ]; then
     args="$args -benchtime=$benchtime"
 fi
 
-# run_bench DIR RAW N: run the benchmarks N times in checkout DIR,
-# appending go test's output to RAW (and echoing it).
+# run_bench DIR RAW N: run the benchmarks N times in checkout DIR, over
+# the root package and internal/scan (BenchmarkPolicyLimiter, the pacer
+# as a Scanner worker runs it), appending go test's output to RAW (and
+# echoing it).
 run_bench() {
     # shellcheck disable=SC2086 # args are intentionally word-split
-    (cd "$1" && go test $args -count="$3" .) | tee -a "$2"
+    (cd "$1" && go test $args -count="$3" . ./internal/scan) | tee -a "$2"
 }
 
 # write_record RAW OUT: turn raw go test output into a JSON record, one

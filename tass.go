@@ -474,10 +474,11 @@ func FsckCheck(path string) (*FsckResult, error) { return fsck.Check(path) }
 // reported, never rewritten: ConvertSnapshotFile upgrades it.
 func FsckRepair(path string) (*FsckResult, error) { return fsck.Repair(path) }
 
-// ConvertSnapshotFile streams a v1 snapshot (Snapshot.WriteTo bytes,
-// e.g. a census archive) into an indexed TASSNAP3 file without ever
-// materializing the address slice. It is the bulk-import path behind
-// `tass convert`.
+// ConvertSnapshotFile converts a v1 snapshot (Snapshot.WriteTo bytes,
+// e.g. a census archive) into an indexed TASSNAP3 file. A v1 stream has
+// no block index, so the conversion decodes it whole before writing;
+// reads of the converted file are lazy. It is the bulk-import path
+// behind `tass convert`.
 func ConvertSnapshotFile(r io.Reader, path string) error {
 	return census.ConvertSnapshotFile[Addr](r, path)
 }

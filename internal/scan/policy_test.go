@@ -336,10 +336,9 @@ func asOf(t *testing.T, part rib.Partition, origins []uint32, a netaddr.Addr) ui
 	return origins[i]
 }
 
-// TestScannerPolitenessValidation: New, the one place a pacer is built,
-// refuses every rate that is not finite and non-negative and every
-// per-AS feature it cannot map, and accepts a non-positive backoff
-// threshold, which switches backoff off.
+// TestScannerPolitenessValidation: New refuses a per-AS feature it
+// cannot map to origins and a rate that is not a finite non-negative
+// number.
 func TestScannerPolitenessValidation(t *testing.T) {
 	part, origins := politenessFixture(t)
 	prober, _ := NewSimProber(nil, 0, 1)
@@ -350,14 +349,33 @@ func TestScannerPolitenessValidation(t *testing.T) {
 		{"per-AS budget without origins", Config{Politeness: Politeness{ASBudget: 10}}},
 		{"short origin mapping", Config{Politeness: Politeness{Footprint: true, Origins: origins[:2]}}},
 		{"backoff without a per-AS rate", Config{Politeness: Politeness{Backoff: BackoffConfig{Threshold: 3}, Origins: origins}}},
-		{"per-AS rate without origins", Config{Politeness: Politeness{ASRate: 10}}},
 		{"NaN per-AS rate", Config{Politeness: Politeness{ASRate: math.NaN(), Origins: origins}}},
 		{"negative per-AS rate", Config{Politeness: Politeness{ASRate: -1, Origins: origins}}},
-		{"-Inf per-prefix rate", Config{Politeness: Politeness{PrefixRate: math.Inf(-1)}}},
 		{"NaN global rate", Config{Rate: math.NaN()}},
+		{"negative global rate", Config{Rate: -1}},
+	} {
+		c.cfg.Targets, c.cfg.Prober = part, prober
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+}
+
+// TestPolicyLimiterValidation: New, the one place a pacer is built,
+// refuses every pacer rate that is not finite and non-negative and every
+// pacer level it has nothing to key on, and accepts a non-positive
+// backoff threshold, which switches backoff off.
+func TestPolicyLimiterValidation(t *testing.T) {
+	part, origins := politenessFixture(t)
+	prober, _ := NewSimProber(nil, 0, 1)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"per-AS rate without origins", Config{Politeness: Politeness{ASRate: 10}}},
+		{"-Inf per-prefix rate", Config{Politeness: Politeness{PrefixRate: math.Inf(-1)}}},
 		{"+Inf global rate", Config{Rate: math.Inf(1)}},
 		{"-Inf global rate", Config{Rate: math.Inf(-1)}},
-		{"negative global rate", Config{Rate: -1}},
 	} {
 		c.cfg.Targets, c.cfg.Prober = part, prober
 		if _, err := New(c.cfg); err == nil {

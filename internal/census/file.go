@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"github.com/tass-scan/tass/internal/addrset"
@@ -553,12 +554,19 @@ func writeSnapStream[A netaddr.Key[A]](path, proto string, month, bsize int, wal
 	hdr.Write(crcb[:])
 	hdr.Write(dir.Bytes())
 
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	// A temp file of its own in the destination directory: a fixed name
+	// would clobber a file of that name and be shared by two concurrent
+	// writers of one path.
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return 0, err
 	}
+	tmp := f.Name()
 	defer os.Remove(tmp)
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		return 0, err
+	}
 	bw := bufio.NewWriterSize(f, 1<<16)
 	idxCRC := crc32.ChecksumIEEE(hdr.Bytes())
 	binary.LittleEndian.PutUint32(crcb[:], idxCRC)

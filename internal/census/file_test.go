@@ -39,6 +39,39 @@ func writeSnapFile(t *testing.T, s *Snapshot) string {
 	return path
 }
 
+// TestWriteSnapshotFileKeepsSiblings: a write goes through a temp file
+// of its own, so a file that happens to carry the destination's name
+// plus ".tmp" survives it, and the directory holds only the two files
+// afterwards.
+func TestWriteSnapshotFileKeepsSiblings(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.snap")
+	sibling := path + ".tmp"
+	if err := os.WriteFile(sibling, []byte("not mine"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshotFile(path, fileFixtureSnap(2, 500)); err != nil {
+		t.Fatalf("WriteSnapshotFile: %v", err)
+	}
+	if got, err := os.ReadFile(sibling); err != nil || string(got) != "not mine" {
+		t.Fatalf("sibling %s after the write: %q, %v", sibling, got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Errorf("directory holds %d entries after the write, want the snapshot and the sibling", len(entries))
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := info.Mode().Perm(); perm != 0o644 {
+		t.Errorf("snapshot mode %v, want 0644", perm)
+	}
+}
+
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	eager := fileFixtureSnap(1, 20000)
 	path := writeSnapFile(t, eager)

@@ -24,10 +24,6 @@ type Client struct {
 	// HTTP is the underlying client; tests inject fault-injecting
 	// transports here. Defaults to http.DefaultClient.
 	HTTP *http.Client
-	// MaxRetries is the attempt budget per call beyond the first
-	// (default 6). With the backoff schedule that is roughly 6s of
-	// patience — transient blips heal, real outages surface.
-	MaxRetries int
 	// Seed makes the jitter deterministic for tests (0 seeds from the
 	// clock).
 	Seed int64
@@ -39,12 +35,15 @@ type Client struct {
 	rng   *rand.Rand
 }
 
-// Each request attempt times out after attemptTimeout. Retry attempt k
-// sleeps a uniformly jittered duration in (0, min(backoffCap,
-// backoffBase·2^k)]: full jitter keeps a worker fleet from thundering
-// back in lockstep after a coordinator restart.
+// Each request attempt times out after attemptTimeout. A call makes at
+// most maxRetries attempts beyond the first; retry attempt k sleeps a
+// uniformly jittered duration in (0, min(backoffCap, backoffBase·2^k)]:
+// full jitter keeps a worker fleet from thundering back in lockstep
+// after a coordinator restart. With this schedule a call has roughly 6s
+// of patience — transient blips heal, real outages surface.
 const (
 	attemptTimeout = 5 * time.Second
+	maxRetries     = 6
 	backoffBase    = 50 * time.Millisecond
 	backoffCap     = 2 * time.Second
 )
@@ -103,10 +102,6 @@ func (cl *Client) call(ctx context.Context, method, path string, in, out any) er
 		if body, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("coord: encoding request: %w", err)
 		}
-	}
-	maxRetries := cl.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 6
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {

@@ -68,13 +68,18 @@ func (x *explorer) fail(format string, args ...any) {
 
 func TestScheduleExplorer(t *testing.T) {
 	seen := map[string]int{}
+	ran := 0
 	for seed := int64(1); seed <= explorerSeeds; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { exploreSchedule(t, seed, seen) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			ran++
+			exploreSchedule(t, seed, seen)
+		})
 	}
 	// The schedules must reach every transition the invariants guard,
-	// or a passing run proves little.
-	t.Logf("events over %d schedules: %v", explorerSeeds, seen)
-	if t.Failed() {
+	// or a passing run proves little. A replay of some seeds is not held
+	// to that.
+	t.Logf("events over %d schedules: %v", ran, seen)
+	if t.Failed() || ran < explorerSeeds {
 		return
 	}
 	for _, ev := range []string{"lease lost", "unknown lease", "unknown campaign", "resumed lease",

@@ -43,7 +43,6 @@ func TestEarlyFinishMatchesSingleNode(t *testing.T) {
 		ID:       "w",
 		Campaign: "camp",
 		ProberAt: dead,
-		Now:      clk.Now,
 		Sleep:    func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	}
 	if err := w.Run(context.Background()); err != nil {
@@ -99,7 +98,6 @@ func TestMidCampaignStateFileCompletes(t *testing.T) {
 		ID:       "w2",
 		Campaign: "camp",
 		ProberAt: faultProberAt,
-		Now:      clk.Now,
 		OnEvent:  events.f,
 		Sleep:    func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	}

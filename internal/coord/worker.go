@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/tass-scan/tass/internal/netaddr"
@@ -14,20 +13,11 @@ import (
 // Worker is the fleet side of a distributed campaign: acquire a shard
 // lease, scan it in checkpointable chunks, upload the cursor and
 // results at every chunk boundary, complete, repeat until the campaign
-// is done. A background renewer heartbeats the lease on a timer,
-// independent of chunk boundaries, so a chunk that takes longer than
-// the lease TTL (slow prober, tight rate cap) never costs the worker
-// its shard.
-//
-// Failure posture: a worker that loses the coordinator does not abandon
-// its shard — it keeps scanning and buffering results, retrying uploads
-// at each chunk boundary, until either the coordinator comes back
-// (reconnect, upload everything, continue) or the worker's local copy
-// of the lease deadline passes without a successful renewal (the
-// coordinator has certainly re-leased the shard by then; the worker
-// discards its buffer and starts over with a fresh acquire). A
-// rejected renewal (ErrLeaseLost) is an immediate stop: another worker
-// owns the shard now, and uploading stale results would double-count.
+// is done. While a chunk runs the lease is renewed every TTL/3, so a
+// chunk slower than the lease TTL never costs the worker its shard. A
+// worker that loses the coordinator keeps scanning and buffering until
+// the coordinator returns or the local copy of the lease deadline
+// passes; a fenced reply stops it at once (leaseMachine.replied).
 type Worker struct {
 	// Client talks to the coordinator (required).
 	Client *Client
@@ -43,16 +33,9 @@ type Worker struct {
 	// Exclude lists prefixes this worker must never probe, layered on
 	// top of the campaign-wide exclusion list carried in each lease.
 	Exclude []netaddr.Prefix
-	// HeartbeatEvery is the background lease-renewal cadence (default
-	// TTL/3). Renewals re-send the last consistent upload — uploads are
-	// cumulative and replace the previous one, so the replay is
-	// idempotent.
-	HeartbeatEvery time.Duration
-	// Now is the worker's clock, injectable for deterministic tests
-	// (default time.Now).
-	Now func() time.Time
-	// Sleep waits between polls when no shard is free, injectable for
-	// tests (default timer sleep). Must honor ctx.
+	// Sleep waits between polls when no shard is free and between
+	// completion retries, injectable for tests (default timer sleep).
+	// Must honor ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// PollEvery is the idle-acquire poll interval (default 200ms).
 	PollEvery time.Duration
@@ -73,17 +56,13 @@ func (w *Worker) Run(ctx context.Context) error {
 		case done:
 			w.eventf("campaign %s done", w.Campaign)
 			return nil
-		case err != nil:
-			if ctx.Err() != nil {
-				return ctx.Err()
+		case lease == nil: // an outage, or every shard is leased or done
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				w.eventf("acquire failed (%v); retrying", err)
 			}
-			w.eventf("acquire failed (%v); retrying", err)
-			if err := w.idle(ctx); err != nil {
-				return err
-			}
-			continue
-		case lease == nil:
-			// Every shard is leased or done; poll until the cycle turns.
 			if err := w.idle(ctx); err != nil {
 				return err
 			}
@@ -97,15 +76,46 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// leaseHealth is the worker-side view of one held lease, shared between
-// the chunk loop and the background renewer.
-type leaseHealth struct {
-	lastUp   atomic.Pointer[Upload]    // last consistent (chunk-boundary) upload
-	deadline atomic.Pointer[time.Time] // local copy of the lease deadline
-	fenced   atomic.Bool               // the coordinator rejected the lease outright
+// action is what a leaseMachine asks its driver to do next.
+type action int
+
+const (
+	actNone      action = iota // nothing to send: the running chunk goes on
+	actScan                    // resume from the upload's cursor, run the next chunk
+	actHeartbeat               // send the upload: at a boundary, or as a renewal mid-chunk
+	actComplete                // send the upload as the shard's completion
+	actGasp                    // the chunk was canceled: send the upload, its cursor exact, and stop
+	actDrop                    // the shard is lost: cancel a running chunk, discard the buffer
+	actDone                    // the shard is complete
+)
+
+// leaseMachine is the lease logic of one held shard with no I/O, as
+// scan.CycleMachine is the campaign loop's: chunk outcomes, replies and
+// clock readings go in, the next action comes out. Worker.Run drives it
+// with real time, the fleet simulation on a virtual clock.
+type leaseMachine struct {
+	lease *Lease
+	// await is the step whose outcome the machine waits for: actScan (a
+	// running chunk; replies are to renewals), actHeartbeat (the boundary
+	// heartbeat), actComplete, or actNone once the lease is over.
+	await    action
+	deadline time.Time // local copy of the lease deadline
+	renewAt  time.Time // when the next renewal is due, never past the deadline
+	// up is the buffer: the last consistent (chunk-boundary) upload. It
+	// starts with the inherited cursor, which early renewals re-assert.
+	up Upload
 }
 
-func (h *leaseHealth) renewed(d time.Time) { h.deadline.Store(&d) }
+// newLeaseMachine starts a machine, whose first action is actScan.
+func newLeaseMachine(lease *Lease, now time.Time) *leaseMachine {
+	return &leaseMachine{
+		lease:    lease,
+		await:    actScan,
+		deadline: now.Add(lease.TTL),
+		renewAt:  now.Add(lease.TTL / 3),
+		up:       Upload{Checkpoint: lease.Checkpoint},
+	}
+}
 
 // fenced reports whether err means the lease is no longer the worker's:
 // lost to expiry or a new holder, or its campaign is gone.
@@ -113,23 +123,195 @@ func fenced(err error) bool {
 	return errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrUnknownCampaign) || errors.Is(err, ErrUnknownLease)
 }
 
-// runLease scans one leased shard to completion (or abandonment). The
-// returned error is only ever a dead context: lease-level failures are
-// handled by abandoning the shard and letting Run re-acquire.
+// chunked takes a chunk's report (nil if it never ran), the scanner's
+// checkpoint after it (exact even when canceled: the scanner rewinds
+// drawn-but-unprobed addresses) and its error. A chunk under its probe
+// budget, or any chunk of an unchunked lease, ends the shard.
+func (m *leaseMachine) chunked(rep *scan.Report, cp *scan.Checkpoint, err error) action {
+	if rep != nil {
+		m.up.Responsive = mergeAddrs(m.up.Responsive, rep.Responsive)
+		m.up.Probed += rep.Probed
+		m.up.Errors += rep.Errors
+	}
+	m.up.Checkpoint = cp
+	switch {
+	case err != nil:
+		m.await = actNone
+		return actGasp
+	case m.lease.ChunkProbes == 0 || rep.Probed < m.lease.ChunkProbes:
+		m.await, m.up.Checkpoint = actComplete, nil
+	default:
+		m.await = actHeartbeat
+	}
+	return m.await
+}
+
+// tick takes a clock reading. While a chunk runs, a renewal (the last
+// upload again, which the coordinator applies idempotently) is due every
+// TTL/3, and the local deadline drops the shard. Nothing renews at a
+// boundary or once completing: a renewal after Complete finds no lease.
+func (m *leaseMachine) tick(now time.Time) action {
+	switch {
+	case m.await != actScan:
+		return actNone
+	case !now.Before(m.deadline):
+		m.await = actNone
+		return actDrop
+	case !now.Before(m.renewAt):
+		m.renewAt = now.Add(m.lease.TTL / 3)
+		if m.deadline.Before(m.renewAt) {
+			m.renewAt = m.deadline
+		}
+		return actHeartbeat
+	}
+	return actNone
+}
+
+// replied takes the reply to a renewal, a boundary heartbeat or a
+// completion, received at now. It is the one reply rule: a nil reply
+// renews the local deadline; a fenced reply drops the buffer and the
+// shard (a fenced renewal also cancels the running chunk); any other
+// error keeps the worker scanning offline, or retrying the completion,
+// until now reaches the local deadline, and then abandons the shard.
+func (m *leaseMachine) replied(now time.Time, err error) action {
+	switch {
+	case err == nil:
+		m.deadline = now.Add(m.lease.TTL)
+	case fenced(err):
+		m.await, m.up = actNone, Upload{}
+		return actDrop
+	case !now.Before(m.deadline):
+		m.await = actNone
+		return actDrop
+	}
+	switch m.await {
+	case actHeartbeat:
+		m.await = actScan
+		return actScan
+	case actComplete:
+		if err == nil {
+			m.await = actNone
+			return actDone
+		}
+		return actComplete
+	}
+	return actNone
+}
+
+// runLease drives one leased shard's machine. It returns an error only
+// for a dead context or a lease the scanner cannot run.
 func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
+	scanner, err := w.newScanner(lease)
+	if err != nil { // a protocol bug, not a transient: the lease will expire
+		w.eventf("%v", err)
+		return err
+	}
+	m := newLeaseMachine(lease, time.Now())
+	var runErr error
+	for a := actScan; ; {
+		switch a {
+		case actScan:
+			if cp := m.up.Checkpoint; cp != nil {
+				_ = scanner.Resume(cp) // fails only on a nil checkpoint
+			}
+			a, runErr = w.scanChunk(ctx, scanner, m)
+		case actHeartbeat, actComplete:
+			send, what := w.Client.Heartbeat, "heartbeat"
+			if a == actComplete {
+				send, what = w.Client.Complete, "complete"
+			}
+			err := send(ctx, lease.Campaign, lease.LeaseID, m.up)
+			if err != nil && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			if a = w.reply(m, what, err); a == actComplete {
+				if err := w.idle(ctx); err != nil {
+					return err
+				}
+			}
+		case actGasp: // ctx is dead: the final upload gets its own deadline
+			gctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			if err := w.Client.Heartbeat(gctx, lease.Campaign, lease.LeaseID, m.up); err != nil {
+				w.eventf("lease %s: final checkpoint upload failed: %v", lease.LeaseID, err)
+			} else {
+				w.eventf("lease %s: interrupted; cursor uploaded", lease.LeaseID)
+			}
+			cancel()
+			return runErr
+		default: // actDrop, actDone
+			return nil
+		}
+	}
+}
+
+// scanChunk runs one chunk, sending the renewals the machine asks for,
+// and returns the machine's next action and the chunk's error.
+func (w *Worker) scanChunk(ctx context.Context, scanner *scan.Scanner, m *leaseMachine) (action, error) {
+	chunkCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var rep *scan.Report
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		rep, runErr = scanner.Run(chunkCtx)
+		close(done)
+	}()
+	timer := time.NewTimer(time.Until(m.renewAt))
+	defer timer.Stop()
+	for {
+		select {
+		case <-done:
+			return m.chunked(rep, scanner.Checkpoint(), runErr), runErr
+		case <-timer.C:
+		}
+		a := m.tick(time.Now())
+		switch a {
+		case actDrop:
+			w.eventf("lease %s: coordinator away past lease deadline; abandoning shard", m.lease.LeaseID)
+		case actHeartbeat:
+			err := w.Client.Heartbeat(chunkCtx, m.lease.Campaign, m.lease.LeaseID, m.up)
+			if err != nil && chunkCtx.Err() != nil {
+				continue // the worker is stopping: the chunk ends with the final upload
+			}
+			a = w.reply(m, "renewal", err)
+		}
+		if a == actDrop {
+			cancel()
+			<-done
+			return actDrop, nil
+		}
+		timer.Reset(time.Until(m.renewAt))
+	}
+}
+
+// reply feeds the reply to a heartbeat, renewal or completion to the
+// machine and reports what it decided.
+func (w *Worker) reply(m *leaseMachine, what string, err error) action {
+	a := m.replied(time.Now(), err)
+	switch id := m.lease.LeaseID; {
+	case a == actDone:
+		w.eventf("lease %s: shard complete (%d probed, %d responsive)", id, m.up.Probed, len(m.up.Responsive))
+	case err == nil:
+	case a == actDrop:
+		w.eventf("lease %s: lost (%s: %v); discarding buffered results", id, what, err)
+	default:
+		w.eventf("lease %s: %s failed (%v); continuing offline", id, what, err)
+	}
+	return a
+}
+
+// newScanner builds a leased shard's scanner, chunked at ChunkProbes,
+// with the lease's exclusions and the worker's.
+func (w *Worker) newScanner(lease *Lease) (*scan.Scanner, error) {
 	plan, err := parsePartition(lease.Plan)
 	if err != nil {
-		// A malformed plan is a protocol bug, not a transient: abandon
-		// the lease (it will expire) and surface loudly.
-		w.eventf("lease %s: bad plan: %v", lease.LeaseID, err)
-		return fmt.Errorf("coord: lease %s: bad plan: %w", lease.LeaseID, err)
+		return nil, fmt.Errorf("coord: lease %s: bad plan: %w", lease.LeaseID, err)
 	}
 	exclude := append([]netaddr.Prefix(nil), w.Exclude...)
 	for _, s := range lease.Exclude {
 		p, err := netaddr.ParsePrefix(s)
 		if err != nil {
-			w.eventf("lease %s: bad exclusion %q: %v", lease.LeaseID, s, err)
-			return fmt.Errorf("coord: lease %s: bad exclusion %q: %w", lease.LeaseID, s, err)
+			return nil, fmt.Errorf("coord: lease %s: bad exclusion %q: %w", lease.LeaseID, s, err)
 		}
 		exclude = append(exclude, p)
 	}
@@ -153,187 +335,9 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 		},
 	})
 	if err != nil {
-		return fmt.Errorf("coord: lease %s: %w", lease.LeaseID, err)
+		return nil, fmt.Errorf("coord: lease %s: %w", lease.LeaseID, err)
 	}
-	if lease.Checkpoint != nil {
-		if err := scanner.Resume(lease.Checkpoint); err != nil {
-			return fmt.Errorf("coord: lease %s: %w", lease.LeaseID, err)
-		}
-	}
-
-	// The worker's view of the lease, shared with the background
-	// renewer. The initial upload carries the inherited checkpoint so a
-	// renewal that fires before the first chunk boundary re-asserts the
-	// cursor the coordinator already holds instead of clearing it.
-	health := &leaseHealth{}
-	health.lastUp.Store(&Upload{Checkpoint: lease.Checkpoint})
-	health.renewed(w.now().Add(lease.TTL))
-	scanCtx, cancelScan := context.WithCancel(ctx)
-	renewDone := make(chan struct{})
-	go w.renewLoop(scanCtx, cancelScan, lease, health, renewDone)
-	stopRenewer := func() {
-		cancelScan()
-		<-renewDone
-	}
-	defer stopRenewer()
-
-	var responsive []netaddr.Addr
-	var probed, nErrors uint64
-
-	for {
-		report, runErr := scanner.Run(scanCtx)
-		if report != nil {
-			responsive = mergeAddrs(responsive, report.Responsive)
-			probed += report.Probed
-			nErrors += report.Errors
-		}
-		cp := scanner.Checkpoint()
-		up := Upload{Checkpoint: cp, Responsive: responsive, Probed: probed, Errors: nErrors}
-		health.lastUp.Store(&up)
-
-		if runErr != nil {
-			if health.fenced.Load() && ctx.Err() == nil {
-				// The renewer hit the fence and canceled the scan: the
-				// shard has a new owner; every further probe would be
-				// repeated by it. Discard and re-acquire.
-				w.eventf("lease %s: lost; discarding buffered results", lease.LeaseID)
-				return nil
-			}
-			// Canceled mid-chunk. The checkpoint still describes exactly
-			// what was probed (the scanner rewinds drawn-but-unprobed
-			// addresses), so one last upload hands the precise cursor to
-			// whoever inherits the shard. The parent ctx is dead; give
-			// the dying gasp its own short deadline.
-			gctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			if err := w.Client.Heartbeat(gctx, lease.Campaign, lease.LeaseID, up); err != nil {
-				w.eventf("lease %s: final checkpoint upload failed: %v", lease.LeaseID, err)
-			} else {
-				w.eventf("lease %s: interrupted; cursor uploaded", lease.LeaseID)
-			}
-			cancel()
-			return runErr
-		}
-
-		if lease.ChunkProbes == 0 || report.Probed < lease.ChunkProbes {
-			// The chunk under-ran its probe budget: the shard is
-			// exhausted. (A chunk that exactly hit the budget at the end
-			// of the shard just goes around once more and lands here
-			// with 0 probed. A zero chunk size means the whole shard ran
-			// unchunked — the background renewer alone keeps the lease
-			// alive.)
-			break
-		}
-
-		// Chunk boundary: renew the lease and publish the cursor.
-		err := w.Client.Heartbeat(ctx, lease.Campaign, lease.LeaseID, up)
-		switch {
-		case err == nil:
-			health.renewed(w.now().Add(lease.TTL))
-		case fenced(err):
-			// Fenced off: the shard has a new owner (or the campaign is
-			// gone). Discard everything buffered — uploading it would
-			// double-count against the replacement's work.
-			w.eventf("lease %s: lost (%v); discarding buffered results", lease.LeaseID, err)
-			return nil
-		default:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			// Coordinator unreachable: degrade gracefully. Keep the
-			// shard running and the results buffered; the next chunk
-			// boundary retries. Only a locally expired lease stops us.
-			if !w.now().Before(*health.deadline.Load()) {
-				w.eventf("lease %s: coordinator away past lease deadline; abandoning shard", lease.LeaseID)
-				return nil
-			}
-			w.eventf("lease %s: heartbeat failed (%v); continuing offline", lease.LeaseID, err)
-		}
-
-		if err := scanner.Resume(scanner.Checkpoint()); err != nil {
-			return fmt.Errorf("coord: lease %s: %w", lease.LeaseID, err)
-		}
-	}
-
-	// Shard complete. Stop the renewer first: a renewal in flight while
-	// Complete lands would see the (correctly) dead lease and report it
-	// lost. Then push the final upload until it lands, the lease is
-	// fenced, or the worker's local deadline passes.
-	stopRenewer()
-	if health.fenced.Load() {
-		w.eventf("lease %s: lost before completion; discarding", lease.LeaseID)
-		return nil
-	}
-	up := Upload{Responsive: responsive, Probed: probed, Errors: nErrors}
-	for {
-		err := w.Client.Complete(ctx, lease.Campaign, lease.LeaseID, up)
-		switch {
-		case err == nil:
-			w.eventf("lease %s: shard complete (%d probed, %d responsive)",
-				lease.LeaseID, probed, len(responsive))
-			return nil
-		case fenced(err):
-			w.eventf("lease %s: lost before completion (%v); discarding", lease.LeaseID, err)
-			return nil
-		default:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if !w.now().Before(*health.deadline.Load()) {
-				w.eventf("lease %s: cannot report completion before deadline; abandoning", lease.LeaseID)
-				return nil
-			}
-			w.eventf("lease %s: complete failed (%v); buffering and retrying", lease.LeaseID, err)
-			if err := w.idle(ctx); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// renewLoop renews the lease on a real-time timer, decoupled from chunk
-// boundaries: with the default TTL/3 cadence a chunk may take
-// arbitrarily long (sequential TCP probes, a tight -rate cap) without
-// the lease ever lapsing. Each renewal re-sends the last consistent
-// upload, which the coordinator applies idempotently. A fenced renewal
-// cancels the scan via cancelScan so the worker stops probing a shard
-// it no longer owns; transient failures are left to the chunk loop's
-// offline-deadline policy.
-func (w *Worker) renewLoop(ctx context.Context, cancelScan context.CancelFunc, lease *Lease, health *leaseHealth, done chan<- struct{}) {
-	defer close(done)
-	interval := w.HeartbeatEvery
-	if interval <= 0 {
-		interval = lease.TTL / 3
-	}
-	if interval <= 0 {
-		return
-	}
-	t := time.NewTimer(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		err := w.Client.Heartbeat(ctx, lease.Campaign, lease.LeaseID, *health.lastUp.Load())
-		switch {
-		case err == nil:
-			health.renewed(w.now().Add(lease.TTL))
-		case fenced(err):
-			w.eventf("lease %s: renewal fenced (%v); stopping the scan", lease.LeaseID, err)
-			health.fenced.Store(true)
-			cancelScan()
-			return
-		}
-		t.Reset(interval)
-	}
-}
-
-func (w *Worker) now() time.Time {
-	if w.Now != nil {
-		return w.Now()
-	}
-	return time.Now()
+	return scanner, nil
 }
 
 // idle waits one poll interval (default 200ms) before the next try.

@@ -225,6 +225,7 @@ func (r *atomicScanner) Run(ctx context.Context) (*Report, error) {
 	if s.cfg.Rate > 0 {
 		paceK = min(paceK, max(1, int(s.cfg.Rate*paceSpan.Seconds())))
 	}
+	backoffOn := s.policy != nil && s.policy.backoff > 0
 	responsive := make([][]netaddr.Addr, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -296,12 +297,12 @@ func (r *atomicScanner) Run(ctx context.Context) (*Report, error) {
 					if fpc != nil {
 						fpc.errors.Add(1)
 					}
-					if s.backoffOn && s.policy.observe(pi, false) {
+					if backoffOn && s.policy.observe(pi, false) {
 						fpc.backoffs.Add(1)
 					}
 					continue
 				}
-				if s.backoffOn {
+				if backoffOn {
 					s.policy.observe(pi, true)
 				}
 				if s.cfg.OnResult != nil {

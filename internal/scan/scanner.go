@@ -116,10 +116,9 @@ type Scanner struct {
 	firsts []netaddr.Addr
 	// exclude is swapped atomically by SetExclusions, so a reloaded
 	// list takes effect mid-cycle without pausing the workers.
-	exclude   atomic.Pointer[exclusionList]
-	policy    *PolicyLimiter // probe pacing (nil without any rate)
-	fp        *footprint     // per-AS accounting (nil without per-AS features)
-	backoffOn bool
+	exclude atomic.Pointer[exclusionList]
+	policy  *PolicyLimiter // probe pacing (nil without any rate)
+	fp      *footprint     // per-AS accounting (nil without per-AS features)
 
 	mu     sync.Mutex
 	shards []*Shard    // worker shards of the most recent Run
@@ -173,7 +172,6 @@ func New(cfg Config) (*Scanner, error) {
 		// unless there are more workers than tokens of AS burst.
 		s.policy = newPolicyLimiter(&cfg, tab)
 	}
-	s.backoffOn = pol.Backoff.Threshold > 0
 	return s, nil
 }
 
@@ -414,6 +412,8 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 	}
 
 	paceK := s.paceK()
+	// Read once, so the probe path tests one local per probe.
+	backoffOn := s.policy != nil && s.policy.backoff > 0
 	responsive := make([][]netaddr.Addr, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -506,12 +506,12 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 					if fpc != nil {
 						fpc.errors++
 					}
-					if s.backoffOn && s.policy.observe(pi, false) {
+					if backoffOn && s.policy.observe(pi, false) {
 						fpc.backoffs++
 					}
 					continue
 				}
-				if s.backoffOn {
+				if backoffOn {
 					s.policy.observe(pi, true)
 				}
 				if s.cfg.OnResult != nil {

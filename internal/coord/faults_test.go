@@ -35,43 +35,29 @@ type memTransport struct {
 	mu      sync.Mutex
 	handler http.Handler
 	reqs    int
-	fails   int
 	// onRequest, when set, may reject a request before it reaches the
 	// handler (simulated network failure).
 	onRequest func(r *http.Request) error
-	// dropResponse, when set, discards the response of the n-th request
-	// after the handler processed it.
-	dropResponse func(r *http.Request, n int) bool
+	// dropResponse, when set, may discard a response after the handler
+	// processed the request.
+	dropResponse func(r *http.Request) bool
 }
 
 func (t *memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.reqs++
-	n := t.reqs
 	if t.onRequest != nil {
 		if err := t.onRequest(req); err != nil {
-			t.fails++
 			return nil, err
 		}
 	}
-	if t.handler == nil {
-		t.fails++
-		return nil, fmt.Errorf("coord test: coordinator down")
-	}
 	rec := httptest.NewRecorder()
 	t.handler.ServeHTTP(rec, req)
-	if t.dropResponse != nil && t.dropResponse(req, n) {
-		t.fails++
+	if t.dropResponse != nil && t.dropResponse(req) {
 		return nil, fmt.Errorf("coord test: response lost")
 	}
 	return rec.Result(), nil
-}
-
-func (t *memTransport) failures() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fails
 }
 
 func newTestClient(tr *memTransport) *Client {
@@ -115,21 +101,16 @@ func (l *probeLog) set(cycle int) map[netaddr.Addr]int {
 	return out
 }
 
-// countingProber records every probe in the shared log, fires an
-// optional per-probe hook (the kill trigger), and delegates to the
-// deterministic simulation prober.
+// countingProber records every probe in the shared log and delegates
+// to the deterministic simulation prober.
 type countingProber struct {
-	log     *probeLog
-	cycle   int
-	inner   scan.Prober
-	onProbe func()
+	log   *probeLog
+	cycle int
+	inner scan.Prober
 }
 
 func (p *countingProber) Probe(ctx context.Context, addr netaddr.Addr) (scan.Result, error) {
 	p.log.record(p.cycle, addr)
-	if p.onProbe != nil {
-		p.onProbe()
-	}
 	return p.inner.Probe(ctx, addr)
 }
 

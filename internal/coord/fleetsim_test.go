@@ -229,11 +229,14 @@ func TestFleetSim(t *testing.T) {
 	for _, sc := range fleetScenarios {
 		t.Run("seed="+sc.name, func(t *testing.T) {
 			ran++
-			s := runFleetSim(t, 1, sc.cfg(), single, singleLog, seen)
+			cfg := sc.cfg()
+			s := runFleetSim(t, 1, cfg, single, singleLog, seen)
 			st, err := s.c.Status("camp")
 			if err != nil {
 				t.Fatal(err)
 			}
+			// No named seed loses a cursor: every address exactly once.
+			assertMatchesSingleNode(t, st, s.log, nil, single[:cfg.cycles], singleLog)
 			sc.check(s, st)
 		})
 	}
@@ -282,7 +285,7 @@ func runFleetSim(t *testing.T, seed int64, cfg simConfig, single []scan.Cycle, s
 	s.c = mustCoordinator(t, s.store, s.clk.Now)
 	s.tr = &memTransport{handler: NewHandler(s.c)}
 	s.tr.onRequest = s.onRequest
-	s.tr.dropResponse = func(r *http.Request, _ int) bool {
+	s.tr.dropResponse = func(r *http.Request) bool {
 		if cfg.dropReply != nil && cfg.dropReply(s, r) {
 			s.seen["reply dropped"]++
 			return true

@@ -249,26 +249,29 @@ func sparseFor(prefixes, addrs int) bool {
 // block index, two index lookups per prefix, O(K log B) instead of
 // O(N+K); dense selections keep the merge walk, summing inline.
 func (s *SnapshotOf[A]) CountIn(p rib.PartOf[A]) int {
+	// The walks read the bounds slices once: a per-element FirstAt or
+	// LastAt call would copy the partition header each time.
+	firsts, lasts := p.Bounds()
 	total := 0
-	if s.lazy || sparseFor(p.Len(), len(s.Addrs)) {
+	if s.lazy || sparseFor(len(firsts), len(s.Addrs)) {
 		ctr := s.Set().Counter()
-		for i := 0; i < p.Len(); i++ {
-			total += ctr.Count(p.FirstAt(i), p.LastAt(i))
+		for i, f := range firsts {
+			total += ctr.Count(f, lasts[i])
 		}
 		return total
 	}
-	if s4, ok := any(s).(*Snapshot); ok {
-		return countIn32(s4, any(p).(rib.Partition))
+	if a4, ok := any(s.Addrs).([]netaddr.Addr); ok {
+		return countIn32(a4, any(firsts).([]netaddr.Addr), any(lasts).([]netaddr.Addr))
 	}
 	i := 0
 	for _, a := range s.Addrs {
-		for i < p.Len() && p.LastAt(i).Compare(a) < 0 {
+		for i < len(lasts) && lasts[i].Compare(a) < 0 {
 			i++
 		}
-		if i == p.Len() {
+		if i == len(lasts) {
 			break
 		}
-		if a.Compare(p.FirstAt(i)) >= 0 {
+		if a.Compare(firsts[i]) >= 0 {
 			total++
 		}
 	}
@@ -277,19 +280,19 @@ func (s *SnapshotOf[A]) CountIn(p rib.PartOf[A]) int {
 
 // countIn32 is the concrete IPv4 merge walk behind CountIn: it touches
 // every snapshot address, so the inner compares must stay direct uint32
-// operations rather than dictionary calls.
-func countIn32(s *Snapshot, p rib.Partition) int {
+// operations on the partition's bounds rather than dictionary calls.
+func countIn32(addrs, firsts, lasts []netaddr.Addr) int {
 	total := 0
 	i := 0
-	n := p.Len()
-	for _, a := range s.Addrs {
-		for i < n && p.LastAt(i) < a {
+	n := len(lasts)
+	for _, a := range addrs {
+		for i < n && lasts[i] < a {
 			i++
 		}
 		if i == n {
 			break
 		}
-		if a >= p.FirstAt(i) {
+		if a >= firsts[i] {
 			total++
 		}
 	}

@@ -37,23 +37,24 @@ func CountAddrsSharded(addrs []netaddr.Addr, p rib.Partition, workers int) (coun
 	}
 	counts = make([]int, n)
 
+	firsts, lasts := p.Bounds()
 	inside := make([]int, (n+shard-1)/shard)
 	par.ForEachChunk(n, workers, shard, func(lo, hi int) {
 		// Address subrange covered by prefixes [lo, hi).
-		first := p.FirstAt(lo)
-		last := p.LastAt(hi - 1)
+		first := firsts[lo]
+		last := lasts[hi-1]
 		alo := sort.Search(len(addrs), func(i int) bool { return addrs[i] >= first })
 		ahi := alo + sort.Search(len(addrs)-alo, func(i int) bool { return addrs[alo+i] > last })
 		pi := lo
 		got := 0
 		for _, a := range addrs[alo:ahi] {
-			for pi < hi && p.LastAt(pi) < a {
+			for pi < hi && lasts[pi] < a {
 				pi++
 			}
 			if pi == hi {
 				break
 			}
-			if a < p.FirstAt(pi) {
+			if a < firsts[pi] {
 				continue // gap between shard prefixes
 			}
 			counts[pi]++
@@ -119,12 +120,13 @@ func countSetSharded[A netaddr.Key[A]](set *addrset.SetOf[A], p rib.PartOf[A], w
 	if shard < minShard {
 		shard = minShard
 	}
+	firsts, lasts := p.Bounds()
 	inside := make([]int, (n+shard-1)/shard)
 	par.ForEachChunk(n, workers, shard, func(lo, hi int) {
 		ctr := set.Counter()
 		got := 0
 		for i := lo; i < hi; i++ {
-			c := ctr.Count(p.FirstAt(i), p.LastAt(i))
+			c := ctr.Count(firsts[i], lasts[i])
 			counts[i] = c
 			got += c
 		}

@@ -89,10 +89,14 @@ func Refine(seed *census.Snapshot, part rib.Partition, opts Options) (rib.Partit
 		split(right, mid, hi)
 	}
 
-	for i := 0; i < part.Len(); i++ {
-		p := part.Prefix(i)
-		lo := sort.Search(len(addrs), func(j int) bool { return addrs[j] >= p.First() })
-		hi := lo + sort.Search(len(addrs)-lo, func(j int) bool { return addrs[lo+j] > p.Last() })
+	// The prefixes are sorted and disjoint, so each one's addresses start
+	// at or after the previous prefix's end.
+	firsts, lasts := part.Bounds()
+	hi := 0
+	for i, p := range part.Prefixes() {
+		first, last := firsts[i], lasts[i]
+		lo := hi + sort.Search(len(addrs)-hi, func(j int) bool { return addrs[hi+j] >= first })
+		hi = lo + sort.Search(len(addrs)-lo, func(j int) bool { return addrs[lo+j] > last })
 		split(p, lo, hi)
 	}
 	netaddr.SortPrefixes(out)

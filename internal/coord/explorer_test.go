@@ -112,7 +112,11 @@ func exploreSchedule(t *testing.T, seed int64, seen map[string]int) {
 		switch r := x.rng.Intn(100); {
 		case r < 5:
 			x.op = "create"
-			x.create([]string{"a", "b"}[x.rng.Intn(2)])
+			id := "b"
+			if x.coin() {
+				id = "a"
+			}
+			x.create(id)
 		case r < 30:
 			x.op = "acquire"
 			x.acquire()
@@ -214,12 +218,19 @@ func (x *explorer) acquire() {
 	w.lease, w.found, w.up = leaseL, map[netaddr.Addr]bool{}, Upload{}
 }
 
+// coin is the explorer's two-way choice. It reads a whole Float64 draw:
+// Intn(2) keeps only a few bits of one, and a few bits at a fixed draw
+// position can be far from uniform across consecutive seeds.
+func (x *explorer) coin() bool { return x.rng.Float64() < 0.5 }
+
 // grow extends w's cumulative upload: a few more probes, maybe a few
 // more hosts from its lease's plan, and a fresh cursor.
 func (x *explorer) grow(w *explorerWorker) {
 	n := uint64(1 + x.rng.Intn(16))
 	w.up.Probed += n
-	w.up.Errors += uint64(x.rng.Intn(2))
+	if x.coin() {
+		w.up.Errors++
+	}
 	if !x.hostless[w.lease.Campaign] {
 		plan, err := parsePartition(w.lease.Plan)
 		if err != nil {
@@ -279,7 +290,7 @@ func (x *explorer) staleUpload() {
 		lease = x.stale[x.rng.Intn(len(x.stale))]
 	}
 	up := Upload{Responsive: []netaddr.Addr{netaddr.MustParseAddr("198.51.100.1")}, Probed: 1}
-	x.send(lease, up, x.rng.Intn(2) == 0)
+	x.send(lease, up, x.coin())
 }
 
 // send delivers one upload to both coordinators and checks that a

@@ -50,6 +50,10 @@ type simConfig struct {
 	// kill, asked at each probe, decides whether the prober dies there,
 	// and whether hard (no final cursor upload).
 	kill func(s *fleetSim, w *simWorker) (kill, hard bool)
+	// cancel, asked at each boundary heartbeat, decides whether the
+	// worker is canceled with that heartbeat out: its request never
+	// reaches the coordinator, and the process ends after its gasp.
+	cancel func(s *fleetSim, w *simWorker) bool
 	// revive brings killed workers back as fresh processes.
 	revive bool
 }
@@ -172,6 +176,27 @@ var fleetScenarios = []struct {
 	check: func(s *fleetSim, st *Status) {
 		if s.seen["request dropped"] == 0 || s.seen["reply dropped"] == 0 {
 			s.t.Errorf("no faults fired: %v", s.seen)
+		}
+	},
+}, {
+	// The worker is canceled while its second boundary heartbeat is
+	// out, and that request is lost: only the machine's gasp carries the
+	// chunk's cursor, which the survivor inherits once the lease lapses.
+	name: "cancel-boundary",
+	cfg: func() simConfig {
+		heartbeats := 0
+		return simConfig{workers: 2, shards: 2, cycles: 2, ttl: 30 * time.Second, chunk: 16,
+			cancel: func(s *fleetSim, w *simWorker) bool {
+				if w.id == "w0" {
+					heartbeats++
+					return heartbeats == 2
+				}
+				return false
+			}}
+	},
+	check: func(s *fleetSim, st *Status) {
+		if s.seen["cancel"] != 1 || s.seen["final upload"] != 1 || s.seen["resume"] == 0 {
+			s.t.Errorf("the canceled worker's cursor was not handed over: %v", s.seen)
 		}
 	},
 }, {
@@ -449,6 +474,11 @@ func (s *fleetSim) act(w *simWorker) {
 			s.die(w)
 		}
 	case actHeartbeat:
+		if s.cfg.cancel != nil && s.cfg.cancel(s, w) {
+			s.seen["cancel"]++
+			s.die(w)
+			return
+		}
 		err := s.heartbeat(w)
 		if w.next = s.reply(w, err); err != nil && w.next == actScan {
 			s.seen["offline"]++
@@ -470,6 +500,19 @@ func (s *fleetSim) act(w *simWorker) {
 	case actDone:
 		w.m = nil
 	}
+}
+
+// gasp sends w's final upload after a cancellation, with Complete when
+// it is the shard's completion, as Worker.runLease does.
+func (s *fleetSim) gasp(w *simWorker) error {
+	if !w.m.final {
+		return s.heartbeat(w)
+	}
+	err := w.w.Client.Complete(context.Background(), "camp", w.m.lease.LeaseID, w.m.up)
+	if err == nil {
+		s.acked(w)
+	}
+	return err
 }
 
 // heartbeat sends w's upload and acknowledges the probes in it.
@@ -507,15 +550,19 @@ func (s *fleetSim) lose(w *simWorker, why string) {
 	w.m, w.unacked, w.inUp = nil, nil, 0
 }
 
-// die ends a killed worker's process after its chunk: a graceful death
-// sends the final cursor when the machine asks for it, as Worker.Run
-// does; a chunk that ran to its end first leaves an RPC the dead
-// context refuses.
+// die ends a worker's process, after its chunk or with a boundary
+// heartbeat out. A graceful death is a cancellation: a chunk it stopped
+// has already asked for the gasp, and a machine whose chunk ran to its
+// end is told of it, as Worker.runLease tells it when the dead context
+// refuses the next RPC. Only a hard kill ends without the final upload.
 func (s *fleetSim) die(w *simWorker) {
+	if !w.hard && w.next != actGasp {
+		w.next = w.m.canceled()
+	}
 	switch {
 	case w.hard || w.next != actGasp:
 		s.lose(w, "hard kill")
-	case s.heartbeat(w) == nil:
+	case s.gasp(w) == nil:
 		s.seen["final upload"]++
 		w.m = nil
 	default:

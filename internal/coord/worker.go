@@ -84,7 +84,7 @@ const (
 	actScan                    // resume from the upload's cursor, run the next chunk
 	actHeartbeat               // send the upload: at a boundary, or as a renewal mid-chunk
 	actComplete                // send the upload as the shard's completion
-	actGasp                    // the chunk was canceled: send the upload, its cursor exact, and stop
+	actGasp                    // the worker was canceled: send the unacknowledged upload once more and stop
 	actDrop                    // the shard is lost: cancel a running chunk, discard the buffer
 	actDone                    // the shard is complete
 )
@@ -104,6 +104,9 @@ type leaseMachine struct {
 	// up is the buffer: the last consistent (chunk-boundary) upload. It
 	// starts with the inherited cursor, which early renewals re-assert.
 	up Upload
+	// final marks a buffer that is the shard's completion: the gasp
+	// sends it with Complete, not Heartbeat.
+	final bool
 }
 
 // newLeaseMachine starts a machine, whose first action is actScan.
@@ -139,7 +142,7 @@ func (m *leaseMachine) chunked(rep *scan.Report, cp *scan.Checkpoint, err error)
 		m.await = actNone
 		return actGasp
 	case m.lease.ChunkProbes == 0 || rep.Probed < m.lease.ChunkProbes:
-		m.await, m.up.Checkpoint = actComplete, nil
+		m.await, m.up.Checkpoint, m.final = actComplete, nil, true
 	default:
 		m.await = actHeartbeat
 	}
@@ -198,6 +201,22 @@ func (m *leaseMachine) replied(now time.Time, err error) action {
 	return actNone
 }
 
+// canceled takes the worker's cancellation outside a chunk: while a
+// boundary heartbeat or the completion is out, or while a failed
+// completion waits for its retry. The buffer is unacknowledged in each
+// of these phases, so the machine asks for the gasp: a replacement then
+// resumes past every probe instead of re-probing since the last landed
+// upload. A running chunk reports its cancellation through chunked, and
+// once the lease is over there is nothing to send.
+func (m *leaseMachine) canceled() action {
+	switch m.await {
+	case actHeartbeat, actComplete:
+		m.await = actNone
+		return actGasp
+	}
+	return actNone
+}
+
 // runLease drives one leased shard's machine. It returns an error only
 // for a dead context or a lease the scanner cannot run.
 func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
@@ -222,21 +241,25 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 			}
 			err := send(ctx, lease.Campaign, lease.LeaseID, m.up)
 			if err != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if a = w.reply(m, what, err); a == actComplete {
-				if err := w.idle(ctx); err != nil {
-					return err
-				}
+				a = m.canceled()
+			} else if a = w.reply(m, what, err); a == actComplete && w.idle(ctx) != nil {
+				a = m.canceled()
 			}
 		case actGasp: // ctx is dead: the final upload gets its own deadline
+			send := w.Client.Heartbeat
+			if m.final {
+				send = w.Client.Complete
+			}
 			gctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			if err := w.Client.Heartbeat(gctx, lease.Campaign, lease.LeaseID, m.up); err != nil {
-				w.eventf("lease %s: final checkpoint upload failed: %v", lease.LeaseID, err)
+			if err := send(gctx, lease.Campaign, lease.LeaseID, m.up); err != nil {
+				w.eventf("lease %s: final upload failed: %v", lease.LeaseID, err)
 			} else {
-				w.eventf("lease %s: interrupted; cursor uploaded", lease.LeaseID)
+				w.eventf("lease %s: interrupted; final upload landed", lease.LeaseID)
 			}
 			cancel()
+			if runErr == nil { // the chunk had ended: ctx died during an RPC or a wait
+				runErr = ctx.Err()
+			}
 			return runErr
 		default: // actDrop, actDone
 			return nil

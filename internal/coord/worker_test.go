@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +20,7 @@ import (
 // renewal while a chunk runs, completion) maps to exactly one action,
 // with its effect on the buffer and the deadline. It also pins the
 // clock readings (renewal every TTL/3, drop at the deadline, no renewal
-// outside a running chunk) and the chunk outcomes.
+// outside a running chunk), the chunk outcomes and the cancellations.
 func TestLeaseMachineRule(t *testing.T) {
 	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	const ttl = 30 * time.Second
@@ -144,9 +146,92 @@ func TestLeaseMachineRule(t *testing.T) {
 	if a := m.chunked(short, cp, context.Canceled); a != actGasp || m.up.Checkpoint != cp || m.up.Probed != 5 {
 		t.Errorf("canceled chunk: action %d, upload %+v; want the final upload of the exact cursor", a, m.up)
 	}
+
+	// Cancellations outside a chunk: every phase with an unacknowledged
+	// buffer asks for the gasp, of the cursor at a boundary and of the
+	// completion at the shard's end; a running chunk reports through
+	// chunked (above), and a lease that is over sends nothing.
+	cancels := []struct {
+		ph    string
+		prep  func(m *leaseMachine)
+		want  action
+		final bool
+	}{
+		{"renewal", func(m *leaseMachine) {}, actNone, false},
+		{"boundary", func(m *leaseMachine) {}, actGasp, false},
+		{"completion", func(m *leaseMachine) {}, actGasp, true},
+		{"completion", func(m *leaseMachine) { m.replied(t0, errors.New("connection refused")) }, actGasp, true}, // waiting to retry
+		{"boundary", func(m *leaseMachine) { m.replied(t0, fmt.Errorf("%w: L00000001", ErrLeaseLost)) }, actNone, false},
+		{"completion", func(m *leaseMachine) { m.replied(t0, nil) }, actNone, true},
+	}
+	for i, tc := range cancels {
+		m := machine(tc.ph)
+		tc.prep(m)
+		before := m.up
+		if a := m.canceled(); a != tc.want || m.final != tc.final || !reflect.DeepEqual(m.up, before) {
+			t.Errorf("cancel %d (%s): action %d final %v, upload %+v; want action %d final %v, buffer kept",
+				i, tc.ph, a, m.final, m.up, tc.want, tc.final)
+		}
+		if a := m.canceled(); tc.want == actGasp && a != actNone {
+			t.Errorf("cancel %d (%s): a second cancellation asks for action %d; one gasp is all", i, tc.ph, a)
+		}
+	}
+
 	inherited := *lease
 	inherited.Checkpoint = cp
 	if m := newLeaseMachine(&inherited, t0); m.up.Checkpoint != cp {
 		t.Errorf("a resumed lease's first renewal would clear the inherited cursor: %+v", m.up)
+	}
+}
+
+// TestWorkerCanceledMidRPCGasps cancels a real Worker while a boundary
+// heartbeat or the completion is out, and that request is lost: the
+// worker must still land its results with one final upload under its
+// own deadline, the boundary's cursor as a heartbeat, the shard's end
+// as its completion.
+func TestWorkerCanceledMidRPCGasps(t *testing.T) {
+	for _, tc := range []struct {
+		route string
+		nth   int
+	}{{"/heartbeat", 2}, {"/complete", 1}} {
+		t.Run(strings.TrimPrefix(tc.route, "/"), func(t *testing.T) {
+			clk := newVClock()
+			c := mustCoordinator(t, NewMemStore(), clk.Now)
+			if err := c.CreateCampaign(faultSpec(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			seen := 0
+			tr := &memTransport{handler: NewHandler(c), onRequest: func(r *http.Request) error {
+				if strings.HasSuffix(r.URL.Path, tc.route) && r.Context().Err() == nil {
+					if seen++; seen == tc.nth {
+						cancel()
+						return context.Canceled
+					}
+				}
+				return nil
+			}}
+			w := &Worker{Client: newTestClient(tr), ID: "w", Campaign: "camp", ProberAt: faultProberAt,
+				Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() }}
+			if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Run = %v, want context.Canceled", err)
+			}
+			st, err := c.Status("camp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := c.campaigns["camp"].Shards[0]
+			switch tc.route {
+			case "/heartbeat":
+				if sh.State != shardLeased || sh.Checkpoint == nil || sh.CurProbed != 32 {
+					t.Fatalf("shard %s with %d probed; want the second chunk's cursor (32 probed) landed", sh.State, sh.CurProbed)
+				}
+			case "/complete":
+				if !st.Done {
+					t.Fatalf("campaign not done; the final completion did not land: %+v", st)
+				}
+			}
+		})
 	}
 }

@@ -116,23 +116,29 @@ func Figure3(w *World) (Result, error) {
 		{"less", w.U.Less},
 		{"more", w.U.More},
 	} {
-		// Index prefix lengths once per universe.
-		lenOf := make([]int, uni.part.Len())
-		for i := 0; i < uni.part.Len(); i++ {
-			lenOf[i] = uni.part.Prefix(i).Bits()
+		// Index prefix lengths once per universe; a length gets a value
+		// per month only if some prefix of the universe has it.
+		prefixes := uni.part.Prefixes()
+		lenOf := make([]int, len(prefixes))
+		var present [33]bool
+		for i, p := range prefixes {
+			lenOf[i] = p.Bits()
+			present[lenOf[i]] = true
 		}
 		for _, proto := range w.Protocols() {
 			series := w.Series[proto]
 			// perLen[bits] collects one value per month.
-			perLen := make(map[int][]float64)
+			var perLen [33][]float64
 			for m := 0; m < series.Months(); m++ {
 				counts, _ := series.At(m).CountByPrefix(uni.part)
-				byLen := make(map[int]int)
+				var byLen [33]int
 				for i, c := range counts {
 					byLen[lenOf[i]] += c
 				}
 				for bits, c := range byLen {
-					perLen[bits] = append(perLen[bits], float64(c))
+					if present[bits] {
+						perLen[bits] = append(perLen[bits], float64(c))
+					}
 				}
 			}
 			var tb stats.Table

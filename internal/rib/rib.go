@@ -128,11 +128,11 @@ func (t *Table) OriginsOf(p Partition) []uint32 {
 		tr.Insert(e.Prefix, as)
 	}
 	out := make([]uint32, p.Len())
-	for i := 0; i < p.Len(); i++ {
+	for i, pfx := range p.Prefixes() {
 		// Partition prefixes never straddle announcements (both views are
 		// deaggregated around more-specifics), so the most specific
 		// announced cover of the whole prefix is its origin.
-		if _, as, ok := tr.LookupPrefix(p.Prefix(i)); ok {
+		if _, as, ok := tr.LookupPrefix(pfx); ok {
 			out[i] = as
 		}
 	}
@@ -269,20 +269,25 @@ func newPartitionSorted32(sorted []netaddr.Prefix) Partition {
 // Len returns the number of prefixes in the partition.
 func (p PartOf[A]) Len() int { return len(p.prefixes) }
 
-// Prefix returns the i-th prefix in sorted order.
+// Prefix returns the i-th prefix in sorted order. Like every PartOf
+// method it takes the partition by value, and a call that is not
+// inlined copies the 80-byte header: a loop over the prefixes takes
+// Prefixes() once instead.
 func (p PartOf[A]) Prefix(i int) netaddr.Pfx[A] { return p.prefixes[i] }
 
 // Prefixes returns the sorted prefixes. The slice is shared; do not
 // modify it.
 func (p PartOf[A]) Prefixes() []netaddr.Pfx[A] { return p.prefixes }
 
-// FirstAt returns the lowest address of the i-th prefix. It reads a
-// cache built at partition construction, so unlike Prefix(i).First()
-// it costs a slice load — counting walks call it once per address.
+// FirstAt returns the lowest address of the i-th prefix from a cache
+// built at partition construction. It is for single lookups: a call
+// that is not inlined copies the 80-byte partition header, so a
+// counting walk takes Bounds() once and compares slice elements.
 func (p PartOf[A]) FirstAt(i int) A { return p.firsts[i] }
 
 // LastAt returns the highest address of the i-th prefix, from the same
-// construction-time cache as FirstAt.
+// construction-time cache as FirstAt. Like FirstAt it is for single
+// lookups; a per-element loop reads Bounds() once.
 func (p PartOf[A]) LastAt(i int) A { return p.lasts[i] }
 
 // Bounds returns the construction-time caches behind FirstAt and

@@ -91,6 +91,7 @@ func BenchmarkCountIn(b *testing.B) {
 				}
 			}
 			want *= rounds / (len(snaps) * len(sels))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				got := 0
 				for r := 0; r < rounds; r++ {
